@@ -10,10 +10,28 @@
 //          success, an uncompressed re-encode must decode back to the
 //          same labels, and the advertised wire_length must match what
 //          an uncompressed encode actually produces.
+// In both modes the allocation-free presentation form (to_text) must
+// equal to_string() and the labels joined with dots.
+#include <string>
 #include <string_view>
 
 #include "dns/name.h"
 #include "fuzz/harness.h"
+
+namespace {
+
+void check_presentation(const eum::dns::DnsName& name) {
+  std::string joined;
+  for (const std::string_view label : name.labels()) {
+    if (!joined.empty()) joined += '.';
+    joined += label;
+  }
+  eum::dns::DnsName::TextBuffer buffer;
+  FUZZ_CHECK(name.to_text(buffer) == joined);
+  FUZZ_CHECK(name.to_string() == joined);
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   using eum::dns::ByteReader;
@@ -34,6 +52,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     } catch (const WireError&) {
       return 0;
     }
+    check_presentation(name);
     const std::string printed = name.to_string();
     DnsName reparsed;
     try {
@@ -56,6 +75,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   // The cursor must have ended inside the buffer (never past it).
   FUZZ_CHECK(reader.offset() <= body_size);
   FUZZ_CHECK(name.wire_length() <= 255);
+  check_presentation(name);
 
   // Uncompressed re-encode must be exactly wire_length() octets and
   // decode back to the same labels (wire-decoded labels may contain

@@ -4,8 +4,12 @@
 # retry/serve-stale resolver, the deadline-driven UDP/TCP transports,
 # and the wire-corruption fuzz corpus (corrupted datagrams are decoded
 # and re-encoded constantly under fault injection, so heap overreads and
-# UB in the codec would bite exactly there). Builds a separate ASan+UBSan
-# tree and runs the relevant suites; any report fails the script.
+# UB in the codec would bite exactly there). It also covers the
+# allocation-free serve path — inline DNS names and ECS addresses, the
+# offset-table name compression, scratch decode/handle/encode and the flat
+# world indexes — where a length bug in a fixed array is an overflow, and
+# the allocation gate that pins it. Builds a separate ASan+UBSan tree and
+# runs the relevant suites; any report fails the script.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default build-asan)
 set -eu
@@ -15,14 +19,19 @@ cmake -S . -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   >/dev/null
-cmake --build "$BUILD" --target eum_tests fault_sweep \
+cmake --build "$BUILD" --target eum_tests eum_alloc_gate fault_sweep \
   replay_message replay_name replay_ecs replay_zone_file replay_prefix_trie \
   -j "$(nproc)"
 
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   "$BUILD/tests/eum_tests" \
-  --gtest_filter='Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*'
+  --gtest_filter='Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
+
+echo "asan_check: running the allocation gate under ASan+UBSan"
+ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+  "$BUILD/tests/eum_alloc_gate"
 
 echo "asan_check: replaying fuzz corpora + 2000 mutants/harness under ASan+UBSan"
 for harness in message name ecs zone_file prefix_trie; do

@@ -18,6 +18,14 @@ T* require(T* pointer, const char* what) {
   return pointer;
 }
 
+const MappingConfig& checked(const MappingConfig& config) {
+  if (config.servers_per_answer > kMaxServersPerAnswer) {
+    throw std::invalid_argument{"MappingSystem: servers_per_answer exceeds " +
+                                std::to_string(kMaxServersPerAnswer)};
+  }
+  return config;
+}
+
 }  // namespace
 
 MappingSystem::MappingSystem(const topo::World* world, CdnNetwork* network,
@@ -25,7 +33,7 @@ MappingSystem::MappingSystem(const topo::World* world, CdnNetwork* network,
     : world_(require(world, "world")),
       network_(require(network, "network")),
       latency_(require(latency, "latency")),
-      config_(config),
+      config_(checked(config)),
       mesh_(PingMesh::measure(*world_, *network_, *latency_)),
       scoring_(Scoring::build(*world_, *network_, mesh_, config.scoring_top_k,
                               config.traffic_class, config.precompute_cluster_scores)),
@@ -49,7 +57,8 @@ std::optional<MapResult> MappingSystem::finish(std::optional<DeploymentId> deplo
   MapResult result;
   result.deployment = *deployment;
   result.expected_rtt_ms = mesh_.rtt_ms(*deployment, unit_target);
-  result.servers = local_lb_.pick_servers(cluster, domain, load_units);
+  const std::vector<net::IpAddr> servers = local_lb_.pick_servers(cluster, domain, load_units);
+  result.servers.assign(servers.begin(), servers.end());
   if (result.servers.empty()) return std::nullopt;
   return result;
 }
@@ -113,7 +122,8 @@ dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
       }
     }
 
-    const auto result = map(ldns->id, block, query.qname.to_string());
+    dns::DnsName::TextBuffer domain;
+    const auto result = map(ldns->id, block, query.qname.to_text(domain));
     // Flight-recorder span (thread-local tracer; null on untraced
     // transports): the decision's policy inputs and outcome. This is the
     // slow path — the wire answer cache absorbed repeats — so the detail
@@ -131,7 +141,7 @@ dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
     if (!result) return std::nullopt;
 
     dnsserver::DynamicAnswer answer;
-    answer.addresses = result->servers;
+    answer.addresses.assign(result->servers.begin(), result->servers.end());
     if (config_.serve_ipv6) {
       // Dual stack: the same servers under their IPv6 aliases. The
       // authoritative engine filters by question type, so A questions
@@ -164,7 +174,8 @@ dnsserver::DynamicAnswerFn MappingSystem::top_level_handler(const dns::DnsName& 
       const net::IpPrefix block24{query.client_block->address(), 24};
       if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) block = found->id;
     }
-    const auto result = map(ldns->id, block, query.qname.to_string());
+    dns::DnsName::TextBuffer domain;
+    const auto result = map(ldns->id, block, query.qname.to_text(domain));
     if (!result) return std::nullopt;
 
     dnsserver::DynamicAnswer answer;
@@ -188,8 +199,10 @@ dnsserver::DynamicAnswerFn MappingSystem::cluster_ns_handler() {
     // The global choice was made by the delegation; this answer holds for
     // any client the resolver asks for.
     answer.ecs_scope_len = 0;
-    answer.addresses = local_lb_.pick_servers(network_->deployments()[cluster->id],
-                                              query.qname.to_string());
+    dns::DnsName::TextBuffer domain;
+    const std::vector<net::IpAddr> servers =
+        local_lb_.pick_servers(network_->deployments()[cluster->id], query.qname.to_text(domain));
+    answer.addresses.assign(servers.begin(), servers.end());
     if (answer.addresses.empty()) return std::nullopt;
     if (config_.serve_ipv6) {
       const std::size_t v4_count = answer.addresses.size();

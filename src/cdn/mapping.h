@@ -43,7 +43,7 @@ struct MappingConfig {
   /// TTL of dynamic answers, seconds. CDN mapping TTLs are short so the
   /// system can steer traffic quickly (tens of seconds in production).
   std::uint32_t answer_ttl = 20;
-  std::size_t servers_per_answer = 2;
+  std::size_t servers_per_answer = 2;  ///< at most kMaxServersPerAnswer
   std::size_t scoring_top_k = 8;
   /// Scoring function for this mapping system's traffic (§2.2).
   TrafficClass traffic_class = TrafficClass::web;
@@ -59,9 +59,17 @@ struct MappingConfig {
   GlobalLbConfig global_lb;
 };
 
+/// The most servers one answer may name (MappingConfig::servers_per_answer
+/// is checked against it at construction). Inline storage for this many
+/// keeps a mapping decision free of heap allocations, and with each
+/// server's IPv6 alias the dual-stack answer still fits DynamicAnswer's
+/// inline addresses.
+inline constexpr std::size_t kMaxServersPerAnswer = 4;
+static_assert(2 * kMaxServersPerAnswer <= dnsserver::DynamicAnswer::kInlineAddresses);
+
 struct MapResult {
   DeploymentId deployment = 0;
-  std::vector<net::IpAddr> servers;
+  util::SmallVector<net::IpAddr, kMaxServersPerAnswer> servers;
   float expected_rtt_ms = 0.0F;  ///< mesh RTT from the chosen cluster to the unit
 };
 
@@ -82,7 +90,9 @@ class MappingSystem {
  public:
   /// `world`, `network` and `latency` are borrowed and must outlive the
   /// mapping system. Builds the ping mesh and scoring tables up front
-  /// (the paper's periodic topology-discovery/scoring cycle).
+  /// (the paper's periodic topology-discovery/scoring cycle). Throws
+  /// std::invalid_argument when servers_per_answer exceeds
+  /// kMaxServersPerAnswer.
   MappingSystem(const topo::World* world, CdnNetwork* network,
                 const topo::LatencyModel* latency, MappingConfig config);
 

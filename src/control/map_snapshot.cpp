@@ -1,6 +1,7 @@
 #include "control/map_snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -262,8 +263,9 @@ std::optional<cdn::MapResult> MapSnapshot::pick(std::span<const cdn::Candidate> 
   // The usable()/add() pair is not one atomic step: concurrent serving
   // threads may overshoot a cluster's capacity by a few in-flight
   // queries. The map maker's next rebuild sees the ledger and rebalances
-  // — the paper's control loop, not per-query strictness.
-  loads_->add(*chosen, load_units);
+  // — the paper's control loop, not per-query strictness. DNS decisions
+  // charge nothing, so they skip the shared atomic.
+  if (load_units != 0.0) loads_->add(*chosen, load_units);
 
   const Cluster& cluster = clusters_[*chosen];
   cdn::MapResult result;
@@ -272,27 +274,27 @@ std::optional<cdn::MapResult> MapSnapshot::pick(std::span<const cdn::Candidate> 
 
   // Rendezvous hashing over the frozen alive-server list, with the same
   // weight formula as the live LocalLoadBalancer so a domain keeps its
-  // "home" servers whichever path answered (cache affinity).
+  // "home" servers whichever path answered (cache affinity). The top
+  // `want` weights are kept by insertion into a small array, heaviest
+  // first, instead of sorting every server.
   struct Ranked {
     std::uint64_t weight;
     std::size_t index;
   };
-  std::vector<Ranked> ranked;
-  ranked.reserve(cluster.servers.size());
+  std::array<Ranked, cdn::kMaxServersPerAnswer> top{};
+  const std::size_t want = std::min(config_.servers_per_answer, cluster.servers.size());
+  std::size_t kept = 0;
   const std::uint64_t domain_hash = util::fnv1a64(domain);
   for (std::size_t i = 0; i < cluster.servers.size(); ++i) {
-    ranked.push_back(Ranked{
-        util::hash_combine(domain_hash,
-                           static_cast<std::uint64_t>(cluster.servers[i].v4().value())),
-        i});
+    const Ranked ranked{util::hash_combine(domain_hash, static_cast<std::uint64_t>(
+                                                           cluster.servers[i].v4().value())),
+                        i};
+    if (kept == want && (want == 0 || ranked.weight <= top[want - 1].weight)) continue;
+    std::size_t at = kept < want ? kept++ : want - 1;
+    for (; at > 0 && top[at - 1].weight < ranked.weight; --at) top[at] = top[at - 1];
+    top[at] = ranked;
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.weight > b.weight; });
-  const std::size_t want = std::min(config_.servers_per_answer, ranked.size());
-  result.servers.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    result.servers.push_back(cluster.servers[ranked[i].index]);
-  }
+  for (std::size_t i = 0; i < kept; ++i) result.servers.push_back(cluster.servers[top[i].index]);
   if (result.servers.empty()) return std::nullopt;
   return result;
 }

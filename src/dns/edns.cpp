@@ -10,34 +10,11 @@ namespace {
 
 int family_bits(net::Family family) { return family == net::Family::v4 ? 32 : 128; }
 
-std::vector<std::uint8_t> truncated_octets(const net::IpAddr& addr, int prefix_len) {
-  const auto octet_count = static_cast<std::size_t>((prefix_len + 7) / 8);
-  std::vector<std::uint8_t> octets(octet_count, 0);
-  if (addr.is_v4()) {
-    const auto bytes = addr.v4().bytes();
-    std::copy_n(bytes.begin(), octet_count, octets.begin());
-  } else {
-    const auto& bytes = addr.v6().bytes();
-    std::copy_n(bytes.begin(), octet_count, octets.begin());
-  }
-  // Zero the padding bits of the final octet (RFC 7871 §6: MUST be 0).
-  if (prefix_len % 8 != 0 && !octets.empty()) {
-    octets.back() &= static_cast<std::uint8_t>(0xFF << (8 - prefix_len % 8));
-  }
-  return octets;
-}
-
-net::IpAddr addr_from_octets(net::Family family, const std::vector<std::uint8_t>& octets) {
+net::IpAddr addr_from_octets(net::Family family, const std::array<std::uint8_t, 16>& octets) {
   if (family == net::Family::v4) {
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      value = (value << 8) | (i < octets.size() ? octets[i] : 0);
-    }
-    return net::IpV4Addr{value};
+    return net::IpV4Addr{octets[0], octets[1], octets[2], octets[3]};
   }
-  net::IpV6Addr::Bytes bytes{};
-  std::copy_n(octets.begin(), std::min<std::size_t>(octets.size(), 16), bytes.begin());
-  return net::IpV6Addr{bytes};
+  return net::IpV6Addr{octets};
 }
 
 }  // namespace
@@ -50,7 +27,17 @@ ClientSubnetOption ClientSubnetOption::for_query(const net::IpAddr& client, int 
   option.family_ = client.family();
   option.source_prefix_len_ = source_len;
   option.scope_prefix_len_ = 0;  // MUST be 0 in queries (RFC 7871 §6)
-  option.address_octets_ = truncated_octets(client, source_len);
+  const std::size_t count = option.octet_count();
+  if (client.is_v4()) {
+    const auto bytes = client.v4().bytes();
+    std::copy_n(bytes.begin(), count, option.address_octets_.begin());
+  } else {
+    std::copy_n(client.v6().bytes().begin(), count, option.address_octets_.begin());
+  }
+  // Zero the padding bits of the final octet (RFC 7871 §6: MUST be 0).
+  if (source_len % 8 != 0) {
+    option.address_octets_[count - 1] &= static_cast<std::uint8_t>(0xFF << (8 - source_len % 8));
+  }
   return option;
 }
 
@@ -79,7 +66,7 @@ void ClientSubnetOption::encode_data(ByteWriter& writer) const {
   writer.u16(static_cast<std::uint16_t>(family_));
   writer.u8(static_cast<std::uint8_t>(source_prefix_len_));
   writer.u8(static_cast<std::uint8_t>(scope_prefix_len_));
-  writer.bytes(address_octets_);
+  writer.bytes(octets());
 }
 
 ClientSubnetOption ClientSubnetOption::decode_data(ByteReader& reader, std::uint16_t length) {
@@ -99,10 +86,10 @@ ClientSubnetOption ClientSubnetOption::decode_data(ByteReader& reader, std::uint
     throw WireError{"ECS address field length does not match source prefix"};
   }
   const auto raw = reader.bytes(expected_octets);
-  option.address_octets_.assign(raw.begin(), raw.end());
-  if (option.source_prefix_len_ % 8 != 0 && !option.address_octets_.empty()) {
+  std::copy(raw.begin(), raw.end(), option.address_octets_.begin());
+  if (option.source_prefix_len_ % 8 != 0) {
     const auto mask = static_cast<std::uint8_t>(0xFF << (8 - option.source_prefix_len_ % 8));
-    if ((option.address_octets_.back() & ~mask) != 0) {
+    if ((raw.back() & ~mask) != 0) {
       throw WireError{"ECS address has non-zero padding bits"};
     }
   }
@@ -114,27 +101,9 @@ std::string ClientSubnetOption::to_string() const {
                       scope_prefix_len_);
 }
 
-const ClientSubnetOption* EdnsRecord::client_subnet() const noexcept {
-  for (const EdnsOption& option : options) {
-    if (option.code == static_cast<std::uint16_t>(OptionCode::client_subnet) &&
-        option.client_subnet) {
-      return &*option.client_subnet;
-    }
-  }
-  return nullptr;
-}
-
-void EdnsRecord::set_client_subnet(ClientSubnetOption ecs) {
-  for (EdnsOption& option : options) {
-    if (option.code == static_cast<std::uint16_t>(OptionCode::client_subnet)) {
-      option.client_subnet = std::move(ecs);
-      return;
-    }
-  }
-  EdnsOption option;
-  option.code = static_cast<std::uint16_t>(OptionCode::client_subnet);
-  option.client_subnet = std::move(ecs);
-  options.push_back(std::move(option));
+void EdnsRecord::set_client_subnet(const ClientSubnetOption& ecs) noexcept {
+  if (!ecs_) ecs_position_ = options.size();
+  ecs_ = ecs;
 }
 
 }  // namespace eum::dns

@@ -7,8 +7,10 @@
 // clients inside that scope block.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,32 +68,54 @@ class ClientSubnetOption {
   friend bool operator==(const ClientSubnetOption&, const ClientSubnetOption&) noexcept = default;
 
  private:
+  /// The address octets carried on the wire.
+  [[nodiscard]] std::span<const std::uint8_t> octets() const noexcept {
+    return {address_octets_.data(), octet_count()};
+  }
+  [[nodiscard]] std::size_t octet_count() const noexcept {
+    return static_cast<std::size_t>((source_prefix_len_ + 7) / 8);
+  }
+
   net::Family family_ = net::Family::v4;
   int source_prefix_len_ = 0;
   int scope_prefix_len_ = 0;
-  /// ceil(source_prefix_len/8) address octets, zero-padded in the last octet.
-  std::vector<std::uint8_t> address_octets_;
+  /// ceil(source_prefix_len/8) address octets, zero-padded in the last
+  /// octet; the rest stay zero.
+  std::array<std::uint8_t, 16> address_octets_{};
 };
 
-/// A generic EDNS option (ECS decoded, everything else kept raw).
+/// An EDNS option kept as its raw payload.
 struct EdnsOption {
   std::uint16_t code = 0;
-  std::optional<ClientSubnetOption> client_subnet;  ///< set when code == 8
-  std::vector<std::uint8_t> raw;                    ///< payload for unknown options
+  std::vector<std::uint8_t> raw;
 };
 
 /// The EDNS0 OPT pseudo-record contents (RFC 6891 §6.1).
+///
+/// The ECS option is held inline, decoded, so a query or response that
+/// carries only ECS builds its OPT record without a heap allocation.
+/// Every other option (and any ECS option after the first, validated on
+/// decode) stays raw in `options`; `ecs_position` keeps the wire order.
 struct EdnsRecord {
   std::uint16_t udp_payload_size = 4096;
   std::uint8_t extended_rcode = 0;
   std::uint8_t version = 0;
   bool dnssec_ok = false;
-  std::vector<EdnsOption> options;
+  std::vector<EdnsOption> options;  ///< every option but the ECS one, in wire order
 
   /// The ECS option, if present.
-  [[nodiscard]] const ClientSubnetOption* client_subnet() const noexcept;
-  /// Append/replace the ECS option.
-  void set_client_subnet(ClientSubnetOption ecs);
+  [[nodiscard]] const ClientSubnetOption* client_subnet() const noexcept {
+    return ecs_ ? &*ecs_ : nullptr;
+  }
+  /// Replace the ECS option, or append one after the other options.
+  void set_client_subnet(const ClientSubnetOption& ecs) noexcept;
+  /// Index into `options` the ECS option is written before (== size:
+  /// after all of them).
+  [[nodiscard]] std::size_t ecs_position() const noexcept { return ecs_position_; }
+
+ private:
+  std::optional<ClientSubnetOption> ecs_;
+  std::size_t ecs_position_ = 0;
 };
 
 }  // namespace eum::dns

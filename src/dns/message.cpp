@@ -50,6 +50,15 @@ void encode_record(const ResourceRecord& record, ByteWriter& writer,
   writer.patch_u16(rdlength_at, static_cast<std::uint16_t>(rdata_size));
 }
 
+void encode_option(std::uint16_t code, ByteWriter& writer, auto&& write_data) {
+  writer.u16(code);
+  const std::size_t optlen_at = writer.size();
+  writer.u16(0);
+  const std::size_t opt_start = writer.size();
+  write_data();
+  writer.patch_u16(optlen_at, static_cast<std::uint16_t>(writer.size() - opt_start));
+}
+
 void encode_opt_record(const EdnsRecord& edns, ByteWriter& writer) {
   // RFC 6891 §6.1.2: NAME = root, TYPE = OPT, CLASS = UDP payload size,
   // TTL = extended-rcode | version | DO | zeros.
@@ -63,18 +72,16 @@ void encode_opt_record(const EdnsRecord& edns, ByteWriter& writer) {
   const std::size_t rdlength_at = writer.size();
   writer.u16(0);
   const std::size_t rdata_start = writer.size();
-  for (const EdnsOption& option : edns.options) {
-    writer.u16(option.code);
-    const std::size_t optlen_at = writer.size();
-    writer.u16(0);
-    const std::size_t opt_start = writer.size();
-    if (option.client_subnet) {
-      option.client_subnet->encode_data(writer);
-    } else {
-      writer.bytes(option.raw);
-    }
-    writer.patch_u16(optlen_at, static_cast<std::uint16_t>(writer.size() - opt_start));
+  const ClientSubnetOption* ecs = edns.client_subnet();
+  const auto write_ecs = [&] {
+    encode_option(static_cast<std::uint16_t>(OptionCode::client_subnet), writer,
+                  [&] { ecs->encode_data(writer); });
+  };
+  for (std::size_t i = 0; i < edns.options.size(); ++i) {
+    if (ecs != nullptr && edns.ecs_position() == i) write_ecs();
+    encode_option(edns.options[i].code, writer, [&] { writer.bytes(edns.options[i].raw); });
   }
+  if (ecs != nullptr && edns.ecs_position() >= edns.options.size()) write_ecs();
   writer.patch_u16(rdlength_at, static_cast<std::uint16_t>(writer.size() - rdata_start));
 }
 
@@ -91,9 +98,8 @@ ResourceRecord decode_record(ByteReader& reader) {
   return record;
 }
 
-EdnsRecord decode_opt_record(ByteReader& reader) {
+void decode_opt_record(ByteReader& reader, EdnsRecord& edns) {
   // Caller consumed the root name and TYPE; we parse from CLASS onward.
-  EdnsRecord edns;
   edns.udp_payload_size = reader.u16();
   const std::uint32_t ttl = reader.u32();
   edns.extended_rcode = static_cast<std::uint8_t>(ttl >> 24);
@@ -104,19 +110,21 @@ EdnsRecord decode_opt_record(ByteReader& reader) {
   const std::size_t end = reader.offset() + rdlength;
   if (end > reader.buffer().size()) throw WireError{"OPT RDATA extends past message"};
   while (reader.offset() < end) {
-    EdnsOption option;
-    option.code = reader.u16();
+    const std::uint16_t code = reader.u16();
     const std::uint16_t optlen = reader.u16();
     if (reader.offset() + optlen > end) throw WireError{"EDNS option extends past OPT RDATA"};
-    if (option.code == static_cast<std::uint16_t>(OptionCode::client_subnet)) {
-      option.client_subnet = ClientSubnetOption::decode_data(reader, optlen);
-    } else {
-      const auto raw = reader.bytes(optlen);
-      option.raw.assign(raw.begin(), raw.end());
+    const std::size_t data_start = reader.offset();
+    if (code == static_cast<std::uint16_t>(OptionCode::client_subnet)) {
+      const ClientSubnetOption ecs = ClientSubnetOption::decode_data(reader, optlen);
+      if (edns.client_subnet() == nullptr) {
+        edns.set_client_subnet(ecs);
+        continue;
+      }
+      reader.seek(data_start);  // a repeated ECS option: valid, kept raw
     }
-    edns.options.push_back(std::move(option));
+    const auto raw = reader.bytes(optlen);
+    edns.options.push_back(EdnsOption{code, {raw.begin(), raw.end()}});
   }
-  return edns;
 }
 
 }  // namespace
@@ -129,22 +137,36 @@ Message Message::make_query(std::uint16_t id, const DnsName& name, RecordType ty
   query.questions.push_back(Question{name, type, RecordClass::IN});
   if (ecs) {
     query.edns = EdnsRecord{};
-    query.edns->set_client_subnet(std::move(*ecs));
+    query.edns->set_client_subnet(*ecs);
   }
   return query;
 }
 
 Message Message::make_response(const Message& query) {
   Message response;
-  response.header = query.header;
-  response.header.is_response = true;
-  response.header.recursion_available = false;
-  response.questions = query.questions;
-  if (query.edns) {
-    response.edns = EdnsRecord{};
-    response.edns->udp_payload_size = 4096;
-  }
+  response.start_response(query);
   return response;
+}
+
+void Message::clear() noexcept {
+  header = Header{};
+  questions.clear();
+  answers.clear();
+  authorities.clear();
+  additionals.clear();
+  edns.reset();
+}
+
+void Message::start_response(const Message& query) {
+  clear();
+  header = query.header;
+  header.is_response = true;
+  header.recursion_available = false;
+  questions.assign(query.questions.begin(), query.questions.end());
+  if (query.edns) {
+    edns.emplace();
+    edns->udp_payload_size = 4096;
+  }
 }
 
 std::vector<net::IpAddr> Message::answer_addresses() const {
@@ -160,7 +182,14 @@ std::vector<net::IpAddr> Message::answer_addresses() const {
 }
 
 std::vector<std::uint8_t> Message::encode() const {
-  ByteWriter writer;
+  std::vector<std::uint8_t> wire;
+  encode_into(wire);
+  return wire;
+}
+
+void Message::encode_into(std::vector<std::uint8_t>& out) const {
+  out.clear();
+  ByteWriter writer{out};
   DnsName::CompressionMap compression;
 
   writer.u16(header.id);
@@ -179,12 +208,17 @@ std::vector<std::uint8_t> Message::encode() const {
   for (const ResourceRecord& r : authorities) encode_record(r, writer, &compression);
   for (const ResourceRecord& r : additionals) encode_record(r, writer, &compression);
   if (edns) encode_opt_record(*edns, writer);
-  return writer.take();
 }
 
 Message Message::decode(std::span<const std::uint8_t> wire) {
-  ByteReader reader{wire};
   Message message;
+  decode_into(wire, message);
+  return message;
+}
+
+void Message::decode_into(std::span<const std::uint8_t> wire, Message& message) {
+  ByteReader reader{wire};
+  message.clear();
 
   const std::uint16_t id = reader.u16();
   const std::uint16_t flags = reader.u16();
@@ -195,11 +229,10 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
   const std::uint16_t arcount = reader.u16();
 
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    Question q;
+    Question& q = message.questions.emplace_back();
     q.name = DnsName::decode(reader);
     q.type = static_cast<RecordType>(reader.u16());
     q.rclass = static_cast<RecordClass>(reader.u16());
-    message.questions.push_back(std::move(q));
   }
   for (std::uint16_t i = 0; i < ancount; ++i) message.answers.push_back(decode_record(reader));
   for (std::uint16_t i = 0; i < nscount; ++i) message.authorities.push_back(decode_record(reader));
@@ -211,14 +244,13 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
     if (type == RecordType::OPT) {
       if (!owner.is_root()) throw WireError{"OPT record with non-root owner name"};
       if (message.edns) throw WireError{"duplicate OPT record"};
-      message.edns = decode_opt_record(reader);
+      decode_opt_record(reader, message.edns.emplace());
     } else {
       reader.seek(record_start);
       message.additionals.push_back(decode_record(reader));
     }
   }
   if (!reader.exhausted()) throw WireError{"trailing bytes after message"};
-  return message;
 }
 
 }  // namespace eum::dns

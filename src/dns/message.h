@@ -67,6 +67,12 @@ class Message {
   /// echoes EDNS presence with the same payload size).
   [[nodiscard]] static Message make_response(const Message& query);
 
+  /// make_response() in place: containers keep their capacity.
+  void start_response(const Message& query);
+
+  /// Reset to a default message; containers keep their capacity.
+  void clear() noexcept;
+
   /// All A/AAAA answer addresses, in answer order.
   [[nodiscard]] std::vector<net::IpAddr> answer_addresses() const;
 
@@ -78,8 +84,15 @@ class Message {
   /// Serialize to wire format with name compression.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
+  /// encode() into `out`, replacing its contents and keeping its capacity.
+  void encode_into(std::vector<std::uint8_t>& out) const;
+
   /// Parse wire bytes. Throws WireError on malformed input.
   [[nodiscard]] static Message decode(std::span<const std::uint8_t> wire);
+
+  /// decode() into `message`, reusing its containers' capacity. On a
+  /// WireError `message` holds whatever was parsed before the fault.
+  static void decode_into(std::span<const std::uint8_t> wire, Message& message);
 };
 
 }  // namespace eum::dns

@@ -1,13 +1,19 @@
 // DNS domain names (RFC 1035 §3.1, §4.1.4).
 //
 // Names are sequences of labels; comparison is ASCII-case-insensitive.
-// Wire encoding supports message compression (suffix pointers); decoding
-// is hardened against pointer loops and forward pointers.
+// A name stores its lowercased, uncompressed wire form inline: RFC 1035
+// caps a name at 255 octets, so a fixed array holds every valid name and
+// copying, comparing and hashing one never allocates. Wire encoding
+// supports message compression (suffix pointers); decoding is hardened
+// against pointer loops and forward pointers.
 #pragma once
 
+#include <array>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +24,14 @@ namespace eum::dns {
 
 class DnsName {
  public:
+  /// RFC 1035 §3.1: a name is at most 255 octets on the wire.
+  static constexpr std::size_t kMaxWireLength = 255;
+  /// The longest presentation form: the wire form minus its first
+  /// length octet and its root octet.
+  static constexpr std::size_t kMaxTextLength = kMaxWireLength - 2;
+  /// Room for any name's presentation form (see to_text()).
+  using TextBuffer = std::array<char, kMaxTextLength>;
+
   /// The root name (zero labels).
   DnsName() = default;
 
@@ -29,12 +43,55 @@ class DnsName {
   /// From explicit labels (already validated presentation labels).
   [[nodiscard]] static DnsName from_labels(std::vector<std::string> labels);
 
-  [[nodiscard]] bool is_root() const noexcept { return labels_.empty(); }
-  [[nodiscard]] std::size_t label_count() const noexcept { return labels_.size(); }
-  [[nodiscard]] const std::vector<std::string>& labels() const noexcept { return labels_; }
+  /// The labels, leftmost first, as views into the name.
+  class Labels {
+   public:
+    class iterator {
+     public:
+      using value_type = std::string_view;
+      using difference_type = std::ptrdiff_t;
+      using iterator_category = std::forward_iterator_tag;
+
+      iterator() = default;
+      explicit iterator(const std::uint8_t* at) noexcept : at_(at) {}
+      [[nodiscard]] std::string_view operator*() const noexcept {
+        return {reinterpret_cast<const char*>(at_ + 1), *at_};
+      }
+      iterator& operator++() noexcept {
+        at_ += 1 + *at_;
+        return *this;
+      }
+      iterator operator++(int) noexcept {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      friend bool operator==(const iterator&, const iterator&) noexcept = default;
+
+     private:
+      const std::uint8_t* at_ = nullptr;  ///< a label's length octet
+    };
+
+    explicit Labels(std::span<const std::uint8_t> wire) noexcept : wire_(wire) {}
+    [[nodiscard]] iterator begin() const noexcept { return iterator{wire_.data()}; }
+    /// The root octet ends the walk.
+    [[nodiscard]] iterator end() const noexcept { return iterator{&wire_.back()}; }
+
+   private:
+    std::span<const std::uint8_t> wire_;
+  };
+
+  [[nodiscard]] bool is_root() const noexcept { return size_ == 1; }
+  [[nodiscard]] std::size_t label_count() const noexcept;
+  [[nodiscard]] Labels labels() const noexcept { return Labels{wire()}; }
 
   /// Wire-format length in octets (sum of label lengths + length bytes + root).
-  [[nodiscard]] std::size_t wire_length() const noexcept;
+  [[nodiscard]] std::size_t wire_length() const noexcept { return size_; }
+
+  /// The lowercased, uncompressed wire form, root octet included.
+  [[nodiscard]] std::span<const std::uint8_t> wire() const noexcept {
+    return {wire_.data(), size_};
+  }
 
   /// True if this name equals `zone` or lies below it ("a.b.c" is in "b.c").
   [[nodiscard]] bool is_subdomain_of(const DnsName& zone) const noexcept;
@@ -48,15 +105,33 @@ class DnsName {
   /// Presentation form, lowercase, with no trailing dot ("" for the root).
   [[nodiscard]] std::string to_string() const;
 
-  /// Case-insensitive equality/ordering (labels are stored lowercased, so
-  /// this is plain comparison).
-  friend bool operator==(const DnsName&, const DnsName&) noexcept = default;
-  friend auto operator<=>(const DnsName&, const DnsName&) noexcept = default;
+  /// The same presentation form written into `buffer`, without
+  /// allocating; the view is valid while `buffer` is.
+  [[nodiscard]] std::string_view to_text(TextBuffer& buffer) const noexcept;
+
+  /// Case-insensitive equality (labels are stored lowercased, so this
+  /// compares bytes).
+  friend bool operator==(const DnsName& a, const DnsName& b) noexcept;
+  /// Label by label from the leftmost, each label compared as a string
+  /// and a name ordered before any longer name it is a prefix of.
+  friend std::strong_ordering operator<=>(const DnsName& a, const DnsName& b) noexcept;
 
   // --- wire format ---
 
-  /// Offsets of name suffixes already written, for compression.
-  using CompressionMap = std::map<DnsName, std::uint16_t>;
+  /// Offsets of the name suffixes already written to one message, for
+  /// compression. A fixed table: a suffix is looked up by comparing it
+  /// with the name written at each offset, following the pointers that
+  /// name may end in. Once the table is full, later suffixes are written
+  /// but not offered as pointer targets.
+  class CompressionMap {
+   public:
+    static constexpr std::size_t kCapacity = 128;
+
+   private:
+    friend class DnsName;
+    std::array<std::uint16_t, kCapacity> offsets_{};
+    std::size_t count_ = 0;
+  };
 
   /// Encode with compression: longest previously written suffix becomes a
   /// pointer; newly written suffixes are registered in `compression`.
@@ -69,8 +144,11 @@ class DnsName {
   [[nodiscard]] static DnsName decode(ByteReader& reader);
 
  private:
-  /// Labels stored lowercased.
-  std::vector<std::string> labels_;
+  /// Validate `label`, then append it lowercased before the root octet.
+  void append_label(std::string_view label);
+
+  std::uint8_t size_ = 1;                            ///< octets of wire_ in use
+  std::array<std::uint8_t, kMaxWireLength> wire_{};  ///< length-prefixed labels, then 0
 };
 
 /// Hash for unordered containers (matches case-insensitive equality).

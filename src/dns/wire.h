@@ -71,40 +71,48 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
+/// Appends big-endian fields to a byte buffer: its own, or the caller's
+/// (so a serve loop can encode into one buffer and keep its capacity).
 class ByteWriter {
  public:
-  ByteWriter() = default;
+  ByteWriter() noexcept : buffer_(&own_) {}
+  /// Append to `out`, which must outlive the writer.
+  explicit ByteWriter(std::vector<std::uint8_t>& out) noexcept : buffer_(&out) {}
 
-  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept { return buffer_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buffer_); }
+  ByteWriter(const ByteWriter&) = delete;
+  ByteWriter& operator=(const ByteWriter&) = delete;
 
-  void u8(std::uint8_t value) { buffer_.push_back(value); }
+  [[nodiscard]] std::size_t size() const noexcept { return buffer_->size(); }
+  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept { return *buffer_; }
+  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(*buffer_); }
+
+  void u8(std::uint8_t value) { buffer_->push_back(value); }
 
   void u16(std::uint16_t value) {
-    buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-    buffer_.push_back(static_cast<std::uint8_t>(value));
+    buffer_->push_back(static_cast<std::uint8_t>(value >> 8));
+    buffer_->push_back(static_cast<std::uint8_t>(value));
   }
 
   void u32(std::uint32_t value) {
     for (int shift = 24; shift >= 0; shift -= 8) {
-      buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
+      buffer_->push_back(static_cast<std::uint8_t>(value >> shift));
     }
   }
 
   void bytes(std::span<const std::uint8_t> data) {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
+    buffer_->insert(buffer_->end(), data.begin(), data.end());
   }
 
   /// Overwrite a previously written 16-bit field (e.g. RDLENGTH backpatch).
   void patch_u16(std::size_t offset, std::uint16_t value) {
-    if (offset + 2 > buffer_.size()) throw WireError{"patch_u16 out of range"};
-    buffer_[offset] = static_cast<std::uint8_t>(value >> 8);
-    buffer_[offset + 1] = static_cast<std::uint8_t>(value);
+    if (offset + 2 > buffer_->size()) throw WireError{"patch_u16 out of range"};
+    (*buffer_)[offset] = static_cast<std::uint8_t>(value >> 8);
+    (*buffer_)[offset + 1] = static_cast<std::uint8_t>(value);
   }
 
  private:
-  std::vector<std::uint8_t> buffer_;
+  std::vector<std::uint8_t> own_;
+  std::vector<std::uint8_t>* buffer_;
 };
 
 }  // namespace eum::dns

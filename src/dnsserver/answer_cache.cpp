@@ -50,10 +50,12 @@ struct Fnv {
   }
 };
 
-std::uint64_t key_hash(const QueryProbe& probe, std::uint64_t version, std::int16_t scope,
+/// The slot hash of a key. The map version is compared, not hashed: a
+/// republish makes each key's next miss overwrite its own stale entry,
+/// whose buffers already fit, so a warm cache stores without allocating.
+std::uint64_t key_hash(const QueryProbe& probe, std::int16_t scope,
                        std::span<const std::uint8_t> scope_addr) noexcept {
   Fnv fnv;
-  fnv.mix(version);
   fnv.mix(static_cast<std::uint64_t>(probe.flags) << 32 |
           static_cast<std::uint64_t>(probe.qtype) << 16 | probe.qclass);
   fnv.mix(static_cast<std::uint64_t>(probe.has_edns) << 48 |
@@ -229,7 +231,7 @@ AnswerCache::AnswerCache(const Config& config) : max_wire_(config.max_wire) {
 const AnswerCache::Entry* AnswerCache::probe_slot(
     const QueryProbe& probe, std::uint64_t version, std::int16_t scope,
     std::span<const std::uint8_t> scope_addr) const noexcept {
-  const std::uint64_t hash = key_hash(probe, version, scope, scope_addr);
+  const std::uint64_t hash = key_hash(probe, scope, scope_addr);
   const Entry& entry = slots_[hash & mask_];
   if (!entry.used || entry.hash != hash) return nullptr;
   if (entry.version != version || entry.flags != probe.flags || entry.qtype != probe.qtype ||
@@ -322,7 +324,7 @@ void AnswerCache::store(const QueryProbe& probe, std::uint64_t version,
         truncate_to_scope(probe.ecs_address, static_cast<unsigned>(scope), trunc);
     scope_addr = std::span<const std::uint8_t>{trunc.data(), n};
   }
-  const std::uint64_t hash = key_hash(probe, version, scope, scope_addr);
+  const std::uint64_t hash = key_hash(probe, scope, scope_addr);
   Entry& entry = slots_[hash & mask_];
   entry.used = true;
   entry.hash = hash;

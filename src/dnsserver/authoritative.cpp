@@ -89,6 +89,13 @@ std::pair<const DnsName*, const DynamicAnswerFn*> AuthoritativeServer::dynamic_f
 
 Message AuthoritativeServer::handle(const Message& query, const net::IpAddr& source,
                                     const net::IpAddr& server_address) {
+  Message response;
+  handle_into(query, source, response, server_address);
+  return response;
+}
+
+void AuthoritativeServer::handle_into(const Message& query, const net::IpAddr& source,
+                                      Message& response, const net::IpAddr& server_address) {
   // Timing is sampled: two clock reads cost more than the rest of the
   // instrumentation combined, so only every Nth query (and every
   // query-log-sampled query) pays them. The tick is the queries counter
@@ -101,7 +108,7 @@ Message AuthoritativeServer::handle(const Message& query, const net::IpAddr& sou
   const auto start =
       timing ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   obs::AnswerSource answer_source = obs::AnswerSource::static_answer;
-  Message response = handle_inner(query, source, server_address, answer_source);
+  handle_inner(query, source, server_address, response, answer_source);
   // Flight-recorder span via the thread-local tracer (installed by the
   // UDP worker; null on untraced transports). A SERVFAIL — whatever layer
   // produced it — marks the trace anomalous so it is always retained.
@@ -138,14 +145,13 @@ Message AuthoritativeServer::handle(const Message& query, const net::IpAddr& sou
       query_log_->log(std::move(record));
     }
   }
-  return response;
 }
 
-Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAddr& source,
-                                          const net::IpAddr& server_address,
-                                          obs::AnswerSource& answer_source) {
+void AuthoritativeServer::handle_inner(const Message& query, const net::IpAddr& source,
+                                       const net::IpAddr& server_address, Message& response,
+                                       obs::AnswerSource& answer_source) {
   queries_->add();
-  Message response = Message::make_response(query);
+  response.start_response(query);
   response.header.authoritative = true;
 
   if (query.header.is_response || query.questions.size() != 1 ||
@@ -153,7 +159,7 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
     form_errors_->add();
     answer_source = obs::AnswerSource::form_error;
     response.header.rcode = Rcode::form_err;
-    return response;
+    return;
   }
   const dns::Question& question = query.questions.front();
 
@@ -167,7 +173,7 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
       form_errors_->add();
       answer_source = obs::AnswerSource::form_error;
       response.header.rcode = Rcode::form_err;
-      return response;
+      return;
     }
     if (ecs_enabled_) client_block = ecs->source_block();
   }
@@ -180,7 +186,7 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
       negative_answers_->add();
       answer_source = obs::AnswerSource::negative;
       response.header.rcode = Rcode::nx_domain;
-      return response;
+      return;
     }
     if (!answer->referral.empty()) {
       // Delegation: NS records at the dynamic suffix plus A glue.
@@ -201,30 +207,34 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
         const int scope = std::min(answer->ecs_scope_len, ecs->source_prefix_len());
         response.edns->set_client_subnet(ecs->with_scope(ecs_enabled_ ? scope : 0));
       }
-      return response;
+      return;
     }
     dynamic_answers_->add();
     answer_source = obs::AnswerSource::dynamic_answer;
+    // Only addresses matching the question type become records.
+    const auto matches = [&question](const net::IpAddr& addr) {
+      return question.type == (addr.is_v4() ? RecordType::A : RecordType::AAAA);
+    };
+    response.answers.reserve(static_cast<std::size_t>(
+        std::count_if(answer->addresses.begin(), answer->addresses.end(), matches)));
     for (const net::IpAddr& addr : answer->addresses) {
-      ResourceRecord record;
+      if (!matches(addr)) continue;
+      ResourceRecord& record = response.answers.emplace_back();
       record.name = question.name;
+      record.type = question.type;
       record.ttl = answer->ttl;
       if (addr.is_v4()) {
-        record.type = RecordType::A;
         record.rdata = dns::ARecord{addr.v4()};
       } else {
-        record.type = RecordType::AAAA;
         record.rdata = dns::AaaaRecord{addr.v6()};
       }
-      // Only include records matching the question type.
-      if (record.type == question.type) response.answers.push_back(std::move(record));
     }
     if (ecs != nullptr && response.edns) {
       // Echo ECS with our scope; scope <= source per the paper's usage.
       const int scope = std::min(answer->ecs_scope_len, ecs->source_prefix_len());
       response.edns->set_client_subnet(ecs->with_scope(ecs_enabled_ ? scope : 0));
     }
-    return response;
+    return;
   }
 
   // Static zones.
@@ -234,7 +244,7 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
     answer_source = obs::AnswerSource::refused;
     response.header.authoritative = false;
     response.header.rcode = Rcode::refused;
-    return response;
+    return;
   }
   // Static answers are client-independent: scope /0 (RFC 7871 §7.2.1
   // recommends scope 0 for answers that do not depend on the client).
@@ -269,7 +279,6 @@ Message AuthoritativeServer::handle_inner(const Message& query, const net::IpAdd
       response.authorities = result.referral;
       break;
   }
-  return response;
 }
 
 }  // namespace eum::dnsserver

@@ -24,6 +24,7 @@
 #include "dnsserver/zone.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "util/small_vector.h"
 
 namespace eum::dnsserver {
 
@@ -47,7 +48,10 @@ struct DynamicReferral {
 
 /// What the hook returns.
 struct DynamicAnswer {
-  std::vector<net::IpAddr> addresses;  ///< >= 2 in production practice
+  /// Addresses held inline: a mapping answer's servers under both
+  /// families. Longer lists spill to the heap.
+  static constexpr std::size_t kInlineAddresses = 8;
+  util::SmallVector<net::IpAddr, kInlineAddresses> addresses;  ///< >= 2 in production practice
   std::uint32_t ttl = 20;
   /// Scope the answer is valid for when the query carried ECS. The paper's
   /// name servers may answer "for a /y prefix of the client's IP where
@@ -135,6 +139,13 @@ class AuthoritativeServer {
   [[nodiscard]] dns::Message handle(const dns::Message& query, const net::IpAddr& source,
                                     const net::IpAddr& server_address = net::IpAddr{});
 
+  /// handle() into `response` (not `query` itself), reusing its
+  /// containers' capacity: with a warm `response` and a dynamic domain
+  /// whose handler does not allocate, answering allocates nothing (the
+  /// UDP worker's form).
+  void handle_into(const dns::Message& query, const net::IpAddr& source, dns::Message& response,
+                   const net::IpAddr& server_address = net::IpAddr{});
+
   [[nodiscard]] AuthServerStats stats() const noexcept;
 
   /// Reset contract (shared with the resolver and UDP front end): zero
@@ -143,9 +154,9 @@ class AuthoritativeServer {
   void reset_stats() noexcept;
 
  private:
-  [[nodiscard]] dns::Message handle_inner(const dns::Message& query, const net::IpAddr& source,
-                                          const net::IpAddr& server_address,
-                                          obs::AnswerSource& answer_source);
+  void handle_inner(const dns::Message& query, const net::IpAddr& source,
+                    const net::IpAddr& server_address, dns::Message& response,
+                    obs::AnswerSource& answer_source);
   [[nodiscard]] const Zone* zone_for(const dns::DnsName& name) const noexcept;
   [[nodiscard]] std::pair<const dns::DnsName*, const DynamicAnswerFn*> dynamic_for(
       const dns::DnsName& name) const noexcept;

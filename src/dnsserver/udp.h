@@ -157,6 +157,10 @@ class UdpSocket {
     return rxq_drops_.load(std::memory_order_relaxed);
   }
 
+  /// Ask for a `bytes` receive buffer (SO_RCVBUF), best effort, and
+  /// return the size the kernel granted (0 if it cannot be read back).
+  int request_receive_buffer(int bytes) noexcept;
+
   [[nodiscard]] int native_handle() const noexcept { return fd_; }
 
  private:
@@ -321,6 +325,13 @@ class UdpAuthorityServer {
   /// the owning worker thread touches its slot (delta -> counter).
   std::vector<std::uint64_t> kernel_drops_seen_;
   std::vector<UdpBatch> batches_;       ///< one preallocated arena per worker
+  /// A worker's cache-miss buffers, reused from datagram to datagram.
+  struct WorkerScratch {
+    dns::Message query;
+    dns::Message response;
+    std::vector<std::uint8_t> wire;
+  };
+  std::vector<WorkerScratch> scratch_;  ///< one per worker
   std::vector<AnswerCache> caches_;     ///< empty when the cache is disabled
   /// One trace scratch per worker (empty when no recorder was injected).
   /// unique_ptr keeps the scratch address stable against vector moves.

@@ -49,8 +49,8 @@ DnsName resolve_name(std::string_view token, const DnsName& origin, std::size_t 
     if (!token.empty() && token.back() == '.') return DnsName::from_text(token);
     // Relative: append the origin labels.
     DnsName relative = DnsName::from_text(token);
-    std::vector<std::string> labels = relative.labels();
-    for (const std::string& label : origin.labels()) labels.push_back(label);
+    std::vector<std::string> labels(relative.labels().begin(), relative.labels().end());
+    labels.insert(labels.end(), origin.labels().begin(), origin.labels().end());
     return DnsName::from_labels(std::move(labels));
   } catch (const dns::WireError& error) {
     throw ZoneFileError{line_no, std::string{"bad name '"} + std::string{token} +

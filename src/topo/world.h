@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/coords.h"
@@ -199,11 +198,14 @@ class World {
   std::vector<std::uint32_t> ldns_use_offsets_{0};
   std::vector<LdnsUse> ldns_use_data_;
 
-  // Blocks are looked up through a sorted permutation + binary search: an
-  // unordered_map of 4M IpPrefix keys costs hundreds of MB of node and
-  // bucket overhead, the permutation is 4 bytes per block.
-  std::vector<BlockId> blocks_by_prefix_;
-  std::unordered_map<net::IpPrefix, LdnsId, net::IpPrefixHash> ldns_index_;
+  // Flat open-addressing tables of ids: a power-of-two slot count at
+  // least twice the key count, linear probing, kNoId marking empty slots.
+  // A lookup hashes the key and compares through blocks[id] or
+  // ldnses[id], so a hit costs about one cache miss for the slot and one
+  // for the element. An unordered_map of 4M IpPrefix keys would cost
+  // hundreds of MB of nodes and buckets; these cost 8-16 bytes per key.
+  std::vector<std::uint32_t> block_slots_;
+  std::vector<std::uint32_t> ldns_slots_;
 };
 
 }  // namespace eum::topo

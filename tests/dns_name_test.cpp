@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dns/name.h"
+#include "util/hash.h"
 
 namespace eum::dns {
 namespace {
@@ -73,6 +77,32 @@ TEST(DnsName, FromLabels) {
 
 TEST(DnsName, Ordering) {
   EXPECT_LT(DnsName::from_text("a.com"), DnsName::from_text("b.com"));
+}
+
+TEST(DnsName, OrderAndHashFollowTheLabelSequence) {
+  // Zone's std::map order and ScopedEcsCache's shards depend on these
+  // definitions: ordering compares the label sequence from the left, each
+  // label as a string, and the hash combines FNV-1a of each label. Names
+  // where wire-byte order would differ (label lengths vs. contents,
+  // prefixes, a dot-free label longer than its neighbour) are included.
+  const std::vector<const char*> texts = {
+      "a",    "a.b",  "a.b.c", "ab",      "ab.c",  "a-b",    "b",   "b.a", "z.a",
+      "aa.b", "a.bb", "abc",   "x.y.com", "x.com", "xy.com", "com", "0.a", "zz"};
+  const auto labels_of = [](const DnsName& name) {
+    return std::vector<std::string>(name.labels().begin(), name.labels().end());
+  };
+  for (const char* a_text : texts) {
+    const DnsName a = DnsName::from_text(a_text);
+    std::uint64_t hash = 0x9ae16a3b2f90404fULL;
+    for (const std::string& label : labels_of(a)) {
+      hash = util::hash_combine(hash, util::fnv1a64(label));
+    }
+    EXPECT_EQ(DnsNameHash{}(a), static_cast<std::size_t>(hash)) << a_text;
+    for (const char* b_text : texts) {
+      const DnsName b = DnsName::from_text(b_text);
+      EXPECT_EQ(a <=> b, labels_of(a) <=> labels_of(b)) << a_text << " vs " << b_text;
+    }
+  }
 }
 
 // ---------- wire encode/decode ----------

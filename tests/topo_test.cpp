@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <unordered_set>
 
@@ -120,6 +121,46 @@ TEST(WorldGen, IndexesResolve) {
   const Ldns& ldns = world.ldnses[world.ldnses.size() / 2];
   EXPECT_EQ(world.ldns_by_address(ldns.address), &ldns);
   EXPECT_EQ(world.ldns_by_address(*net::IpAddr::parse("250.1.2.3")), nullptr);
+}
+
+TEST(WorldGen, IndexesAgreeWithLinearScan) {
+  // The flat index tables against the first match of a linear scan, for
+  // every block and LDNS of the world and for nearby keys that may be
+  // absent: other prefix lengths, the next /24, the next address, IPv6.
+  const World& world = small_world();
+  std::map<net::IpPrefix, const ClientBlock*> first_block;
+  for (const ClientBlock& block : world.blocks) first_block.emplace(block.prefix, &block);
+  std::map<net::IpAddr, const Ldns*> first_ldns;
+  for (const Ldns& ldns : world.ldnses) first_ldns.emplace(ldns.address, &ldns);
+  const auto scan_block = [&](const net::IpPrefix& key) -> const ClientBlock* {
+    const auto it = first_block.find(key);
+    return it == first_block.end() ? nullptr : it->second;
+  };
+  const auto scan_ldns = [&](const net::IpAddr& key) -> const Ldns* {
+    const auto it = first_ldns.find(key);
+    return it == first_ldns.end() ? nullptr : it->second;
+  };
+  const net::IpAddr v6 = *net::IpAddr::parse("2001:db8::1");
+  std::size_t absent = 0;
+  for (const ClientBlock& block : world.blocks) {
+    const net::IpAddr base = block.prefix.address();
+    const net::IpAddr next{net::IpV4Addr{base.v4().value() + 256}};
+    for (const net::IpPrefix& key :
+         {block.prefix, net::IpPrefix{base, 23}, net::IpPrefix{base, 25}, net::IpPrefix{next, 24},
+          net::IpPrefix{v6, block.prefix.length()}}) {
+      EXPECT_EQ(world.block_by_prefix(key), scan_block(key)) << key.to_string();
+      absent += scan_block(key) == nullptr ? 1 : 0;
+    }
+  }
+  for (const Ldns& ldns : world.ldnses) {
+    const net::IpAddr next =
+        ldns.address.is_v4() ? net::IpAddr{net::IpV4Addr{ldns.address.v4().value() + 1}} : v6;
+    for (const net::IpAddr& key : {ldns.address, next, v6}) {
+      EXPECT_EQ(world.ldns_by_address(key), scan_ldns(key)) << key.to_string();
+      absent += scan_ldns(key) == nullptr ? 1 : 0;
+    }
+  }
+  EXPECT_GT(absent, world.blocks.size());  // the absent-key side was exercised
 }
 
 TEST(WorldGen, GeoDbCoversBlocksAndLdns) {

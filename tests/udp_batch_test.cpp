@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,6 +213,32 @@ TEST(UdpServerLifecycle, StopReturnsPromptlyWithIdleWorkers) {
   const auto t0 = std::chrono::steady_clock::now();
   server.stop();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+}
+
+TEST(UdpServerLifecycle, ReceiveBufferGaugeReportsTheGrantedSize) {
+  // What the kernel grants a 1 MiB SO_RCVBUF request on this host: it
+  // caps the request at net.core.rmem_max and doubles it.
+  UdpSocket probe{loopback()};
+  const int request = 1 << 20;
+  ASSERT_EQ(::setsockopt(probe.native_handle(), SOL_SOCKET, SO_RCVBUF, &request, sizeof request),
+            0);
+  int granted = 0;
+  socklen_t len = sizeof granted;
+  ASSERT_EQ(::getsockopt(probe.native_handle(), SOL_SOCKET, SO_RCVBUF, &granted, &len), 0);
+
+  AuthoritativeServer engine;
+  UdpServerConfig config;
+  config.workers = 2;
+  UdpAuthorityServer server{&engine, loopback(), config};
+  std::set<std::string> workers;
+  for (const auto& gauge : server.registry().snapshot().gauges) {
+    if (gauge.name != "eum_udp_rcvbuf_bytes") continue;
+    ASSERT_EQ(gauge.labels.size(), 1U);
+    workers.insert(gauge.labels.front().second);
+    EXPECT_EQ(gauge.value, granted);
+    EXPECT_GT(gauge.value, 212992);  // the usual net.core.rmem_default
+  }
+  EXPECT_EQ(workers, (std::set<std::string>{"0", "1"}));
 }
 
 }  // namespace
