@@ -29,7 +29,10 @@ loadgen (open-loop, BENCH_loadgen.json)
   carrying achieved_qps, sent/received/dropped counts, a drop_rate in
   [0, 1], and ordered percentiles p50 <= p99 <= p999;
 - "max_qps_under_slo" >= 1 — the serving stack must hold the SLO at at
-  least one measured point (the PR's latency-under-load gate);
+  least one measured point (the PR's latency-under-load gate) — and it
+  equals the top of the curve's passing prefix: the offered_qps of the
+  last point before the first one with meets_slo false (a point that
+  passes after a failure does not count);
 - "kernel_drops" is present (SO_RXQ_OVFL receive-queue overflow total);
 - "open_vs_closed" reports the coordinated-omission comparison arm:
   matched_qps and both p999s positive, delta and ratio present.
@@ -163,6 +166,8 @@ def check_loadgen(doc: dict) -> None:
         problem(f"curve must be a list of >= 5 offered-QPS points (got {got!r})")
         curve = []
     previous_offered = 0.0
+    prefix_top = 0.0
+    prefix_passing = True
     for i, point in enumerate(curve):
         where = f"curve[{i}]"
         if not isinstance(point, dict):
@@ -182,14 +187,21 @@ def check_loadgen(doc: dict) -> None:
                     f"p999 {p999})")
         if not isinstance(point.get("meets_slo"), bool):
             problem(f"{where}.meets_slo is not a bool")
+        prefix_passing = prefix_passing and point.get("meets_slo") is True
+        if prefix_passing and offered is not None:
+            prefix_top = offered
         if offered is not None:
             if offered <= previous_offered:
                 problem(f"{where}.offered_qps {offered} does not increase over "
                         f"{previous_offered} — the sweep must be strictly increasing")
             previous_offered = offered
 
-    # The latency-under-load gate: some measured point held the SLO.
-    require_number(doc, "max_qps_under_slo", "$", lo=1)
+    # The latency-under-load gate: some measured point held the SLO, and
+    # the headline is the top of the passing prefix.
+    max_qps = require_number(doc, "max_qps_under_slo", "$", lo=1)
+    if max_qps is not None and curve and max_qps != prefix_top:
+        problem(f"max_qps_under_slo {max_qps} is not the top of the curve's passing "
+                f"prefix ({prefix_top})")
     require_number(doc, "kernel_drops", "$", lo=0)
 
     arm = doc.get("open_vs_closed")

@@ -43,6 +43,9 @@ class LivenessMonitor {
   [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
   /// Transitions applied so far (dead->alive + alive->dead).
   [[nodiscard]] std::uint64_t transitions() const noexcept { return transitions_; }
+  /// The clock the probe rounds are scheduled on: a round falls due only
+  /// when it moves.
+  [[nodiscard]] const util::SimClock& clock() const noexcept { return *clock_; }
 
   /// Worst-case detection latency implied by the configuration.
   [[nodiscard]] std::int64_t detection_latency_s() const noexcept {

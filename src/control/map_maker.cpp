@@ -1,6 +1,7 @@
 #include "control/map_maker.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace eum::control {
 
@@ -62,6 +63,9 @@ MapMaker::MapMaker(cdn::MappingSystem* mapping, const util::SimClock* clock,
                                      "mapping units in the scoring partition");
   rebuild_latency_ = &registry_->histogram("eum_control_rebuild_latency_us",
                                            "scoring + snapshot build latency");
+  liveness_publish_latency_ = &registry_->histogram(
+      "eum_control_liveness_publish_latency_us",
+      "background thread: wake that ran the probe round -> liveness publish");
 
   ledger_ = std::make_shared<LoadLedger>(mapping_->network().size());
   units_ = MappingUnits::build(mapping_->mesh(),
@@ -162,52 +166,69 @@ void MapMaker::start(std::chrono::milliseconds interval) {
     const std::scoped_lock lock{wake_mutex_};
     stop_requested_ = false;
     rebuild_requested_ = false;
+    probe_due_ = monitor_ != nullptr;  // one probe round at start
+  }
+  if (monitor_ != nullptr) {
+    probed_clock_ = &monitor_->clock();
+    clock_subscription_ = probed_clock_->subscribe([this] {
+      {
+        const std::scoped_lock lock{wake_mutex_};
+        probe_due_ = true;
+      }
+      wake_.notify_all();
+    });
   }
   thread_ = std::thread{[this, interval] { run_loop(interval); }};
 }
 
 void MapMaker::run_loop(std::chrono::milliseconds interval) {
-  // With a watched monitor the thread wakes on a short poll slice, drives
-  // the monitor's probes itself (single-writer discipline: only this
-  // thread mutates the network's liveness flags while serving runs), and
-  // force-publishes on any transition — the paper's "liveness changes
-  // reach the name servers in seconds" requirement. Without a monitor
-  // each wake is a periodic republish, as before.
-  const std::chrono::milliseconds slice =
-      monitor_ != nullptr
-          ? std::min(interval, std::max(std::chrono::milliseconds{1}, config_.liveness_poll))
-          : interval;
-  auto last_periodic = std::chrono::steady_clock::now();
+  // The thread sleeps until the periodic deadline or a wake: stop,
+  // request_rebuild(), or a move of the watched monitor's clock. It
+  // drives the monitor's probes itself (single-writer discipline: only
+  // this thread mutates the network's liveness flags while serving runs)
+  // and force-publishes on any transition — the paper's "liveness changes
+  // reach the name servers in seconds" requirement. Probing on clock moves
+  // alone is exact: LivenessMonitor::tick() applies a round only once
+  // clock.now() reaches the next probe time, and that changes only when
+  // the clock moves.
+  auto next_periodic = std::chrono::steady_clock::now() + interval;
   std::unique_lock lock{wake_mutex_};
   while (!stop_requested_) {
-    wake_.wait_for(lock, slice,
-                   [this] { return stop_requested_ || rebuild_requested_; });
+    wake_.wait_until(lock, next_periodic, [this] {
+      return stop_requested_ || rebuild_requested_ || probe_due_;
+    });
     if (stop_requested_) break;
-    const bool on_demand = rebuild_requested_;
-    rebuild_requested_ = false;
+    const auto woke_at = std::chrono::steady_clock::now();
+    const bool on_demand = std::exchange(rebuild_requested_, false);
+    const bool probe = std::exchange(probe_due_, false);
     lock.unlock();
     bool transitioned = false;
     if (monitor_ != nullptr) {
-      (void)monitor_->tick();
+      if (probe) (void)monitor_->tick();
       transitioned =
           monitor_->transitions() != transitions_seen_.load(std::memory_order_relaxed);
     }
-    const bool periodic_due = std::chrono::steady_clock::now() - last_periodic >= interval;
-    if (transitioned || on_demand || periodic_due) {
+    if (transitioned || on_demand || woke_at >= next_periodic) {
       // Liveness transitions and explicit requests must publish even when
       // serving-identical; reason priority mirrors the urgency.
       const RebuildReason reason = transitioned ? RebuildReason::liveness
                                    : on_demand  ? RebuildReason::requested
                                                 : RebuildReason::periodic;
       (void)rebuild_with_reason(/*force=*/transitioned || on_demand, reason);
+      if (transitioned) liveness_publish_latency_->record(elapsed_us(woke_at));
       refresh_gauges();
-      last_periodic = std::chrono::steady_clock::now();
+      next_periodic = std::chrono::steady_clock::now() + interval;
     }
     lock.lock();
   }
 }
 
 void MapMaker::stop() {
+  // Unsubscribe first: once it returns, no clock move can reach this maker.
+  if (probed_clock_ != nullptr) {
+    probed_clock_->unsubscribe(clock_subscription_);
+    probed_clock_ = nullptr;
+  }
   {
     const std::scoped_lock lock{wake_mutex_};
     stop_requested_ = true;

@@ -17,7 +17,9 @@
 //     LivenessMonitor reports transitions — the on-demand trigger).
 //   - start(interval): a background thread republishing on a wall-clock
 //     cadence, for the real UDP serving stack; request_rebuild() wakes it
-//     early (the "push a new map now" path after an incident).
+//     early (the "push a new map now" path after an incident), and so
+//     does every move of a watched monitor's clock (a probe round may be
+//     due).
 //
 // Rebuilds read the mutable CdnNetwork (liveness flags): run liveness
 // ticks and rebuilds from one thread, or synchronize them externally.
@@ -67,10 +69,6 @@ struct MapMakerConfig {
   /// Latency-vector quantization for the unit partition (see
   /// MappingUnitsConfig::epsilon_ms; 0 = exact grouping).
   float unit_epsilon_ms = 0.0F;
-  /// How often the background thread polls the watched LivenessMonitor
-  /// between periodic rebuilds. Bounds re-map latency after a transition;
-  /// clamped to the republish interval.
-  std::chrono::milliseconds liveness_poll{5};
   /// Test seam: runs on the rebuild thread after the snapshot is built
   /// but before it is published — the window where a liveness transition
   /// is too late for the built map and must survive into the next tick.
@@ -136,9 +134,11 @@ class MapMaker {
   /// Watch a liveness monitor (borrowed). tick() treats new transitions
   /// as an on-demand rebuild trigger, publishing even when the periodic
   /// interval has not elapsed; the background thread (start()) drives the
-  /// monitor's probes itself and force-publishes on every transition, in
-  /// liveness_poll-bounded time. Install before start() — the monitor is
-  /// probed from the rebuild thread.
+  /// monitor's probes itself — once at start, then on every move of the
+  /// monitor's clock, the only event that can make a probe round due —
+  /// and force-publishes on every transition. Install before start() —
+  /// the monitor is probed from the rebuild thread, and start() subscribes
+  /// to its clock (which must outlive the running thread).
   void watch(cdn::LivenessMonitor* monitor) noexcept { monitor_ = monitor; }
 
   /// Synchronous rebuild (reason: manual). With `force` (or
@@ -152,11 +152,12 @@ class MapMaker {
   /// if a rebuild ran.
   bool tick();
 
-  /// Start the background republish thread (idempotent).
+  /// Start the background republish thread (idempotent). With a watched
+  /// monitor, subscribes to the monitor's clock.
   void start(std::chrono::milliseconds interval);
 
-  /// Stop and join the background thread; idempotent (also run by the
-  /// destructor).
+  /// Unsubscribe from the monitor's clock, then stop and join the
+  /// background thread; idempotent (also run by the destructor).
   void stop();
 
   /// Wake the background thread for an immediate forced rebuild.
@@ -214,6 +215,12 @@ class MapMaker {
   std::condition_variable wake_;
   bool stop_requested_ = false;
   bool rebuild_requested_ = false;
+  /// A monitor probe round may be due: set by start() and by every move of
+  /// the monitor's clock.
+  bool probe_due_ = false;
+  /// The clock start() subscribed to (the watched monitor's), for stop().
+  const util::SimClock* probed_clock_ = nullptr;
+  util::SimClock::Subscription clock_subscription_ = 0;
 
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
@@ -227,6 +234,7 @@ class MapMaker {
   obs::Counter* units_rescored_;
   obs::Gauge* mapping_units_;
   obs::LatencyHistogram* rebuild_latency_;
+  obs::LatencyHistogram* liveness_publish_latency_;
 };
 
 }  // namespace eum::control

@@ -12,21 +12,8 @@ namespace eum::control {
 
 namespace {
 
-/// Keep the best `k` live candidates from a scratch column. Identical
-/// ordering contract to cdn::Scoring's select_top_k — (score, id) is a
-/// total order, so full and delta scoring passes are bit-identical and a
-/// fresh all-alive unit list equals the live per-target list.
-void select_top_k(std::vector<cdn::Candidate>& scratch, std::size_t k, cdn::Candidate* out) {
-  const std::size_t keep = std::min(k, scratch.size());
-  std::partial_sort(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scratch.end(), [](const cdn::Candidate& a, const cdn::Candidate& b) {
-                      if (a.score_ms != b.score_ms) return a.score_ms < b.score_ms;
-                      return a.deployment < b.deployment;
-                    });
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = i < keep ? scratch[i] : cdn::Candidate{0, std::numeric_limits<float>::infinity()};
-  }
-}
+/// Padding in a ranking prefix longer than the network.
+constexpr std::uint16_t kNoDeployment = 0xffff;
 
 }  // namespace
 
@@ -66,6 +53,9 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
   }
   if (inputs.units->target_count() != mapping.mesh().target_count()) {
     throw std::invalid_argument{"MapSnapshot: unit partition does not match the mesh"};
+  }
+  if (network.size() > kNoDeployment) {
+    throw std::invalid_argument{"MapSnapshot: ranking ids are 16-bit; at most 65535 clusters"};
   }
 
   auto snapshot = std::shared_ptr<MapSnapshot>{new MapSnapshot};
@@ -118,29 +108,78 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
     alive[d] = snapshot->clusters_[d].servers.empty() ? 0 : 1;
   }
 
-  const auto score_unit = [&](std::size_t u, std::vector<cdn::Candidate>& scratch) {
-    const topo::PingTargetId rep = inputs.units->representative(
-        static_cast<MappingUnits::UnitId>(u));
-    scratch.clear();
+  const std::size_t prefix = 2 * top_k;
+  const auto score_of = [&](std::size_t d, topo::PingTargetId rep) {
+    return cdn::path_score(klass, mesh.rtt_ms(d, rep), mesh.loss_rate(d, rep));
+  };
+  const auto rep_of = [&](std::size_t u) {
+    return inputs.units->representative(static_cast<MappingUnits::UnitId>(u));
+  };
+
+  // The best `keep` deployments of a unit's column (live ones only, with
+  // `live_only`) into `best`, sorted by (score, id). Ids are scanned in
+  // ascending order, so an equal score never moves ahead of an earlier id.
+  // That is the ordering contract of cdn::Scoring's select_top_k — (score,
+  // id) is a total order, so full and delta passes are bit-identical and a
+  // fresh all-alive unit list equals the live per-target list.
+  const auto rank_column = [&](topo::PingTargetId rep, std::size_t keep, bool live_only,
+                               std::vector<cdn::Candidate>& best) {
+    best.clear();
     for (std::size_t d = 0; d < n_deps; ++d) {
-      if (alive[d] == 0) continue;
-      scratch.push_back(cdn::Candidate{
-          static_cast<cdn::DeploymentId>(d),
-          cdn::path_score(klass, mesh.rtt_ms(d, rep), mesh.loss_rate(d, rep))});
+      if (live_only && alive[d] == 0) continue;
+      const float score = score_of(d, rep);
+      if (best.size() == keep && !(score < best.back().score_ms)) continue;
+      if (best.size() < keep) best.emplace_back();
+      std::size_t at = best.size() - 1;
+      for (; at > 0 && score < best[at - 1].score_ms; --at) best[at] = best[at - 1];
+      best[at] = cdn::Candidate{static_cast<cdn::DeploymentId>(d), score};
     }
-    select_top_k(scratch, top_k, &snapshot->by_unit_[u * top_k]);
+  };
+
+  // A unit's live list: the first top_k live ids of its ranking prefix.
+  // The prefix is the column's (score, id) order cut at 2 * top_k, so any
+  // live deployment past it ranks after every prefix entry — when the
+  // prefix holds top_k live ones they are exactly the best top_k. Only
+  // when it holds fewer does the unit scan its live column.
+  const auto score_unit = [&](std::size_t u, std::vector<cdn::Candidate>& scratch) {
+    const topo::PingTargetId rep = rep_of(u);
+    cdn::Candidate* out = &snapshot->by_unit_[u * top_k];
+    const std::uint16_t* ids = snapshot->ranking_->data() + u * prefix;
+    std::size_t found = 0;
+    for (std::size_t i = 0; i < prefix && found < top_k && ids[i] != kNoDeployment; ++i) {
+      if (alive[ids[i]] != 0) out[found++] = cdn::Candidate{ids[i], score_of(ids[i], rep)};
+    }
+    if (found == top_k) return;
+    rank_column(rep, top_k, /*live_only=*/true, scratch);
+    for (std::size_t i = 0; i < top_k; ++i) {
+      out[i] = i < scratch.size() ? scratch[i]
+                                  : cdn::Candidate{0, std::numeric_limits<float>::infinity()};
+    }
+  };
+
+  // Full pass: rank the unit's whole column, dead or alive, into its
+  // prefix, then take its live list from that.
+  std::uint16_t* fresh_ranking = nullptr;
+  const auto rank_unit = [&](std::size_t u, std::vector<cdn::Candidate>& scratch) {
+    rank_column(rep_of(u), prefix, /*live_only=*/false, scratch);
+    std::uint16_t* ids = fresh_ranking + u * prefix;
+    for (std::size_t i = 0; i < prefix; ++i) {
+      ids[i] = i < scratch.size() ? static_cast<std::uint16_t>(scratch[i].deployment)
+                                  : kNoDeployment;
+    }
+    score_unit(u, scratch);
   };
 
   // Shard a unit list across the pool: contiguous stripes, one scratch
   // buffer per job (jobs outnumber workers so stripes stay balanced even
   // when some units are costlier than others).
-  const auto score_all = [&](const std::vector<std::uint32_t>* subset) {
+  const auto score_all = [&](const std::vector<std::uint32_t>* subset, const auto& per_unit) {
     const std::size_t count = subset != nullptr ? subset->size() : n_units;
     const auto run_range = [&](std::size_t lo, std::size_t hi) {
       std::vector<cdn::Candidate> scratch;
-      scratch.reserve(n_deps);
+      scratch.reserve(prefix);
       for (std::size_t i = lo; i < hi; ++i) {
-        score_unit(subset != nullptr ? (*subset)[i] : i, scratch);
+        per_unit(subset != nullptr ? (*subset)[i] : i, scratch);
       }
     };
     if (inputs.pool != nullptr && inputs.pool->worker_count() > 0 && count >= 256) {
@@ -165,7 +204,10 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
        prev->units_->fingerprint() == snapshot->units_->fingerprint());
 
   if (!delta_ok) {
-    score_all(nullptr);
+    auto ranking = std::make_shared<std::vector<std::uint16_t>>(n_units * prefix);
+    fresh_ranking = ranking->data();
+    snapshot->ranking_ = std::move(ranking);
+    score_all(nullptr, rank_unit);
     snapshot->units_rescored_ = n_units;
     return snapshot;
   }
@@ -184,6 +226,7 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
   }
   snapshot->delta_ = true;
   snapshot->by_unit_ = prev->by_unit_;
+  snapshot->ranking_ = prev->ranking_;
   if (died.empty() && revived.empty()) {
     snapshot->units_rescored_ = 0;
     return snapshot;
@@ -195,11 +238,9 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
     const cdn::Candidate& kth = row[top_k - 1];
     bool affected = !revived.empty() && !std::isfinite(kth.score_ms);
     if (!affected) {
-      const topo::PingTargetId rep =
-          inputs.units->representative(static_cast<MappingUnits::UnitId>(u));
+      const topo::PingTargetId rep = rep_of(u);
       for (const std::uint32_t d : revived) {
-        const float score = cdn::path_score(klass, mesh.rtt_ms(d, rep), mesh.loss_rate(d, rep));
-        if (score <= kth.score_ms) {
+        if (score_of(d, rep) <= kth.score_ms) {
           affected = true;
           break;
         }
@@ -216,7 +257,7 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
     }
     if (affected) touched.push_back(static_cast<std::uint32_t>(u));
   }
-  score_all(&touched);
+  score_all(&touched, score_unit);
   snapshot->units_rescored_ = touched.size();
   return snapshot;
 }

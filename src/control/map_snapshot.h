@@ -17,8 +17,10 @@
 // sharded across a ShardPool. When the previous snapshot is supplied, a
 // build is a *delta*: only units whose candidate lists can be affected by
 // the liveness transitions since that snapshot are re-scored; the rest
-// copy over. The liveness-independent CANS table and the unit partition
-// itself are shared across generations.
+// copy over. The liveness-independent CANS table, each unit's ranking
+// prefix (its best 2 * top_k deployments, dead or alive, which a delta
+// re-scores from) and the unit partition itself are shared across
+// generations.
 //
 // The only mutable state a snapshot touches is the LoadLedger: a shared
 // array of per-cluster atomic load accumulators that survives republishes
@@ -117,7 +119,8 @@ class MapSnapshot {
   /// snapshot borrows the system's world and ping mesh (both immutable
   /// after construction) and must not outlive it; `loads` is shared
   /// across generations. Reads the mutable CdnNetwork — callers must not
-  /// mutate liveness concurrently with a build (see MapMaker).
+  /// mutate liveness concurrently with a build (see MapMaker). Throws
+  /// std::invalid_argument for a network of more than 65535 deployments.
   static std::shared_ptr<const MapSnapshot> build(const cdn::MappingSystem& mapping,
                                                   std::shared_ptr<LoadLedger> loads,
                                                   std::uint64_t version, util::SimTime built_at,
@@ -204,6 +207,12 @@ class MapSnapshot {
   std::shared_ptr<const MappingUnits> units_;
   std::size_t top_k_ = 0;
   std::vector<cdn::Candidate> by_unit_;  ///< unit_count x top_k, live-only
+  /// unit_count x 2*top_k deployment ids: each unit's best deployments by
+  /// (score, id) on its representative column, dead or alive, 0xffff-padded
+  /// on a smaller network. Liveness never moves a score, so a full build
+  /// fills it and every delta generation shares it: a re-scored unit takes
+  /// its first top_k live ids and scans the column only when fewer remain.
+  std::shared_ptr<const std::vector<std::uint16_t>> ranking_;
   /// Liveness-independent CANS cluster table + per-LDNS fallback targets;
   /// computed once and shared across generations (liveness never moves a
   /// score, only candidate usability).

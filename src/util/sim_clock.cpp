@@ -65,4 +65,24 @@ std::string month_name(int month) {
   return kMonthNames[static_cast<std::size_t>(month - 1)];
 }
 
+SimClock::Subscription SimClock::subscribe(std::function<void()> callback) const {
+  const std::scoped_lock lock{subscribers_mutex_};
+  const Subscription subscription = next_subscription_++;
+  subscribers_.emplace_back(subscription, std::move(callback));
+  subscriber_count_.store(subscribers_.size(), std::memory_order_relaxed);
+  return subscription;
+}
+
+void SimClock::unsubscribe(Subscription subscription) const noexcept {
+  // Taking the lock waits out a notification in flight.
+  const std::scoped_lock lock{subscribers_mutex_};
+  std::erase_if(subscribers_, [subscription](const auto& s) { return s.first == subscription; });
+  subscriber_count_.store(subscribers_.size(), std::memory_order_relaxed);
+}
+
+void SimClock::notify_subscribers() const noexcept {
+  const std::scoped_lock lock{subscribers_mutex_};
+  for (const auto& subscriber : subscribers_) subscriber.second();
+}
+
 }  // namespace eum::util

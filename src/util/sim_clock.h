@@ -9,7 +9,11 @@
 #include <atomic>
 #include <compare>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace eum::util {
 
@@ -71,8 +75,20 @@ struct Date {
 /// advance simulated time while the map maker's rebuild thread samples it.
 /// There is no cross-thread ordering guarantee beyond the value itself —
 /// the clock carries time, not synchronization.
+///
+/// Components that act when time moves subscribe instead of polling: after
+/// every advance() and set() the moving thread calls each subscriber once.
+/// Subscribing works through a const reference (a LivenessMonitor holds a
+/// `const SimClock*`); the subscriber list is not part of the clock's value.
+/// A callback runs on the moving thread under the clock's subscriber lock,
+/// so it must be short, must not throw, and must not call back into the
+/// clock — advance(), set(), subscribe() and unsubscribe() would deadlock.
+/// With no subscriber, a move costs one extra relaxed load.
 class SimClock {
  public:
+  /// Handle returned by subscribe(), passed back to unsubscribe().
+  using Subscription = std::uint64_t;
+
   SimClock() = default;
   explicit SimClock(SimTime start) noexcept : now_(start.seconds()) {}
   SimClock(const SimClock&) = delete;
@@ -83,11 +99,34 @@ class SimClock {
   }
   void advance(std::int64_t seconds) noexcept {
     now_.fetch_add(seconds, std::memory_order_relaxed);
+    notify();
   }
-  void set(SimTime t) noexcept { now_.store(t.seconds(), std::memory_order_relaxed); }
+  void set(SimTime t) noexcept {
+    now_.store(t.seconds(), std::memory_order_relaxed);
+    notify();
+  }
+
+  /// Call `callback` after every later move of the clock. Thread-safe.
+  [[nodiscard]] Subscription subscribe(std::function<void()> callback) const;
+
+  /// Stop calling a subscriber. Returns only after any notification in
+  /// flight has finished, so the subscriber may be destroyed right after.
+  /// Thread-safe; an unknown handle is ignored.
+  void unsubscribe(Subscription subscription) const noexcept;
 
  private:
+  void notify() const noexcept {
+    if (subscriber_count_.load(std::memory_order_relaxed) != 0) notify_subscribers();
+  }
+  void notify_subscribers() const noexcept;
+
   std::atomic<std::int64_t> now_{0};
+  /// Mirrors subscribers_.size(); lets an unobserved move skip the lock.
+  mutable std::atomic<std::size_t> subscriber_count_{0};
+  /// Held while callbacks run, so unsubscribe() waits out a notification.
+  mutable std::mutex subscribers_mutex_;
+  mutable std::vector<std::pair<Subscription, std::function<void()>>> subscribers_;
+  mutable Subscription next_subscription_ = 0;
 };
 
 }  // namespace eum::util

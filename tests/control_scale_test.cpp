@@ -6,6 +6,7 @@
 // tick. ShardedConcurrency runs under TSan via scripts/tsan_check.sh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "cdn/liveness.h"
 #include "cdn/mapping.h"
 #include "cdn/ping_mesh.h"
+#include "cdn/scoring.h"
 #include "control/map_maker.h"
 #include "control/map_snapshot.h"
 #include "control/mapping_units.h"
@@ -221,6 +223,56 @@ TEST(DeltaRebuild, IncrementalEqualsFullAcrossFlapSequence) {
   compare("revive everything");
 }
 
+// A delta re-scores a touched unit from its shared ranking prefix (its best
+// 2 * top_k deployments, dead or alive). Killing the unit's top_k + 1 best
+// leaves fewer than top_k live in the prefix, so the unit must fall back to
+// scanning its column — and still match a full rebuild exactly.
+TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
+  DeltaFixture fx;
+  const std::size_t top_k = fx.mapping.config().scoring_top_k;
+  ASSERT_GT(fx.network.size(), 2 * top_k);
+  MapMakerConfig inc_config;
+  inc_config.scoring_shards = 3;
+  MapMakerConfig full_config;
+  full_config.incremental = false;
+  full_config.scoring_shards = 1;
+  MapMaker incremental{&fx.mapping, nullptr, inc_config};
+  MapMaker full{&fx.mapping, nullptr, full_config};
+
+  // Unit 0's live deployments in (score, id) order on its representative.
+  const MappingUnits::UnitId unit = 0;
+  const topo::PingTargetId rep = incremental.units().representative(unit);
+  const auto live_ranking = [&] {
+    std::vector<cdn::Candidate> column;
+    for (const cdn::Deployment& deployment : fx.network.deployments()) {
+      if (!deployment.alive) continue;
+      column.push_back(cdn::Candidate{
+          deployment.id, cdn::path_score(fx.mapping.config().traffic_class,
+                                         fx.mapping.mesh().rtt_ms(deployment.id, rep),
+                                         fx.mapping.mesh().loss_rate(deployment.id, rep))});
+    }
+    std::sort(column.begin(), column.end(), [](const cdn::Candidate& a, const cdn::Candidate& b) {
+      return a.score_ms != b.score_ms ? a.score_ms < b.score_ms : a.deployment < b.deployment;
+    });
+    return column;
+  };
+  const std::vector<cdn::Candidate> best = live_ranking();
+  for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(best[i].deployment, false);
+
+  const auto inc_snapshot = incremental.rebuild_now(true);
+  EXPECT_TRUE(inc_snapshot->delta());
+  ASSERT_TRUE(inc_snapshot->serving_equal(*full.rebuild_now(true)));
+  const std::vector<cdn::Candidate> survivors = live_ranking();
+  ASSERT_GE(survivors.size(), top_k);
+  const auto candidates = inc_snapshot->unit_candidates(unit);
+  ASSERT_EQ(candidates.size(), top_k);
+  for (std::size_t i = 0; i < top_k; ++i) EXPECT_EQ(candidates[i], survivors[i]) << "slot " << i;
+
+  for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(best[i].deployment, true);
+  EXPECT_TRUE(incremental.rebuild_now(true)->serving_equal(*full.rebuild_now(true)));
+  EXPECT_EQ(incremental.current()->unit_candidates(unit)[0], best[0]);
+}
+
 TEST(DeltaRebuild, SnapshotExposesTheUnitPartition) {
   DeltaFixture fx;
   MapMaker maker{&fx.mapping};
@@ -255,8 +307,8 @@ struct LivenessFixture {
 // Headline bug: a MapMaker driven by start() (background-thread mode)
 // never consulted its watched LivenessMonitor, so a cluster death was
 // only routed around at the next periodic rebuild — here pushed out to
-// ~forever. The fixed loop probes the monitor every liveness_poll and
-// force-publishes on a transition.
+// ~forever. The fixed loop probes the monitor whenever its clock moves
+// and force-publishes on a transition.
 TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
   LivenessFixture fx;
   util::SimClock clock;
@@ -270,7 +322,6 @@ TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
 
   MapMakerConfig config;
   config.rescore_interval_s = 1'000'000;  // periodic rebuilds out of the picture
-  config.liveness_poll = 1ms;
   MapMaker maker{&fx.mapping, &clock, config};
   maker.watch(&monitor);
 
@@ -295,8 +346,8 @@ TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
   ASSERT_GE(maker.rebuilds_for(RebuildReason::liveness), 1U)
       << "background thread never reacted to the liveness transition";
   // Bound the re-map latency: well under the 10s deadline even under
-  // sanitizer overhead (the poll slice is 1ms; probes were due within a
-  // few advances).
+  // sanitizer overhead (every advance wakes the thread; probes were due
+  // within a few advances).
   EXPECT_LT(detected_at - flipped_at, 5s);
   const auto snapshot = maker.current();
   const cdn::DeploymentId dead = victim.load(std::memory_order_acquire);
@@ -304,6 +355,59 @@ TEST(MapMakerLiveness, BackgroundThreadRemapsAfterClusterDeath) {
   const auto remapped = snapshot->map(0, std::nullopt, "www.g.cdn.example");
   ASSERT_TRUE(remapped.has_value());
   EXPECT_NE(remapped->deployment, dead);
+}
+
+// Event-driven wake: with down_threshold = 1 (as the serving benchmark
+// runs it) and the periodic interval an hour away, a single clock advance
+// after the oracle flips is the only thing that can wake the rebuild
+// thread. It must produce exactly one liveness rebuild, and exactly one
+// liveness -> publish latency sample.
+TEST(MapMakerLiveness, OneClockAdvanceWakesTheRebuildThread) {
+  LivenessFixture fx;
+  util::SimClock clock;
+  std::atomic<cdn::DeploymentId> victim{0};
+  std::atomic<bool> victim_healthy{true};
+  cdn::LivenessConfig liveness;
+  liveness.down_threshold = 1;
+  cdn::LivenessMonitor monitor{
+      &fx.network, &clock,
+      [&](cdn::DeploymentId id, std::size_t) {
+        return id != victim.load(std::memory_order_acquire) ||
+               victim_healthy.load(std::memory_order_acquire);
+      },
+      liveness};
+
+  MapMakerConfig config;
+  config.rescore_interval_s = 1'000'000;
+  MapMaker maker{&fx.mapping, &clock, config};
+  maker.watch(&monitor);
+  const auto initial = maker.current()->map(0, std::nullopt, "www.g.cdn.example");
+  ASSERT_TRUE(initial.has_value());
+  victim.store(initial->deployment, std::memory_order_release);
+
+  maker.start(1h);
+  // Let the thread finish its start-up probe round first, so that only
+  // the clock advance below can run the round that sees the failure.
+  maker.request_rebuild();
+  const auto wait_for = [&](RebuildReason reason) {
+    const auto deadline = std::chrono::steady_clock::now() + 1s;
+    while (maker.rebuilds_for(reason) == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
+  wait_for(RebuildReason::requested);
+  ASSERT_EQ(maker.rebuilds_for(RebuildReason::requested), 1U);
+  victim_healthy.store(false, std::memory_order_release);
+  clock.advance(liveness.probe_interval_s);
+  wait_for(RebuildReason::liveness);
+  maker.stop();
+
+  EXPECT_EQ(maker.rebuilds_for(RebuildReason::liveness), 1U);
+  EXPECT_EQ(maker.registry().histogram("eum_control_liveness_publish_latency_us").snapshot().count,
+            1U);
+  const auto remapped = maker.current()->map(0, std::nullopt, "www.g.cdn.example");
+  ASSERT_TRUE(remapped.has_value());
+  EXPECT_NE(remapped->deployment, initial->deployment);
 }
 
 // Second bug: rebuild_with_reason recorded the transition counter AFTER
@@ -369,7 +473,6 @@ TEST(ShardedConcurrency, PoolScoringRacesRequestsAndReaders) {
   config.rescore_interval_s = 1'000'000;
   config.scoring_shards = 4;
   config.publish_unchanged = true;
-  config.liveness_poll = 1ms;
   MapMaker maker{&fx.mapping, &clock, config};
   maker.watch(&monitor);
   maker.start(2ms);

@@ -296,7 +296,8 @@ TEST(MapMaker, ExportsControlPlaneMetrics) {
   for (const char* metric :
        {"eum_control_map_version", "eum_control_map_age_seconds",
         "eum_control_rebuilds_total", "eum_control_publishes_total",
-        "eum_control_publishes_skipped_total", "eum_control_rebuild_latency_us"}) {
+        "eum_control_publishes_skipped_total", "eum_control_rebuild_latency_us",
+        "eum_control_liveness_publish_latency_us"}) {
     EXPECT_NE(text.find(metric), std::string::npos) << metric;
   }
 }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/hash.h"
@@ -268,6 +273,67 @@ TEST(SimClock, AdvanceAndCompare) {
   EXPECT_EQ(clock.now().seconds(), 86400);
   EXPECT_LT(SimTime{5}, SimTime{6});
   EXPECT_DOUBLE_EQ((SimTime{86400} + 43200).days(), 1.5);
+}
+
+TEST(SimClock, AdvanceAndSetNotifyEverySubscriberOnce) {
+  SimClock clock;
+  const SimClock& observed = clock;  // subscribing needs only a const reference
+  int first = 0;
+  int second = 0;
+  (void)observed.subscribe([&] { ++first; });
+  (void)observed.subscribe([&] { ++second; });
+  clock.advance(5);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  clock.set(SimTime{100});
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(second, 2);
+  EXPECT_EQ(clock.now().seconds(), 100);
+}
+
+TEST(SimClock, UnsubscribedCallbackIsNotCalledAgain) {
+  SimClock clock;
+  int kept = 0;
+  int dropped = 0;
+  (void)clock.subscribe([&] { ++kept; });
+  const SimClock::Subscription subscription = clock.subscribe([&] { ++dropped; });
+  clock.advance(1);
+  clock.unsubscribe(subscription);
+  clock.advance(1);
+  clock.set(SimTime{10});
+  EXPECT_EQ(dropped, 1);
+  EXPECT_EQ(kept, 3);
+  clock.unsubscribe(subscription);  // a stale handle is ignored
+  clock.advance(1);
+  EXPECT_EQ(kept, 4);
+}
+
+// Run under TSan and ASan: unsubscribe() must wait out a notification in
+// flight, so the subscriber's state can be freed as soon as it returns.
+TEST(SimClockConcurrency, UnsubscribeWhileAdvancing) {
+  SimClock clock;
+  std::atomic<bool> stop{false};
+  std::thread mover{[&] {
+    while (!stop.load(std::memory_order_relaxed)) clock.advance(1);
+  }};
+  std::uint64_t heard = 0;
+  for (int round = 0; round < 200; ++round) {
+    auto calls = std::make_unique<std::atomic<std::uint64_t>>(0);
+    const SimClock::Subscription subscription = clock.subscribe(
+        [counter = calls.get()] { counter->fetch_add(1, std::memory_order_relaxed); });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{1};
+    while (calls->load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    clock.unsubscribe(subscription);
+    heard += calls->load(std::memory_order_relaxed);
+    calls.reset();  // a late callback would now touch freed memory
+  }
+  stop.store(true, std::memory_order_relaxed);
+  mover.join();
+  EXPECT_GT(heard, 0U);
+  EXPECT_GT(clock.now().seconds(), 0);
 }
 
 // ---------- strings ----------
