@@ -5,6 +5,10 @@
 // mapping units (§4, the Gürsun latency-cluster construction behind
 // Fig 21), then measures:
 //
+//   - cold-start stages, each call timed alone on the arm's world: the
+//     ping-mesh measurement and scoring a MappingSystem runs at
+//     construction, and the unit partition and first snapshot build
+//     (no previous generation) a MapMaker runs at construction,
 //   - full rebuild latency: every unit re-scored (incremental off),
 //   - incremental rebuild latency: one cluster flaps, only units whose
 //     candidate sets touch it are re-scored,
@@ -19,19 +23,24 @@
 //
 // Arms: EUM_MAPMAKER_BLOCKS (default "100000,1000000,4000000").
 // Shards: EUM_MAPMAKER_SHARDS (default hardware). Iterations per
-// measurement: EUM_MAPMAKER_ITERS (default 5).
+// measurement: EUM_MAPMAKER_ITERS (default 5); every timing is the best
+// of them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cdn/mapping.h"
+#include "cdn/ping_mesh.h"
+#include "cdn/scoring.h"
 #include "control/map_maker.h"
 #include "control/map_snapshot.h"
+#include "control/mapping_units.h"
 #include "stats/table.h"
 #include "topo/world_gen.h"
 #include "util/shard_pool.h"
@@ -47,6 +56,10 @@ struct ArmResult {
   std::size_t clusters = 0;
   std::size_t units = 0;
   double world_gen_s = 0.0;
+  double mesh_measure_ms = 0.0;         ///< best-of-iters, cdn::PingMesh::measure
+  double scoring_ms = 0.0;              ///< best-of-iters, cdn::Scoring::build
+  double units_ms = 0.0;                ///< best-of-iters, control::MappingUnits::build
+  double first_snapshot_ms = 0.0;       ///< best-of-iters, MapSnapshot::build, no previous
   double full_rebuild_ms = 0.0;         ///< best-of-iters, every unit scored
   double incremental_rebuild_ms = 0.0;  ///< best-of-iters, single-cluster flap
   std::uint64_t units_rescored_flap = 0;
@@ -74,6 +87,18 @@ double resident_mb() {
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// The fastest of `iters` runs of `work`, in ms.
+template <typename Work>
+double best_ms(int iters, const Work& work) {
+  double best = 1e300;
+  for (int i = 0; i < iters; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    work();
+    best = std::min(best, ms_since(t0));
+  }
+  return best;
 }
 
 std::vector<std::size_t> parse_arms(const char* env) {
@@ -116,6 +141,26 @@ ArmResult run_arm(std::size_t blocks, std::size_t shards, int iters) {
   mapping_config.precompute_cluster_scores = false;
   cdn::MappingSystem mapping{&world, &network, &latency, mapping_config};
 
+  // Cold-start stages, each call alone (its result dropped), on the same
+  // inputs the constructors above and below use.
+  result.mesh_measure_ms =
+      best_ms(iters, [&] { (void)cdn::PingMesh::measure(world, network, latency); });
+  result.scoring_ms = best_ms(iters, [&] {
+    (void)cdn::Scoring::build(world, network, mapping.mesh(), mapping_config.scoring_top_k,
+                              mapping_config.traffic_class,
+                              mapping_config.precompute_cluster_scores);
+  });
+  control::MapSnapshot::BuildInputs first;
+  result.units_ms = best_ms(iters, [&] {
+    first.units = control::MappingUnits::build(mapping.mesh(), control::MappingUnitsConfig{});
+  });
+  util::ShardPool pool{shards == 0 ? util::ShardPool::hardware_workers() : shards - 1};
+  first.pool = &pool;
+  const auto ledger = std::make_shared<control::LoadLedger>(network.size());
+  result.first_snapshot_ms = best_ms(iters, [&] {
+    (void)control::MapSnapshot::build(mapping, ledger, 1, util::SimTime{0}, first);
+  });
+
   control::MapMakerConfig full_config;
   full_config.incremental = false;
   full_config.scoring_shards = shards;
@@ -129,12 +174,7 @@ ArmResult run_arm(std::size_t blocks, std::size_t shards, int iters) {
 
   // Full rebuilds: best-of-iters (the floor is the honest number for a
   // latency comparison on a shared machine).
-  result.full_rebuild_ms = 1e300;
-  for (int i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)full.rebuild_now(true);
-    result.full_rebuild_ms = std::min(result.full_rebuild_ms, ms_since(t0));
-  }
+  result.full_rebuild_ms = best_ms(iters, [&] { (void)full.rebuild_now(true); });
 
   // Incremental: flap one cluster per rebuild (die, rebuild, revive,
   // rebuild) so every measured build really re-scores a delta.
@@ -183,11 +223,14 @@ void write_bench_json(const std::vector<ArmResult>& arms, std::size_t shards,
     std::fprintf(
         out,
         "    {\"blocks\": %zu, \"targets\": %zu, \"ldnses\": %zu, \"clusters\": %zu, "
-        "\"units\": %zu, \"world_gen_s\": %.2f, \"full_rebuild_ms\": %.2f, "
+        "\"units\": %zu, \"world_gen_s\": %.2f, \"mesh_measure_ms\": %.2f, "
+        "\"scoring_ms\": %.2f, \"units_ms\": %.2f, \"first_snapshot_ms\": %.2f, "
+        "\"full_rebuild_ms\": %.2f, "
         "\"incremental_rebuild_ms\": %.2f, \"speedup\": %.1f, "
         "\"units_rescored_on_flap\": %llu, \"publish_rate_hz\": %.1f, "
         "\"rss_mb\": %.1f, \"differential_equal\": %s}%s\n",
         a.blocks, a.targets, a.ldnses, a.clusters, a.units, a.world_gen_s,
+        a.mesh_measure_ms, a.scoring_ms, a.units_ms, a.first_snapshot_ms,
         a.full_rebuild_ms, a.incremental_rebuild_ms,
         a.incremental_rebuild_ms > 0.0 ? a.full_rebuild_ms / a.incremental_rebuild_ms : 0.0,
         static_cast<unsigned long long>(a.units_rescored_flap), a.publish_rate_hz,
@@ -230,6 +273,9 @@ int main() {
                 a.world_gen_s, a.units, a.targets, a.full_rebuild_ms,
                 a.incremental_rebuild_ms,
                 static_cast<unsigned long long>(a.units_rescored_flap), a.rss_mb);
+    std::printf("  cold start: mesh %.1fms, scoring %.1fms, units %.1fms, first snapshot "
+                "%.1fms\n",
+                a.mesh_measure_ms, a.scoring_ms, a.units_ms, a.first_snapshot_ms);
     table.add_row({stats::num(static_cast<double>(a.blocks), 0),
                stats::num(static_cast<double>(a.targets), 0),
                stats::num(static_cast<double>(a.units), 0), stats::num(a.full_rebuild_ms, 2),

@@ -1,6 +1,7 @@
 #include "cdn/mapping.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/strings.h"
@@ -35,18 +36,23 @@ MappingSystem::MappingSystem(const topo::World* world, CdnNetwork* network,
       latency_(require(latency, "latency")),
       config_(checked(config)),
       mesh_(PingMesh::measure(*world_, *network_, *latency_)),
-      scoring_(Scoring::build(*world_, *network_, mesh_, config.scoring_top_k,
-                              config.traffic_class, config.precompute_cluster_scores)),
+      scoring_(std::make_shared<const Scoring>(
+          Scoring::build(*world_, *network_, mesh_, config.scoring_top_k, config.traffic_class,
+                         config.precompute_cluster_scores))),
       local_lb_(config.servers_per_answer) {
-  global_lb_ = std::make_unique<GlobalLoadBalancer>(network_, &scoring_, &mesh_,
+  global_lb_ = std::make_unique<GlobalLoadBalancer>(network_, scoring_.get(), &mesh_,
                                                     config_.global_lb);
 }
 
 void MappingSystem::rescore() {
-  scoring_ = Scoring::build(*world_, *network_, mesh_, config_.scoring_top_k,
-                            config_.traffic_class, config_.precompute_cluster_scores);
+  // Repoint the balancer at the new tables before the old ones are
+  // released, so it never holds a freed Scoring.
+  auto scoring = std::make_shared<const Scoring>(
+      Scoring::build(*world_, *network_, mesh_, config_.scoring_top_k, config_.traffic_class,
+                     config_.precompute_cluster_scores));
   global_lb_ =
-      std::make_unique<GlobalLoadBalancer>(network_, &scoring_, &mesh_, config_.global_lb);
+      std::make_unique<GlobalLoadBalancer>(network_, scoring.get(), &mesh_, config_.global_lb);
+  scoring_ = std::move(scoring);
 }
 
 std::optional<MapResult> MappingSystem::finish(std::optional<DeploymentId> deployment,
@@ -78,7 +84,7 @@ std::optional<MapResult> MappingSystem::map_block(topo::BlockId block, std::stri
 std::optional<MapResult> MappingSystem::map_cluster(topo::LdnsId ldns, std::string_view domain,
                                                     double load_units) {
   // The reported RTT estimate uses the LDNS's own target as reference unit.
-  const topo::PingTargetId unit = scoring_.ldns_target(ldns);
+  const topo::PingTargetId unit = scoring_->ldns_target(ldns);
   return finish(global_lb_->assign_for_cluster(ldns, load_units), unit, domain, load_units);
 }
 

@@ -149,7 +149,12 @@ class MappingSystem {
                         dnsserver::AuthoritativeServer& low, const dns::DnsName& suffix);
 
   [[nodiscard]] const PingMesh& mesh() const noexcept { return mesh_; }
-  [[nodiscard]] const Scoring& scoring() const noexcept { return scoring_; }
+  [[nodiscard]] const Scoring& scoring() const noexcept { return *scoring_; }
+  /// The same tables, shared: each control::MapSnapshot serves its CANS
+  /// lists and LDNS fallback targets from them instead of scoring again.
+  [[nodiscard]] std::shared_ptr<const Scoring> shared_scoring() const noexcept {
+    return scoring_;
+  }
   [[nodiscard]] const MappingConfig& config() const noexcept { return config_; }
   [[nodiscard]] CdnNetwork& network() noexcept { return *network_; }
   [[nodiscard]] const CdnNetwork& network() const noexcept { return *network_; }
@@ -158,7 +163,7 @@ class MappingSystem {
   /// Re-run scoring after liveness/topology changes (the paper's periodic
   /// refresh; load state is preserved). Synchronous and unsafe against
   /// concurrent map() calls — the control plane's MapMaker is the
-  /// serving-safe replacement.
+  /// serving-safe replacement. Snapshots keep the tables they shared.
   void rescore();
 
   // --- control-plane hooks (src/control) --------------------------------
@@ -188,7 +193,7 @@ class MappingSystem {
   const topo::LatencyModel* latency_;
   MappingConfig config_;
   PingMesh mesh_;
-  Scoring scoring_;
+  std::shared_ptr<const Scoring> scoring_;
   std::unique_ptr<GlobalLoadBalancer> global_lb_;
   LocalLoadBalancer local_lb_;
   FastMapFn fast_path_;

@@ -18,15 +18,23 @@
 
 namespace eum::cdn {
 
+/// Columns (targets, or units' representatives) that a column-wise pass
+/// over the row-major mesh takes at once: each deployment row is then read
+/// once per tile instead of once per column. 16 floats are one 64-byte
+/// line of a row.
+inline constexpr std::size_t kColumnTile = 16;
+
 class PingMesh {
  public:
   /// Measure every (deployment, ping target) pair of `network` against
-  /// `world` using the latency model.
+  /// `world` using the latency model. Row d is the row measure_sites
+  /// gives deployment d's universe site.
   static PingMesh measure(const topo::World& world, const CdnNetwork& network,
                           const topo::LatencyModel& latency);
 
   /// Measure from explicit deployment locations (used by the §6 study,
-  /// which sweeps deployment subsets without instantiating clusters).
+  /// which sweeps deployment subsets without instantiating clusters). A
+  /// site's row depends only on its id and location.
   static PingMesh measure_sites(const topo::World& world,
                                 std::span<const topo::DeploymentSite> sites,
                                 const topo::LatencyModel& latency);

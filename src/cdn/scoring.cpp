@@ -2,31 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace eum::cdn {
-
-namespace {
-
-/// Keep the best `k` candidates from a full score column. Ties break by
-/// deployment id so the result is a pure function of the scores — the
-/// control plane's incremental rebuilds rely on full and delta scoring
-/// passes producing bit-identical candidate tables.
-void select_top_k(std::vector<Candidate>& scratch, std::size_t k, Candidate* out) {
-  const std::size_t keep = std::min(k, scratch.size());
-  std::partial_sort(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scratch.end(), [](const Candidate& a, const Candidate& b) {
-                      if (a.score_ms != b.score_ms) return a.score_ms < b.score_ms;
-                      return a.deployment < b.deployment;
-                    });
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = i < keep ? scratch[i] : Candidate{0, std::numeric_limits<float>::infinity()};
-  }
-}
-
-}  // namespace
 
 float path_score(TrafficClass klass, float rtt_ms, float loss_rate) noexcept {
   switch (klass) {
@@ -53,17 +32,18 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
   scoring.target_count_ = mesh.target_count();
   const std::size_t n_dep = mesh.deployment_count();
 
-  // Per ping target: one column scan of the mesh.
+  // Per ping target, in tiles of consecutive targets: a target's column
+  // strides across the row-major mesh, a tile's columns share cache lines.
   scoring.by_target_.resize(scoring.target_count_ * top_k);
-  std::vector<Candidate> scratch(n_dep);
-  for (std::size_t t = 0; t < scoring.target_count_; ++t) {
-    const auto target = static_cast<topo::PingTargetId>(t);
-    for (std::size_t d = 0; d < n_dep; ++d) {
-      scratch[d] = Candidate{static_cast<DeploymentId>(d),
-                             path_score(klass, mesh.rtt_ms(d, target),
-                                        mesh.loss_rate(d, target))};
-    }
-    select_top_k(scratch, top_k, &scoring.by_target_[t * top_k]);
+  for (std::size_t t0 = 0; t0 < scoring.target_count_; t0 += kColumnTile) {
+    const std::size_t columns = std::min(kColumnTile, scoring.target_count_ - t0);
+    best_k(
+        n_dep, columns, top_k, {},
+        [&](std::size_t d, std::size_t c) {
+          const auto target = static_cast<topo::PingTargetId>(t0 + c);
+          return path_score(klass, mesh.rtt_ms(d, target), mesh.loss_rate(d, target));
+        },
+        &scoring.by_target_[t0 * top_k]);
   }
 
   // Per LDNS cluster: traffic-weighted member targets.
@@ -86,6 +66,7 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
     }
   }
   scoring.by_cluster_.resize(n_ldns * top_k);
+  std::vector<float> scores(n_dep);
   for (std::size_t l = 0; l < n_ldns; ++l) {
     if (members[l].empty()) continue;
     scoring.cluster_has_data_[l] = true;
@@ -97,9 +78,11 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
         score += weight * static_cast<double>(
                               path_score(klass, mesh.rtt_ms(d, target), mesh.loss_rate(d, target)));
       }
-      scratch[d] = Candidate{static_cast<DeploymentId>(d), static_cast<float>(score / wsum)};
+      scores[d] = static_cast<float>(score / wsum);
     }
-    select_top_k(scratch, top_k, &scoring.by_cluster_[l * top_k]);
+    best_k(
+        n_dep, 1, top_k, {}, [&](std::size_t d, std::size_t) { return scores[d]; },
+        &scoring.by_cluster_[l * top_k]);
   }
   return scoring;
 }

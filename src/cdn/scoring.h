@@ -8,7 +8,10 @@
 // expected latency; the load balancer then walks these candidate lists.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -36,6 +39,36 @@ struct Candidate {
 
   friend bool operator==(const Candidate&, const Candidate&) = default;
 };
+
+/// The best `keep` (>= 1) deployments of each of `columns` (<= kColumnTile)
+/// score columns into out[c * keep, (c + 1) * keep), best first.
+/// `score(d, c)` is deployment d's score on column c; with a non-empty
+/// `live`, deployments whose entry is 0 are skipped. Ordering contract:
+/// (score, id). Deployments are scanned in ascending id and kept by
+/// insertion, so an equal score never moves ahead of an earlier id; a
+/// column with fewer than `keep` entries is padded with {0, +inf}. Every
+/// candidate table — Scoring's and control::MapSnapshot's, full and delta —
+/// is ranked here, which is what keeps them bit-identical to one another.
+template <typename Score>
+void best_k(std::size_t deployments, std::size_t columns, std::size_t keep,
+            std::span<const char> live, const Score& score, Candidate* out) {
+  std::array<std::size_t, kColumnTile> kept{};
+  for (std::size_t d = 0; d < deployments; ++d) {
+    if (!live.empty() && live[d] == 0) continue;
+    for (std::size_t c = 0; c < columns; ++c) {
+      const float s = score(d, c);
+      Candidate* best = out + c * keep;
+      if (kept[c] == keep && !(s < best[keep - 1].score_ms)) continue;
+      std::size_t at = kept[c] < keep ? kept[c]++ : keep - 1;
+      for (; at > 0 && s < best[at - 1].score_ms; --at) best[at] = best[at - 1];
+      best[at] = Candidate{static_cast<DeploymentId>(d), s};
+    }
+  }
+  for (std::size_t c = 0; c < columns; ++c) {
+    std::fill(out + c * keep + kept[c], out + (c + 1) * keep,
+              Candidate{0, std::numeric_limits<float>::infinity()});
+  }
+}
 
 class Scoring {
  public:

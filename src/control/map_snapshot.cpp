@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/hash.h"
 
@@ -14,6 +15,10 @@ namespace {
 
 /// Padding in a ranking prefix longer than the network.
 constexpr std::uint16_t kNoDeployment = 0xffff;
+
+/// Stack scratch of one full-pass tile: the ranking prefixes of up to
+/// cdn::kColumnTile units, so a prefix (2 * scoring_top_k) fits one tile.
+constexpr std::size_t kTileCandidates = cdn::kColumnTile * 32;
 
 }  // namespace
 
@@ -57,6 +62,10 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
   if (network.size() > kNoDeployment) {
     throw std::invalid_argument{"MapSnapshot: ranking ids are 16-bit; at most 65535 clusters"};
   }
+  if (2 * mapping.config().scoring_top_k > kTileCandidates) {
+    throw std::invalid_argument{"MapSnapshot: scoring_top_k above " +
+                                std::to_string(kTileCandidates / 2)};
+  }
 
   auto snapshot = std::shared_ptr<MapSnapshot>{new MapSnapshot};
   snapshot->version_ = version;
@@ -84,16 +93,11 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
   const bool same_world =
       prev != nullptr && prev->world_ == snapshot->world_ && prev->mesh_ == snapshot->mesh_;
 
-  // CANS cluster table + per-LDNS fallback targets: scores never depend
-  // on liveness (usability is applied at pick()), so the table is built
-  // once and shared by every later generation.
-  if (same_world && prev->base_scoring_ != nullptr) {
-    snapshot->base_scoring_ = prev->base_scoring_;
-  } else {
-    snapshot->base_scoring_ = std::make_shared<const cdn::Scoring>(cdn::Scoring::build(
-        mapping.world(), network, mapping.mesh(), snapshot->top_k_,
-        snapshot->config_.traffic_class, snapshot->config_.precompute_cluster_scores));
-  }
+  // CANS cluster table + per-LDNS fallback targets: the mapping system's
+  // own tables, built from the same world, network, mesh and config.
+  // Scores never depend on liveness (usability is applied at pick()), so
+  // every generation shares them.
+  snapshot->base_scoring_ = mapping.shared_scoring();
 
   // Per-unit candidate lists over the live deployments.
   const std::size_t n_units = inputs.units->unit_count();
@@ -116,32 +120,13 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
     return inputs.units->representative(static_cast<MappingUnits::UnitId>(u));
   };
 
-  // The best `keep` deployments of a unit's column (live ones only, with
-  // `live_only`) into `best`, sorted by (score, id). Ids are scanned in
-  // ascending order, so an equal score never moves ahead of an earlier id.
-  // That is the ordering contract of cdn::Scoring's select_top_k — (score,
-  // id) is a total order, so full and delta passes are bit-identical and a
-  // fresh all-alive unit list equals the live per-target list.
-  const auto rank_column = [&](topo::PingTargetId rep, std::size_t keep, bool live_only,
-                               std::vector<cdn::Candidate>& best) {
-    best.clear();
-    for (std::size_t d = 0; d < n_deps; ++d) {
-      if (live_only && alive[d] == 0) continue;
-      const float score = score_of(d, rep);
-      if (best.size() == keep && !(score < best.back().score_ms)) continue;
-      if (best.size() < keep) best.emplace_back();
-      std::size_t at = best.size() - 1;
-      for (; at > 0 && score < best[at - 1].score_ms; --at) best[at] = best[at - 1];
-      best[at] = cdn::Candidate{static_cast<cdn::DeploymentId>(d), score};
-    }
-  };
-
   // A unit's live list: the first top_k live ids of its ranking prefix.
   // The prefix is the column's (score, id) order cut at 2 * top_k, so any
   // live deployment past it ranks after every prefix entry — when the
   // prefix holds top_k live ones they are exactly the best top_k. Only
-  // when it holds fewer does the unit scan its live column.
-  const auto score_unit = [&](std::size_t u, std::vector<cdn::Candidate>& scratch) {
+  // when it holds fewer does the unit rank its live column, with the same
+  // cdn::best_k (and so the same order) as every other table.
+  const auto score_unit = [&](std::size_t u) {
     const topo::PingTargetId rep = rep_of(u);
     cdn::Candidate* out = &snapshot->by_unit_[u * top_k];
     const std::uint16_t* ids = snapshot->ranking_->data() + u * prefix;
@@ -150,42 +135,47 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
       if (alive[ids[i]] != 0) out[found++] = cdn::Candidate{ids[i], score_of(ids[i], rep)};
     }
     if (found == top_k) return;
-    rank_column(rep, top_k, /*live_only=*/true, scratch);
-    for (std::size_t i = 0; i < top_k; ++i) {
-      out[i] = i < scratch.size() ? scratch[i]
-                                  : cdn::Candidate{0, std::numeric_limits<float>::infinity()};
-    }
+    cdn::best_k(
+        n_deps, 1, top_k, alive, [&](std::size_t d, std::size_t) { return score_of(d, rep); },
+        out);
   };
 
-  // Full pass: rank the unit's whole column, dead or alive, into its
-  // prefix, then take its live list from that.
+  // Full pass, a tile of units at a time: rank the tile's whole columns,
+  // dead or alive, into their prefixes, then take each unit's live list
+  // from its prefix. Representatives ascend with the unit id, so a tile's
+  // columns lie close together in every deployment row.
+  const std::size_t tile = std::min(cdn::kColumnTile, kTileCandidates / prefix);
   std::uint16_t* fresh_ranking = nullptr;
-  const auto rank_unit = [&](std::size_t u, std::vector<cdn::Candidate>& scratch) {
-    rank_column(rep_of(u), prefix, /*live_only=*/false, scratch);
-    std::uint16_t* ids = fresh_ranking + u * prefix;
-    for (std::size_t i = 0; i < prefix; ++i) {
-      ids[i] = i < scratch.size() ? static_cast<std::uint16_t>(scratch[i].deployment)
-                                  : kNoDeployment;
+  const auto rank_units = [&](std::size_t lo, std::size_t hi) {
+    std::array<cdn::Candidate, kTileCandidates> best;
+    std::array<topo::PingTargetId, cdn::kColumnTile> reps{};
+    for (std::size_t u0 = lo; u0 < hi; u0 += tile) {
+      const std::size_t columns = std::min(tile, hi - u0);
+      for (std::size_t c = 0; c < columns; ++c) reps[c] = rep_of(u0 + c);
+      cdn::best_k(
+          n_deps, columns, prefix, {},
+          [&](std::size_t d, std::size_t c) { return score_of(d, reps[c]); }, best.data());
+      for (std::size_t c = 0; c < columns; ++c) {
+        std::uint16_t* ids = fresh_ranking + (u0 + c) * prefix;
+        for (std::size_t i = 0; i < prefix; ++i) {
+          ids[i] = i < n_deps ? static_cast<std::uint16_t>(best[c * prefix + i].deployment)
+                              : kNoDeployment;
+        }
+        score_unit(u0 + c);
+      }
     }
-    score_unit(u, scratch);
   };
 
-  // Shard a unit list across the pool: contiguous stripes, one scratch
-  // buffer per job (jobs outnumber workers so stripes stay balanced even
-  // when some units are costlier than others).
-  const auto score_all = [&](const std::vector<std::uint32_t>* subset, const auto& per_unit) {
-    const std::size_t count = subset != nullptr ? subset->size() : n_units;
-    const auto run_range = [&](std::size_t lo, std::size_t hi) {
-      std::vector<cdn::Candidate> scratch;
-      scratch.reserve(prefix);
-      for (std::size_t i = lo; i < hi; ++i) {
-        per_unit(subset != nullptr ? (*subset)[i] : i, scratch);
-      }
-    };
+  // Shard `count` items across the pool: contiguous stripes of whole
+  // `grain`-item tiles, more jobs than workers so stripes stay balanced
+  // even when some units are costlier than others. The pool threshold
+  // counts items (units), whatever the grain.
+  const auto shard = [&](std::size_t count, std::size_t grain, const auto& run_range) {
     if (inputs.pool != nullptr && inputs.pool->worker_count() > 0 && count >= 256) {
+      const std::size_t tiles = (count + grain - 1) / grain;
       const std::size_t jobs =
-          std::min(count, (inputs.pool->worker_count() + 1) * std::size_t{8});
-      const std::size_t stripe = (count + jobs - 1) / jobs;
+          std::min(tiles, (inputs.pool->worker_count() + 1) * std::size_t{8});
+      const std::size_t stripe = (tiles + jobs - 1) / jobs * grain;
       inputs.pool->run(jobs, [&](std::size_t job) {
         const std::size_t lo = job * stripe;
         run_range(lo, std::min(lo + stripe, count));
@@ -207,7 +197,7 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
     auto ranking = std::make_shared<std::vector<std::uint16_t>>(n_units * prefix);
     fresh_ranking = ranking->data();
     snapshot->ranking_ = std::move(ranking);
-    score_all(nullptr, rank_unit);
+    shard(n_units, tile, rank_units);
     snapshot->units_rescored_ = n_units;
     return snapshot;
   }
@@ -257,7 +247,9 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const cdn::MappingSystem& 
     }
     if (affected) touched.push_back(static_cast<std::uint32_t>(u));
   }
-  score_all(&touched, score_unit);
+  shard(touched.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) score_unit(touched[i]);
+  });
   snapshot->units_rescored_ = touched.size();
   return snapshot;
 }

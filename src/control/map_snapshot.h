@@ -117,10 +117,12 @@ class MapSnapshot {
 
   /// Freeze the mapping system's current scoring + liveness state. The
   /// snapshot borrows the system's world and ping mesh (both immutable
-  /// after construction) and must not outlive it; `loads` is shared
+  /// after construction) and must not outlive it, and shares its Scoring
+  /// (MappingSystem::shared_scoring); `loads` is shared
   /// across generations. Reads the mutable CdnNetwork — callers must not
   /// mutate liveness concurrently with a build (see MapMaker). Throws
-  /// std::invalid_argument for a network of more than 65535 deployments.
+  /// std::invalid_argument for a network of more than 65535 deployments
+  /// or a scoring_top_k above 256.
   static std::shared_ptr<const MapSnapshot> build(const cdn::MappingSystem& mapping,
                                                   std::shared_ptr<LoadLedger> loads,
                                                   std::uint64_t version, util::SimTime built_at,
@@ -213,9 +215,9 @@ class MapSnapshot {
   /// fills it and every delta generation shares it: a re-scored unit takes
   /// its first top_k live ids and scans the column only when fewer remain.
   std::shared_ptr<const std::vector<std::uint16_t>> ranking_;
-  /// Liveness-independent CANS cluster table + per-LDNS fallback targets;
-  /// computed once and shared across generations (liveness never moves a
-  /// score, only candidate usability).
+  /// Liveness-independent CANS cluster table + per-LDNS fallback targets:
+  /// the mapping system's own Scoring, shared by every generation
+  /// (liveness never moves a score, only candidate usability).
   std::shared_ptr<const cdn::Scoring> base_scoring_;
   bool delta_ = false;
   std::size_t units_rescored_ = 0;

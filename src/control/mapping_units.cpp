@@ -1,5 +1,7 @@
 #include "control/mapping_units.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -52,21 +54,32 @@ std::shared_ptr<const MappingUnits> MappingUnits::build(const cdn::PingMesh& mes
   std::unordered_map<Signature, UnitId, SignatureHash> by_signature;
   by_signature.reserve(n_targets);
   std::vector<std::uint32_t> unit_sizes;
-  for (std::size_t t = 0; t < n_targets; ++t) {
-    const auto target = static_cast<topo::PingTargetId>(t);
-    Signature sig{0x9e3779b97f4a7c15ULL, 0x6a09e667f3bcc909ULL};
+  // Signatures fold a tile of consecutive targets at a time: a target's
+  // column strides across the row-major mesh, a tile's columns share each
+  // row's cache lines. Each target's chains still fold the deployments in
+  // id order, and units are still numbered in target order.
+  for (std::size_t t0 = 0; t0 < n_targets; t0 += cdn::kColumnTile) {
+    const std::size_t columns = std::min(cdn::kColumnTile, n_targets - t0);
+    std::array<Signature, cdn::kColumnTile> sigs;
+    sigs.fill(Signature{0x9e3779b97f4a7c15ULL, 0x6a09e667f3bcc909ULL});
     for (std::size_t d = 0; d < n_deps; ++d) {
-      const std::uint64_t rtt_q = quantize(mesh.rtt_ms(d, target), config.epsilon_ms);
-      const std::uint64_t loss_q = quantize(mesh.loss_rate(d, target), loss_step);
-      sig.a = util::hash_combine(util::hash_combine(sig.a, rtt_q), loss_q);
-      sig.b = util::hash_combine(util::hash_combine(sig.b, loss_q ^ 0xabcdef0123456789ULL),
-                                 rtt_q ^ 0x123456789abcdefULL);
+      for (std::size_t c = 0; c < columns; ++c) {
+        const auto target = static_cast<topo::PingTargetId>(t0 + c);
+        const std::uint64_t rtt_q = quantize(mesh.rtt_ms(d, target), config.epsilon_ms);
+        const std::uint64_t loss_q = quantize(mesh.loss_rate(d, target), loss_step);
+        Signature& sig = sigs[c];
+        sig.a = util::hash_combine(util::hash_combine(sig.a, rtt_q), loss_q);
+        sig.b = util::hash_combine(util::hash_combine(sig.b, loss_q ^ 0xabcdef0123456789ULL),
+                                   rtt_q ^ 0x123456789abcdefULL);
+      }
     }
-    const auto [it, inserted] =
-        by_signature.emplace(sig, static_cast<UnitId>(unit_sizes.size()));
-    if (inserted) unit_sizes.push_back(0);
-    units->unit_of_[t] = it->second;
-    ++unit_sizes[it->second];
+    for (std::size_t c = 0; c < columns; ++c) {
+      const auto [it, inserted] =
+          by_signature.emplace(sigs[c], static_cast<UnitId>(unit_sizes.size()));
+      if (inserted) unit_sizes.push_back(0);
+      units->unit_of_[t0 + c] = it->second;
+      ++unit_sizes[it->second];
+    }
   }
 
   // Members grouped by unit via one counting pass (targets stay in order

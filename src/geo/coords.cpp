@@ -11,14 +11,19 @@ constexpr double kDegToRad = 0.017453292519943295;
 
 }  // namespace
 
+double cos_lat(const GeoPoint& p) noexcept { return std::cos(p.lat_deg * kDegToRad); }
+
 double great_circle_miles(const GeoPoint& a, const GeoPoint& b) noexcept {
-  const double lat1 = a.lat_deg * kDegToRad;
-  const double lat2 = b.lat_deg * kDegToRad;
+  return great_circle_miles(a, cos_lat(a), b, cos_lat(b));
+}
+
+double great_circle_miles(const GeoPoint& a, double cos_lat_a, const GeoPoint& b,
+                          double cos_lat_b) noexcept {
   const double dlat = (b.lat_deg - a.lat_deg) * kDegToRad;
   const double dlon = (b.lon_deg - a.lon_deg) * kDegToRad;
   const double sin_dlat = std::sin(dlat / 2.0);
   const double sin_dlon = std::sin(dlon / 2.0);
-  const double h = sin_dlat * sin_dlat + std::cos(lat1) * std::cos(lat2) * sin_dlon * sin_dlon;
+  const double h = sin_dlat * sin_dlat + cos_lat_a * cos_lat_b * sin_dlon * sin_dlon;
   // Clamp against rounding before the sqrt: h can exceed 1 by an ulp for
   // antipodal points.
   const double clamped = h > 1.0 ? 1.0 : (h < 0.0 ? 0.0 : h);

@@ -24,6 +24,16 @@ struct GeoPoint {
 /// Great-circle distance between two points in miles (haversine formula).
 [[nodiscard]] double great_circle_miles(const GeoPoint& a, const GeoPoint& b) noexcept;
 
+/// cos(latitude) of a point, the per-endpoint factor of the haversine.
+[[nodiscard]] double cos_lat(const GeoPoint& p) noexcept;
+
+/// The same haversine with each endpoint's cos_lat() supplied by the
+/// caller, for loops that pair one point with many: bit-identical to
+/// great_circle_miles(a, b) when cos_lat_a == cos_lat(a) and
+/// cos_lat_b == cos_lat(b).
+[[nodiscard]] double great_circle_miles(const GeoPoint& a, double cos_lat_a, const GeoPoint& b,
+                                        double cos_lat_b) noexcept;
+
 /// A point with an associated weight (client demand, in the paper's terms).
 struct WeightedPoint {
   GeoPoint point;

@@ -32,7 +32,8 @@ struct LatencyParams {
   /// Mean of per-measurement congestion noise, ms (exponential).
   double congestion_mean_ms = 4.0;
   /// Packet-loss model: base rate plus an extra rate on intercontinental
-  /// paths, modulated by the same stable per-pair quality factor.
+  /// paths, modulated by a stable per-pair lognormal factor of its own
+  /// (drawn independently of the RTT quality factor, with twice its sigma).
   double base_loss_rate = 0.001;
   double transoceanic_loss_rate = 0.012;
 };
@@ -48,15 +49,23 @@ class LatencyModel {
   [[nodiscard]] double expected_rtt_ms(const geo::GeoPoint& a, const geo::GeoPoint& b,
                                        std::uint64_t pair_salt) const noexcept;
 
+  /// expected_rtt_ms of a pair `miles` great-circle miles apart (its
+  /// geo::great_circle_miles), for callers that reuse one distance.
+  [[nodiscard]] double expected_rtt_ms_at(double miles, std::uint64_t pair_salt) const noexcept;
+
   /// One measured RTT: expected value plus congestion noise from `rng`.
   [[nodiscard]] double measure_rtt_ms(const geo::GeoPoint& a, const geo::GeoPoint& b,
                                       std::uint64_t pair_salt, util::Rng& rng) const noexcept;
 
   /// Deterministic expected packet-loss rate of the path (0..1). Long
-  /// transoceanic paths lose more; the per-pair quality factor makes some
-  /// paths persistently bad — what the video scoring function avoids.
+  /// transoceanic paths lose more; a stable per-pair loss factor makes
+  /// some paths persistently lossy — what the video scoring function avoids.
   [[nodiscard]] double expected_loss_rate(const geo::GeoPoint& a, const geo::GeoPoint& b,
                                           std::uint64_t pair_salt) const noexcept;
+
+  /// expected_loss_rate of a pair `miles` great-circle miles apart.
+  [[nodiscard]] double expected_loss_rate_at(double miles,
+                                             std::uint64_t pair_salt) const noexcept;
 
   [[nodiscard]] const LatencyParams& params() const noexcept { return params_; }
 

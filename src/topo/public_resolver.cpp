@@ -46,17 +46,22 @@ std::size_t anycast_select(const std::vector<PublicSiteSpec>& sites,
                            const geo::GeoPoint& client_location, const LatencyModel& latency,
                            double detour_prob, util::Rng& rng) {
   if (sites.empty()) throw std::invalid_argument{"anycast_select: provider has no sites"};
+  // Each site's RTT once, then a sort of the indices by it. The model is a
+  // pure function of (client, site, salt) and std::sort's permutation
+  // depends only on the comparison outcomes, so this ranks exactly as
+  // re-evaluating the model inside the comparator would.
+  const auto lat_key =
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(client_location.lat_deg * 1e4));
+  std::vector<double> rtt(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const std::uint64_t salt =
+        util::hash_combine(util::mix64(static_cast<std::uint64_t>(i) + 0x5174e5ULL), lat_key);
+    rtt[i] = latency.expected_rtt_ms(client_location, sites[i].location, salt);
+  }
   std::vector<std::size_t> order(sites.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto salt = [&](std::size_t i) {
-      return util::hash_combine(util::mix64(static_cast<std::uint64_t>(i) + 0x5174e5ULL),
-                                static_cast<std::uint64_t>(
-                                    static_cast<std::int64_t>(client_location.lat_deg * 1e4)));
-    };
-    return latency.expected_rtt_ms(client_location, sites[a].location, salt(a)) <
-           latency.expected_rtt_ms(client_location, sites[b].location, salt(b));
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return rtt[a] < rtt[b]; });
   if (sites.size() > 1 && rng.chance(detour_prob)) {
     // Mis-routed: land on a non-optimal site (rank 1..3) — usually the
     // next regional site over, occasionally another continent.

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <unordered_map>
+#include <vector>
 
 #include "cdn/load_balancer.h"
 #include "cdn/mapping.h"
@@ -8,10 +13,12 @@
 #include "cdn/ping_mesh.h"
 #include "cdn/scoring.h"
 #include "test_world.h"
+#include "util/hash.h"
 
 namespace eum::cdn {
 namespace {
 
+using eum::testing::small_world;
 using eum::testing::test_latency;
 using eum::testing::tiny_world;
 
@@ -89,7 +96,121 @@ TEST(PingMesh, NetworkAndSiteMeasurementsAgree) {
   }
 }
 
+// Every cell, through either entry point, is bit-equal to the latency
+// model's own answer for the pair under the mesh's salt (the universe site
+// id, so a row does not depend on its position in the measured set).
+TEST(PingMesh, CellsMatchTheLatencyModel) {
+  const auto& world = small_world();
+  const topo::LatencyModel& latency = test_latency();
+  const auto expect_cells = [&](const PingMesh& mesh, std::span<const topo::DeploymentSite> rows) {
+    ASSERT_EQ(mesh.deployment_count(), rows.size());
+    ASSERT_EQ(mesh.target_count(), world.ping_targets.size());
+    std::size_t mismatches = 0;
+    for (std::size_t d = 0; d < rows.size(); ++d) {
+      for (std::size_t t = 0; t < mesh.target_count(); ++t) {
+        const geo::GeoPoint& to = world.ping_targets[t].location;
+        const std::uint64_t salt = util::hash_combine(util::mix64(0xdeb107 + rows[d].id),
+                                                      static_cast<std::uint64_t>(t));
+        const auto target = static_cast<topo::PingTargetId>(t);
+        const float rtt = static_cast<float>(latency.expected_rtt_ms(rows[d].location, to, salt));
+        const float loss =
+            static_cast<float>(latency.expected_loss_rate(rows[d].location, to, salt));
+        if (std::bit_cast<std::uint32_t>(mesh.rtt_ms(d, target)) !=
+                std::bit_cast<std::uint32_t>(rtt) ||
+            std::bit_cast<std::uint32_t>(mesh.loss_rate(d, target)) !=
+                std::bit_cast<std::uint32_t>(loss)) {
+          if (mismatches++ == 0) ADD_FAILURE() << "first mismatch: row " << d << " target " << t;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0U);
+  };
+
+  const CdnNetwork network = CdnNetwork::build(world, 40);
+  std::vector<topo::DeploymentSite> network_rows;
+  for (const Deployment& deployment : network.deployments()) {
+    network_rows.push_back(topo::DeploymentSite{deployment.site_id, deployment.location});
+  }
+  expect_cells(PingMesh::measure(world, network, latency), network_rows);
+
+  // Every seventh universe site: row index and site id differ.
+  std::vector<topo::DeploymentSite> sites;
+  for (std::size_t i = 3; i < world.deployment_universe.size(); i += 7) {
+    sites.push_back(world.deployment_universe[i]);
+  }
+  expect_cells(PingMesh::measure_sites(world, sites, latency), sites);
+}
+
 // ---------- Scoring ----------
+
+/// The first `k` of a column sorted in full by (score, id), padded with
+/// {0, +inf} past the column's end.
+std::vector<Candidate> sorted_top_k(std::vector<Candidate> column, std::size_t k) {
+  std::sort(column.begin(), column.end(), [](const Candidate& a, const Candidate& b) {
+    return a.score_ms != b.score_ms ? a.score_ms < b.score_ms : a.deployment < b.deployment;
+  });
+  column.resize(k, Candidate{0, std::numeric_limits<float>::infinity()});
+  return column;
+}
+
+// Both candidate tables against a full sort of each column, on a network
+// whose repeated sites give pairs of deployments identical columns (exact
+// score ties), for a top_k of 1, of 8 and beyond the network's size.
+TEST(Scoring, TopKMatchesSortedReference) {
+  const auto& world = tiny_world();
+  std::vector<std::uint32_t> sites;
+  for (std::uint32_t s = 0; s < 12; ++s) sites.push_back(s);
+  for (const std::uint32_t repeat : {4U, 0U, 9U, 4U}) sites.push_back(repeat);
+  const CdnNetwork network = CdnNetwork::build_at(world, sites);
+  const PingMesh mesh = PingMesh::measure(world, network, test_latency());
+  ASSERT_EQ(mesh.rtt_ms(4, 7), mesh.rtt_ms(12, 7));  // the ties are real
+
+  // The CANS cluster scores, aggregated exactly as Scoring::build does.
+  std::vector<std::unordered_map<topo::PingTargetId, double>> members(world.ldnses.size());
+  for (const topo::ClientBlock& block : world.blocks) {
+    for (const topo::LdnsUse& use : world.ldns_uses(block)) {
+      members[use.ldns][block.ping_target] += block.demand * use.fraction;
+    }
+  }
+
+  for (const TrafficClass klass : {TrafficClass::web, TrafficClass::video}) {
+    for (const std::size_t top_k : {std::size_t{1}, std::size_t{8}, network.size() + 3}) {
+      const Scoring scoring = Scoring::build(world, network, mesh, top_k, klass, true);
+      for (std::size_t t = 0; t < world.ping_targets.size(); ++t) {
+        const auto target = static_cast<topo::PingTargetId>(t);
+        std::vector<Candidate> column;
+        for (std::size_t d = 0; d < network.size(); ++d) {
+          column.push_back(Candidate{static_cast<DeploymentId>(d),
+                                     path_score(klass, mesh.rtt_ms(d, target),
+                                                mesh.loss_rate(d, target))});
+        }
+        const auto got = scoring.target_candidates(target);
+        ASSERT_EQ(std::vector<Candidate>(got.begin(), got.end()), sorted_top_k(column, top_k))
+            << "target " << t << " top_k " << top_k;
+      }
+      std::size_t clusters = 0;
+      for (std::size_t l = 0; l < world.ldnses.size(); ++l) {
+        if (members[l].empty()) continue;
+        ++clusters;
+        double wsum = 0.0;
+        for (const auto& [target, weight] : members[l]) wsum += weight;
+        std::vector<Candidate> column;
+        for (std::size_t d = 0; d < network.size(); ++d) {
+          double score = 0.0;
+          for (const auto& [target, weight] : members[l]) {
+            score += weight * static_cast<double>(path_score(klass, mesh.rtt_ms(d, target),
+                                                             mesh.loss_rate(d, target)));
+          }
+          column.push_back(Candidate{static_cast<DeploymentId>(d), static_cast<float>(score / wsum)});
+        }
+        const auto got = scoring.cluster_candidates(static_cast<topo::LdnsId>(l));
+        ASSERT_EQ(std::vector<Candidate>(got.begin(), got.end()), sorted_top_k(column, top_k))
+            << "ldns " << l << " top_k " << top_k;
+      }
+      EXPECT_GT(clusters, 0U);
+    }
+  }
+}
 
 TEST(Scoring, TargetCandidatesAreSortedTopK) {
   const auto& world = tiny_world();

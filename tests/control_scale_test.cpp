@@ -273,6 +273,30 @@ TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
   EXPECT_EQ(incremental.current()->unit_candidates(unit)[0], best[0]);
 }
 
+// A full build shards its unit columns across the pool in stripes of whole
+// tiles; the stripes must join into exactly the serial build, fresh and
+// with dead clusters.
+TEST(DeltaRebuild, ShardedFullBuildEqualsSerial) {
+  DeltaFixture fx;
+  MapMakerConfig serial_config;
+  serial_config.incremental = false;
+  serial_config.scoring_shards = 1;
+  MapMakerConfig sharded_config = serial_config;
+  sharded_config.scoring_shards = 4;
+  MapMaker serial{&fx.mapping, nullptr, serial_config};
+  MapMaker sharded{&fx.mapping, nullptr, sharded_config};
+  // The full pass goes to the pool only from 256 units.
+  ASSERT_GE(serial.units().unit_count(), 256U);
+  EXPECT_TRUE(sharded.current()->serving_equal(*serial.current()));
+
+  fx.network.set_cluster_alive(3, false);
+  fx.network.set_cluster_alive(17, false);
+  EXPECT_TRUE(sharded.rebuild_now(true)->serving_equal(*serial.rebuild_now(true)));
+  fx.network.set_cluster_alive(3, true);
+  fx.network.set_cluster_alive(17, true);
+  EXPECT_TRUE(sharded.rebuild_now(true)->serving_equal(*serial.rebuild_now(true)));
+}
+
 TEST(DeltaRebuild, SnapshotExposesTheUnitPartition) {
   DeltaFixture fx;
   MapMaker maker{&fx.mapping};

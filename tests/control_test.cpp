@@ -202,6 +202,44 @@ TEST(MapSnapshot, LedgerCarriesLoadAcrossGenerations) {
   EXPECT_NE(still_spilled->deployment, initial->deployment);
 }
 
+// A snapshot serves its CANS lists from the mapping system's own Scoring,
+// not a second copy, and keeps those tables alive across a rescore().
+TEST(MapSnapshot, SharesTheMappingSystemsScoring) {
+  const topo::World& world = tiny_world();
+  cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
+  cdn::MappingConfig config;
+  config.policy = cdn::MappingPolicy::client_aware_ns;
+  cdn::MappingSystem mapping{&world, &network, &test_latency(), config};
+  const std::weak_ptr<const cdn::Scoring> tables = mapping.shared_scoring();
+  const auto snapshot = MapSnapshot::build(mapping, std::make_shared<LoadLedger>(network.size()),
+                                           1, util::SimTime{0});
+  EXPECT_EQ(tables.use_count(), 2);  // the mapping system and the snapshot
+  const auto before = snapshot->map(3, std::nullopt, "x.example");
+  mapping.rescore();
+  EXPECT_EQ(tables.use_count(), 1);  // the snapshot alone
+  const auto after = snapshot->map(3, std::nullopt, "x.example");
+  ASSERT_TRUE(before.has_value());
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->deployment, before->deployment);
+}
+
+// A full build ranks each tile of units into fixed stack scratch that
+// holds one ranking prefix (2 * scoring_top_k) of up to 512 entries.
+TEST(MapSnapshot, RejectsTopKBeyondTheTileScratch) {
+  const topo::World& world = tiny_world();
+  cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
+  auto ledger = std::make_shared<LoadLedger>(network.size());
+  cdn::MappingConfig config;
+  config.scoring_top_k = 256;
+  const cdn::MappingSystem widest{&world, &network, &test_latency(), config};
+  const auto snapshot = MapSnapshot::build(widest, ledger, 1, util::SimTime{0});
+  EXPECT_EQ(snapshot->unit_candidates(0).size(), 256U);
+  config.scoring_top_k = 257;
+  const cdn::MappingSystem too_wide{&world, &network, &test_latency(), config};
+  EXPECT_THROW((void)MapSnapshot::build(too_wide, ledger, 1, util::SimTime{0}),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // MapMaker
 

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_set>
 
 #include "measure/analysis.h"
 #include "test_world.h"
 #include "topo/country_data.h"
+#include "topo/public_resolver.h"
 #include "topo/world_gen.h"
+#include "util/hash.h"
 
 namespace eum::topo {
 namespace {
@@ -398,6 +402,52 @@ TEST(Anycast, RejectsEmptySiteList) {
   util::Rng rng{5};
   EXPECT_THROW((void)anycast_select({}, geo::GeoPoint{}, test_latency(), 0.0, rng),
                std::invalid_argument);
+}
+
+/// anycast_select as it was when std::sort's comparator evaluated the
+/// latency model for both sides of every comparison.
+std::size_t per_comparison_anycast_select(const std::vector<PublicSiteSpec>& sites,
+                                          const geo::GeoPoint& client_location,
+                                          const LatencyModel& latency, double detour_prob,
+                                          util::Rng& rng) {
+  std::vector<std::size_t> order(sites.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const auto salt = [&](std::size_t i) {
+      return util::hash_combine(util::mix64(static_cast<std::uint64_t>(i) + 0x5174e5ULL),
+                                static_cast<std::uint64_t>(
+                                    static_cast<std::int64_t>(client_location.lat_deg * 1e4)));
+    };
+    return latency.expected_rtt_ms(client_location, sites[a].location, salt(a)) <
+           latency.expected_rtt_ms(client_location, sites[b].location, salt(b));
+  });
+  if (sites.size() > 1 && rng.chance(detour_prob)) {
+    const std::size_t hi = std::min<std::size_t>(sites.size() - 1, 3);
+    const auto rank = static_cast<std::size_t>(rng.between(1, static_cast<std::int64_t>(hi)));
+    return order[rank];
+  }
+  return order[0];
+}
+
+// Ranking by an RTT computed once per site must pick exactly the site the
+// comparator-based ranking picked, and consume the caller's RNG the same.
+TEST(Anycast, RankingMatchesPerComparisonReference) {
+  const auto providers = default_public_providers();
+  for (const double detour : {0.0, 0.5, 1.0}) {
+    for (const PublicProviderSpec& provider : providers) {
+      util::Rng clients{static_cast<std::uint64_t>(detour * 10) + provider.sites.size()};
+      util::Rng rng{91};
+      util::Rng reference_rng{91};
+      for (int i = 0; i < 1000; ++i) {
+        const geo::GeoPoint client{clients.uniform(-60.0, 75.0), clients.uniform(-180.0, 180.0)};
+        ASSERT_EQ(anycast_select(provider.sites, client, test_latency(), detour, rng),
+                  per_comparison_anycast_select(provider.sites, client, test_latency(), detour,
+                                                reference_rng))
+            << provider.name << " detour " << detour << " client " << i;
+      }
+      EXPECT_EQ(rng(), reference_rng()) << provider.name << " detour " << detour;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
