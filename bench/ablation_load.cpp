@@ -57,9 +57,8 @@ int main() {
   const auto run = [&](const char* label, double cluster_capacity, double session_load,
                        double kill_fraction) {
     cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 600, 8, cluster_capacity);
-    cdn::MappingConfig config;
-    config.global_lb.load_aware = true;
-    cdn::MappingSystem mapping{&world, &network, &bench::default_latency(), config};
+    cdn::MappingSystem mapping{&world, &network, &bench::default_latency(),
+                               cdn::MappingConfig{}};
     if (kill_fraction > 0.0) {
       util::Rng rng{5};
       for (std::size_t d = 0; d < network.size(); ++d) {
@@ -67,6 +66,7 @@ int main() {
           network.set_cluster_alive(static_cast<cdn::DeploymentId>(d), false);
         }
       }
+      mapping.rescore();  // publish the map without the dead clusters
     }
     const SpillStats stats = measure_spill(world, mapping, us_blocks, session_load);
     table.add_row({label, stats::num(100.0 * stats.served_fraction, 1) + "%",

@@ -53,10 +53,11 @@ TtlOutcome run_with_ttl(std::uint32_t ttl) {
   for (int second = 0; second < kHorizon; ++second) {
     clock.set(util::SimTime{second});
     if (second == kFailAt) {
-      // The serving cluster dies; the mapping system notices immediately.
+      // The serving cluster dies; the mapping system republishes at once.
       const auto current = stub.lookup(domain);
       if (!current.empty()) {
         network.set_cluster_alive(network.deployment_of(current.front())->id, false);
+        mapping.rescore();
       }
     }
     const auto servers = stub.lookup(domain);

@@ -62,8 +62,8 @@ struct CurvePoint {
 };
 
 /// The serving stack under test: the same setup as udp_throughput's
-/// churn section — real mapping system behind the MapMaker's RCU
-/// snapshot fast path — plus the batched serve path's wire answer cache
+/// churn section — real mapping system answering from its RCU-published
+/// snapshot behind a MapMaker — plus the batched serve path's wire answer cache
 /// keyed to the published map version. This is the configuration the
 /// max-QPS-under-SLO number describes.
 struct Stack {
@@ -90,7 +90,6 @@ struct Stack {
                                                      s.latency.get(), cdn::MappingConfig{});
     s.maker = std::make_unique<control::MapMaker>(s.mapping.get(), nullptr,
                                                   control::MapMakerConfig{});
-    s.maker->install_fast_path();  // serving reads the RCU snapshot, lock-free
 
     s.engine = std::make_unique<dnsserver::AuthoritativeServer>();
     s.engine->set_latency_tracking(false);

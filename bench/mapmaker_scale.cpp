@@ -6,20 +6,21 @@
 // Fig 21), then measures:
 //
 //   - cold-start stages, each call timed alone on the arm's world: the
-//     ping-mesh measurement and scoring a MappingSystem runs at
-//     construction, and the unit partition and first snapshot build
-//     (no previous generation) a MapMaker runs at construction,
-//   - full rebuild latency: every unit re-scored (incremental off),
+//     ping-mesh measurement, the unit partition and the serial first
+//     snapshot build (no previous generation) a MappingSystem runs at
+//     construction,
+//   - full rebuild latency: every unit re-scored, sharded like the map
+//     maker's rebuilds (a direct MapSnapshot::build with no previous),
 //   - incremental rebuild latency: one cluster flaps, only units whose
-//     candidate sets touch it are re-scored,
+//     candidate sets touch it are re-scored (the map maker's rebuild),
 //   - sustained publish rate on the incremental path,
 //   - resident memory (VmRSS) once the arm is built.
 //
-// A differential check pins the two paths to each other: after every
-// flap the incremental snapshot must be serving-equal to a from-scratch
-// full rebuild. Results land in BENCH_mapmaker.json (EUM_BENCH_OUT
-// overrides), gated by scripts/check_bench_artifact.py: at >= 1M blocks
-// the incremental path must beat the full path outright.
+// A differential check pins the two paths to each other: after a flap the
+// published incremental snapshot must be serving-equal to a from-scratch
+// full build of the same state. Results land in BENCH_mapmaker.json
+// (EUM_BENCH_OUT overrides), gated by scripts/check_bench_artifact.py: at
+// >= 1M blocks the incremental path must beat the full path outright.
 //
 // Arms: EUM_MAPMAKER_BLOCKS (default "100000,1000000,4000000").
 // Shards: EUM_MAPMAKER_SHARDS (default hardware). Iterations per
@@ -35,12 +36,11 @@
 #include <string>
 #include <vector>
 
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
+#include "cdn/mapping_units.h"
 #include "cdn/ping_mesh.h"
-#include "cdn/scoring.h"
 #include "control/map_maker.h"
-#include "control/map_snapshot.h"
-#include "control/mapping_units.h"
 #include "stats/table.h"
 #include "topo/world_gen.h"
 #include "util/shard_pool.h"
@@ -57,10 +57,9 @@ struct ArmResult {
   std::size_t units = 0;
   double world_gen_s = 0.0;
   double mesh_measure_ms = 0.0;         ///< best-of-iters, cdn::PingMesh::measure
-  double scoring_ms = 0.0;              ///< best-of-iters, cdn::Scoring::build
-  double units_ms = 0.0;                ///< best-of-iters, control::MappingUnits::build
-  double first_snapshot_ms = 0.0;       ///< best-of-iters, MapSnapshot::build, no previous
-  double full_rebuild_ms = 0.0;         ///< best-of-iters, every unit scored
+  double units_ms = 0.0;                ///< best-of-iters, cdn::MappingUnits::build
+  double first_snapshot_ms = 0.0;       ///< best-of-iters, serial full MapSnapshot::build
+  double full_rebuild_ms = 0.0;         ///< best-of-iters, sharded full MapSnapshot::build
   double incremental_rebuild_ms = 0.0;  ///< best-of-iters, single-cluster flap
   std::uint64_t units_rescored_flap = 0;
   double publish_rate_hz = 0.0;  ///< sustained incremental flap publishes
@@ -141,40 +140,27 @@ ArmResult run_arm(std::size_t blocks, std::size_t shards, int iters) {
   mapping_config.precompute_cluster_scores = false;
   cdn::MappingSystem mapping{&world, &network, &latency, mapping_config};
 
+  result.units = mapping.units().unit_count();
+
   // Cold-start stages, each call alone (its result dropped), on the same
-  // inputs the constructors above and below use.
+  // inputs the constructor above uses.
   result.mesh_measure_ms =
       best_ms(iters, [&] { (void)cdn::PingMesh::measure(world, network, latency); });
-  result.scoring_ms = best_ms(iters, [&] {
-    (void)cdn::Scoring::build(world, network, mapping.mesh(), mapping_config.scoring_top_k,
-                              mapping_config.traffic_class,
-                              mapping_config.precompute_cluster_scores);
-  });
-  control::MapSnapshot::BuildInputs first;
-  result.units_ms = best_ms(iters, [&] {
-    first.units = control::MappingUnits::build(mapping.mesh(), control::MappingUnitsConfig{});
-  });
-  util::ShardPool pool{shards == 0 ? util::ShardPool::hardware_workers() : shards - 1};
-  first.pool = &pool;
-  const auto ledger = std::make_shared<control::LoadLedger>(network.size());
-  result.first_snapshot_ms = best_ms(iters, [&] {
-    (void)control::MapSnapshot::build(mapping, ledger, 1, util::SimTime{0}, first);
-  });
-
-  control::MapMakerConfig full_config;
-  full_config.incremental = false;
-  full_config.scoring_shards = shards;
-  control::MapMaker full{&mapping, nullptr, full_config};
-  result.units = full.units().unit_count();
-
-  control::MapMakerConfig inc_config;
-  inc_config.incremental = true;
-  inc_config.scoring_shards = shards;
-  control::MapMaker incremental{&mapping, nullptr, inc_config};
+  result.units_ms = best_ms(iters, [&] { (void)cdn::MappingUnits::build(mapping.mesh()); });
+  result.first_snapshot_ms = best_ms(
+      iters, [&] { (void)cdn::MapSnapshot::build(mapping, 1, util::SimTime{0}, {}); });
 
   // Full rebuilds: best-of-iters (the floor is the honest number for a
-  // latency comparison on a shared machine).
-  result.full_rebuild_ms = best_ms(iters, [&] { (void)full.rebuild_now(true); });
+  // latency comparison on a shared machine), sharded as the map maker's.
+  util::ShardPool pool{shards == 0 ? util::ShardPool::hardware_workers() : shards - 1};
+  const auto full_build = [&] {
+    return cdn::MapSnapshot::build(mapping, mapping.version() + 1, util::SimTime{0}, {&pool, {}});
+  };
+  result.full_rebuild_ms = best_ms(iters, [&] { (void)full_build(); });
+
+  control::MapMakerConfig inc_config;
+  inc_config.scoring_shards = shards;
+  control::MapMaker incremental{&mapping, nullptr, inc_config};
 
   // Incremental: flap one cluster per rebuild (die, rebuild, revive,
   // rebuild) so every measured build really re-scores a delta.
@@ -197,11 +183,10 @@ ArmResult run_arm(std::size_t blocks, std::size_t shards, int iters) {
   result.publish_rate_hz = flap_seconds > 0.0 ? flap_publishes / flap_seconds : 0.0;
 
   // Differential gate: a dead-victim incremental snapshot must be
-  // serving-equal to a from-scratch full rebuild of the same state.
+  // serving-equal to a from-scratch full build of the same state.
   network.set_cluster_alive(victim, false);
   const auto inc_snapshot = incremental.rebuild_now(true);
-  const auto full_snapshot = full.rebuild_now(true);
-  result.differential_equal = inc_snapshot->serving_equal(*full_snapshot);
+  result.differential_equal = inc_snapshot->serving_equal(*full_build());
   network.set_cluster_alive(victim, true);
 
   result.rss_mb = resident_mb();
@@ -224,13 +209,13 @@ void write_bench_json(const std::vector<ArmResult>& arms, std::size_t shards,
         out,
         "    {\"blocks\": %zu, \"targets\": %zu, \"ldnses\": %zu, \"clusters\": %zu, "
         "\"units\": %zu, \"world_gen_s\": %.2f, \"mesh_measure_ms\": %.2f, "
-        "\"scoring_ms\": %.2f, \"units_ms\": %.2f, \"first_snapshot_ms\": %.2f, "
+        "\"units_ms\": %.2f, \"first_snapshot_ms\": %.2f, "
         "\"full_rebuild_ms\": %.2f, "
         "\"incremental_rebuild_ms\": %.2f, \"speedup\": %.1f, "
         "\"units_rescored_on_flap\": %llu, \"publish_rate_hz\": %.1f, "
         "\"rss_mb\": %.1f, \"differential_equal\": %s}%s\n",
         a.blocks, a.targets, a.ldnses, a.clusters, a.units, a.world_gen_s,
-        a.mesh_measure_ms, a.scoring_ms, a.units_ms, a.first_snapshot_ms,
+        a.mesh_measure_ms, a.units_ms, a.first_snapshot_ms,
         a.full_rebuild_ms, a.incremental_rebuild_ms,
         a.incremental_rebuild_ms > 0.0 ? a.full_rebuild_ms / a.incremental_rebuild_ms : 0.0,
         static_cast<unsigned long long>(a.units_rescored_flap), a.publish_rate_hz,
@@ -273,9 +258,8 @@ int main() {
                 a.world_gen_s, a.units, a.targets, a.full_rebuild_ms,
                 a.incremental_rebuild_ms,
                 static_cast<unsigned long long>(a.units_rescored_flap), a.rss_mb);
-    std::printf("  cold start: mesh %.1fms, scoring %.1fms, units %.1fms, first snapshot "
-                "%.1fms\n",
-                a.mesh_measure_ms, a.scoring_ms, a.units_ms, a.first_snapshot_ms);
+    std::printf("  cold start: mesh %.1fms, units %.1fms, first snapshot %.1fms\n",
+                a.mesh_measure_ms, a.units_ms, a.first_snapshot_ms);
     table.add_row({stats::num(static_cast<double>(a.blocks), 0),
                stats::num(static_cast<double>(a.targets), 0),
                stats::num(static_cast<double>(a.units), 0), stats::num(a.full_rebuild_ms, 2),

@@ -366,19 +366,20 @@ BENCHMARK(BM_PingMesh)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
 
 // Ablation: rendezvous hashing vs random-2 server choice. The metric that
 // matters for a CDN cluster is how many distinct servers a domain's
-// objects land on (cache duplication); rendezvous keeps it at 2.
+// objects land on (cache duplication); rendezvous keeps it at 2. The
+// rendezvous arm is the mapping decision itself, on a one-cluster network.
 void BM_LocalLbRendezvousSpread(benchmark::State& state) {
-  cdn::CdnNetwork network = cdn::CdnNetwork::build(bench_world(), 1, 16);
-  cdn::Deployment& cluster = network.deployments()[0];
-  const cdn::LocalLoadBalancer lb{2};
+  static cdn::CdnNetwork network = cdn::CdnNetwork::build(bench_world(), 1, 16);
+  static const cdn::MappingSystem mapping{&bench_world(), &network, &bench_latency(),
+                                          cdn::MappingConfig{}};
   std::size_t spread_total = 0;
   std::size_t rounds = 0;
   for (auto _ : state) {
     std::set<std::uint32_t> servers;
     for (int rep = 0; rep < 50; ++rep) {  // 50 requests for the same domain
-      for (const auto& addr : lb.pick_servers(cluster, "assets.media.example")) {
-        servers.insert(addr.v4().value());
-      }
+      const auto result = mapping.map_block(0, "assets.media.example");
+      if (!result) continue;
+      for (const auto& addr : result->servers) servers.insert(addr.v4().value());
     }
     spread_total += servers.size();
     ++rounds;

@@ -10,8 +10,8 @@
 // (path overridable via the EUM_BENCH_OUT environment variable) so the
 // perf trajectory accumulates across runs.
 //
-// A second section measures control-plane churn: the real mapping system
-// served through the MapMaker's RCU snapshot fast path by 4 workers,
+// A second section measures control-plane churn: the real mapping system,
+// answering from its RCU-published snapshot, served by 4 workers,
 // first with a static map (steady state), then with a background
 // republish every EUM_CHURN_MS milliseconds (default 50). The comparison
 // answers "what does continuous map publishing cost the serving path" —
@@ -355,7 +355,6 @@ ChurnReport run_churn(std::chrono::milliseconds interval) {
   control::MapMakerConfig maker_config;
   maker_config.publish_unchanged = true;  // full-rate republish path
   control::MapMaker maker{&mapping, nullptr, maker_config};
-  maker.install_fast_path();  // serving reads the RCU snapshot, lock-free
 
   dnsserver::AuthoritativeServer engine;
   const topo::Ldns& fallback_ldns = world.ldnses.front();

@@ -174,15 +174,15 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   obs::QueryLog query_log{obs::QueryLogConfig{4096, 8, 1}};
 
-  // Control plane: the map maker builds and publishes immutable map
-  // snapshots into the shared registry's eum_control_* metrics, and the
-  // mapping system's handlers resolve every query against the published
-  // snapshot — lock-free, so the UDP workers need no mapping mutex.
+  // Control plane: the map maker rebuilds and publishes the mapping
+  // system's immutable map snapshots, counted in the shared registry's
+  // eum_control_* metrics; the mapping system's handlers resolve every
+  // query against the published snapshot — lock-free, so the UDP workers
+  // need no mapping mutex.
   control::MapMakerConfig maker_config;
   maker_config.publish_unchanged = true;  // visible version bumps for the demo
   maker_config.registry = &registry;
   control::MapMaker maker{&mapping, nullptr, maker_config};
-  maker.install_fast_path();
 
   // Staged roll-out: resolvers flip to end-user mapping cohort by cohort
   // as the ramp fraction climbs (driven from the idle loop below).

@@ -8,10 +8,12 @@
 # allocation-free serve path — inline DNS names and ECS addresses, the
 # offset-table name compression, scratch decode/handle/encode and the flat
 # world indexes — where a length bug in a fixed array is an overflow, and
-# the allocation gate that pins it — and the cold-start map-making path,
+# the allocation gate that pins it — the cold-start map-making path,
 # whose tiled best-k and unit-signature passes index raw mesh row offsets
 # (Anycast, PingMesh, Scoring, LatencyModel, MappingUnits, DeltaRebuild and
-# the ColdStartPin bit-identity pin). Builds a separate ASan+UBSan tree and
+# the ColdStartPin bit-identity pin), and the one mapping decision, which
+# charges the shared load ledger and indexes the snapshot's cluster table
+# (MappingPin, MappingFixture, LoadConservation, LbFixture, Rendezvous). Builds a separate ASan+UBSan tree and
 # runs the relevant suites; any report fails the script.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default build-asan)
@@ -29,7 +31,7 @@ cmake --build "$BUILD" --target eum_tests eum_alloc_gate fault_sweep \
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   "$BUILD/tests/eum_tests" \
-  --gtest_filter='Anycast.*:PingMesh.*:Scoring.*:LatencyModel.*:ColdStartPin.*:Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:SimClock*.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
+  --gtest_filter='Anycast.*:PingMesh.*:Scoring.*:LatencyModel.*:ColdStartPin.*:Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:SimClock*.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MappingPin.*:MappingFixture.*:LoadConservation.*:LbFixture.*:Rendezvous.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
 
 echo "asan_check: running the allocation gate under ASan+UBSan"
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \

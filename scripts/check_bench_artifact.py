@@ -55,7 +55,7 @@ mapmaker (rebuild scale, BENCH_mapmaker.json)
   full_rebuild_ms/incremental_rebuild_ms/units_rescored_on_flap/
   publish_rate_hz/rss_mb as numbers;
 - every arm carries the cold-start stage times mesh_measure_ms/
-  scoring_ms/units_ms/first_snapshot_ms as positive numbers;
+  units_ms/first_snapshot_ms as positive numbers;
 - every arm's "differential_equal" is true — the incremental path must
   serve bit-identically to a from-scratch full rebuild;
 - at >= 1,000,000 blocks the incremental (single-cluster flap) rebuild
@@ -235,7 +235,7 @@ def check_mapmaker(doc: dict) -> None:
         rescored = require_number(arm, "units_rescored_on_flap", where, lo=0)
         require_number(arm, "publish_rate_hz", where, lo=0.001)
         require_number(arm, "rss_mb", where, lo=0.001)
-        for stage in ("mesh_measure_ms", "scoring_ms", "units_ms", "first_snapshot_ms"):
+        for stage in ("mesh_measure_ms", "units_ms", "first_snapshot_ms"):
             require_number(arm, stage, where, lo=0.001)
         if arm.get("differential_equal") is not True:
             problem(f"{where}: differential_equal must be true — the incremental "

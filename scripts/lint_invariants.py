@@ -78,7 +78,7 @@ SERVE_PATH_FILES = {
     "src/dnsserver/udp.cpp",
     "src/dnsserver/answer_cache.h",
     "src/dnsserver/answer_cache.cpp",
-    "src/control/map_snapshot.cpp",
+    "src/cdn/map_snapshot.cpp",
     "src/cdn/mapping.cpp",
     "src/obs/trace.h",
     "src/obs/trace.cpp",

@@ -285,7 +285,7 @@ def main() -> int:
     )
     case(
         "lock_guard in the map snapshot fires",
-        "src/control/map_snapshot.cpp",
+        "src/cdn/map_snapshot.cpp",
         "void f(std::mutex& m) { std::lock_guard<std::mutex> g{m}; }\n",
         expect_rule="serve-path-lock",
     )

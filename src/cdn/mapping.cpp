@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cdn/map_snapshot.h"
+#include "cdn/mapping_units.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
@@ -33,114 +35,99 @@ MappingSystem::MappingSystem(const topo::World* world, CdnNetwork* network,
                              const topo::LatencyModel* latency, MappingConfig config)
     : world_(require(world, "world")),
       network_(require(network, "network")),
-      latency_(require(latency, "latency")),
       config_(checked(config)),
-      mesh_(PingMesh::measure(*world_, *network_, *latency_)),
-      scoring_(std::make_shared<const Scoring>(
-          Scoring::build(*world_, *network_, mesh_, config.scoring_top_k, config.traffic_class,
-                         config.precompute_cluster_scores))),
-      local_lb_(config.servers_per_answer) {
-  global_lb_ = std::make_unique<GlobalLoadBalancer>(network_, scoring_.get(), &mesh_,
-                                                    config_.global_lb);
+      mesh_(PingMesh::measure(*world_, *network_, *require(latency, "latency"))),
+      scoring_(Scoring::build(*world_, *network_, mesh_, config_.scoring_top_k,
+                              config_.traffic_class, config_.precompute_cluster_scores)),
+      units_(MappingUnits::build(mesh_)),
+      ledger_(std::make_shared<LoadLedger>(network_->size())) {
+  published_.publish(MapSnapshot::build(*this, 1, util::SimTime{0}, {}), 1);
+}
+
+std::shared_ptr<const MapSnapshot> MappingSystem::rebuild(util::SimTime built_at,
+                                                          util::ShardPool* pool,
+                                                          const PublishIf& publish_if) {
+  std::shared_ptr<const MapSnapshot> current = published_.snapshot();
+  const std::uint64_t next = current->version() + 1;
+  std::shared_ptr<const MapSnapshot> built =
+      MapSnapshot::build(*this, next, built_at, MapSnapshot::BuildInputs{pool, current});
+  if (!publish_if(*built, *current)) return current;
+  // Publish order matters for version-keyed consumers (the UDP wire
+  // answer cache): VersionedRcu stores the snapshot, then the version,
+  // both release, so a reader that observes version V via version_cell()
+  // already gets generation >= V from snapshot() (model-checked; weakening
+  // either store yields a violating schedule — AUDIT_memory_orders.json).
+  published_.publish(built, next);
+  return built;
 }
 
 void MappingSystem::rescore() {
-  // Repoint the balancer at the new tables before the old ones are
-  // released, so it never holds a freed Scoring.
-  auto scoring = std::make_shared<const Scoring>(
-      Scoring::build(*world_, *network_, mesh_, config_.scoring_top_k, config_.traffic_class,
-                     config_.precompute_cluster_scores));
-  global_lb_ =
-      std::make_unique<GlobalLoadBalancer>(network_, scoring.get(), &mesh_, config_.global_lb);
-  scoring_ = std::move(scoring);
-}
-
-std::optional<MapResult> MappingSystem::finish(std::optional<DeploymentId> deployment,
-                                               topo::PingTargetId unit_target,
-                                               std::string_view domain, double load_units) {
-  if (!deployment) return std::nullopt;
-  Deployment& cluster = network_->deployments()[*deployment];
-  MapResult result;
-  result.deployment = *deployment;
-  result.expected_rtt_ms = mesh_.rtt_ms(*deployment, unit_target);
-  const std::vector<net::IpAddr> servers = local_lb_.pick_servers(cluster, domain, load_units);
-  result.servers.assign(servers.begin(), servers.end());
-  if (result.servers.empty()) return std::nullopt;
-  return result;
+  (void)rebuild(snapshot()->built_at(), nullptr,
+                [](const MapSnapshot&, const MapSnapshot&) { return true; });
 }
 
 std::optional<MapResult> MappingSystem::map_ldns(topo::LdnsId ldns, std::string_view domain,
-                                                 double load_units) {
-  const topo::PingTargetId unit = world_->ldnses.at(ldns).ping_target;
-  return finish(global_lb_->assign_for_target(unit, load_units), unit, domain, load_units);
+                                                 double load_units) const {
+  return snapshot()->map_target(world_->ldnses.at(ldns).ping_target, domain, load_units);
 }
 
 std::optional<MapResult> MappingSystem::map_block(topo::BlockId block, std::string_view domain,
-                                                  double load_units) {
-  const topo::PingTargetId unit = world_->blocks.at(block).ping_target;
-  return finish(global_lb_->assign_for_target(unit, load_units), unit, domain, load_units);
+                                                  double load_units) const {
+  return snapshot()->map_target(world_->blocks.at(block).ping_target, domain, load_units);
 }
 
 std::optional<MapResult> MappingSystem::map_cluster(topo::LdnsId ldns, std::string_view domain,
-                                                    double load_units) {
-  // The reported RTT estimate uses the LDNS's own target as reference unit.
-  const topo::PingTargetId unit = scoring_->ldns_target(ldns);
-  return finish(global_lb_->assign_for_cluster(ldns, load_units), unit, domain, load_units);
+                                                    double load_units) const {
+  return snapshot()->map_cluster(ldns, domain, load_units);
 }
 
 std::optional<MapResult> MappingSystem::map(topo::LdnsId ldns,
                                             std::optional<topo::BlockId> client_block,
-                                            std::string_view domain, double load_units) {
+                                            std::string_view domain, double load_units) const {
   // Staged roll-out: resolvers whose cohort has not flipped yet are
   // answered NS-based even when the client block is known.
   if (client_block && end_user_gate_ && !end_user_gate_(ldns)) client_block.reset();
-  // Control-plane fast path: resolve against the published immutable
-  // snapshot (lock-free) instead of the mutable scoring/LB state.
-  if (fast_path_) return fast_path_(ldns, client_block, domain, load_units);
-  switch (config_.policy) {
-    case MappingPolicy::end_user:
-      if (client_block) return map_block(*client_block, domain, load_units);
-      return map_ldns(ldns, domain, load_units);  // no ECS: degrade to NS
-    case MappingPolicy::client_aware_ns:
-      return map_cluster(ldns, domain, load_units);
-    case MappingPolicy::ns_based:
-      break;
+  return snapshot()->map(ldns, client_block, domain, load_units);
+}
+
+std::optional<MappingSystem::QueryUnit> MappingSystem::resolve(
+    const dnsserver::DynamicQuery& query) const {
+  // Identify the querying LDNS.
+  const topo::Ldns* ldns = world_->ldns_by_address(query.resolver);
+  if (ldns == nullptr) return std::nullopt;
+  QueryUnit unit;
+  unit.ldns = ldns->id;
+  // Identify the client block from ECS (end-user mapping path). The
+  // announced source block may be broader than /24; we look up the /24
+  // at its base address — our worlds allocate clients at /24. The
+  // roll-out gate is applied here, once per query, so an ungated
+  // resolver's answer also carries the right (client-independent) scope.
+  if (query.client_block && end_user_active(ldns->id)) {
+    const net::IpPrefix block24{query.client_block->address(), 24};
+    if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) unit.block = found->id;
   }
-  return map_ldns(ldns, domain, load_units);
+  // Scope: client-specific answers carry the configured scope; answers
+  // that ignored the client (NS fallback) are valid for everyone.
+  unit.ecs_scope_len = unit.block ? config_.ecs_scope_len : 0;
+  return unit;
 }
 
 dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
   return [this](const dnsserver::DynamicQuery& query) -> std::optional<dnsserver::DynamicAnswer> {
-    // Identify the querying LDNS.
-    const topo::Ldns* ldns = world_->ldns_by_address(query.resolver);
-    if (ldns == nullptr) return std::nullopt;
-
-    // Identify the client block from ECS (end-user mapping path). The
-    // announced source block may be broader than /24; we look up the /24
-    // at its base address — our worlds allocate clients at /24. The
-    // roll-out gate is applied here, not just in map(), so an ungated
-    // resolver's answer also carries the right (client-independent) scope.
-    std::optional<topo::BlockId> block;
-    if (query.client_block && end_user_active(ldns->id)) {
-      const net::IpPrefix block24{query.client_block->address(), 24};
-      if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) {
-        block = found->id;
-      }
-    }
-
+    const std::optional<QueryUnit> unit = resolve(query);
+    if (!unit) return std::nullopt;
     dns::DnsName::TextBuffer domain;
-    const auto result = map(ldns->id, block, query.qname.to_text(domain));
+    const auto result = snapshot()->map(unit->ldns, unit->block, query.qname.to_text(domain));
     // Flight-recorder span (thread-local tracer; null on untraced
     // transports): the decision's policy inputs and outcome. This is the
     // slow path — the wire answer cache absorbed repeats — so the detail
     // string's allocation is acceptable here.
     if (obs::QueryTracer* tracer = obs::current_tracer()) {
       if (obs::TraceSpan* span = tracer->span(obs::TraceStage::map_decision)) {
-        span->code = block ? 1 : 0;
+        span->code = unit->block ? 1 : 0;
         span->value = result ? static_cast<std::int64_t>(result->deployment) : -1;
         span->set_detail(util::format(
-            "ldns=%u ecs=/%d rtt=%.1f", static_cast<unsigned>(ldns->id),
-            block ? config_.ecs_scope_len : 0,
+            "ldns=%u ecs=/%d rtt=%.1f", static_cast<unsigned>(unit->ldns), unit->ecs_scope_len,
             result ? static_cast<double>(result->expected_rtt_ms) : -1.0));
       }
     }
@@ -157,9 +144,7 @@ dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
       }
     }
     answer.ttl = config_.answer_ttl;
-    // Scope: client-specific answers carry the configured scope; answers
-    // that ignored the client (NS fallback) are valid for everyone.
-    answer.ecs_scope_len = block ? config_.ecs_scope_len : 0;
+    answer.ecs_scope_len = unit->ecs_scope_len;
     return answer;
   };
 }
@@ -173,20 +158,15 @@ net::IpAddr MappingSystem::cluster_ns_address(DeploymentId deployment) const {
 dnsserver::DynamicAnswerFn MappingSystem::top_level_handler(const dns::DnsName& suffix) {
   return [this, suffix](const dnsserver::DynamicQuery& query)
              -> std::optional<dnsserver::DynamicAnswer> {
-    const topo::Ldns* ldns = world_->ldns_by_address(query.resolver);
-    if (ldns == nullptr) return std::nullopt;
-    std::optional<topo::BlockId> block;
-    if (query.client_block && end_user_active(ldns->id)) {
-      const net::IpPrefix block24{query.client_block->address(), 24};
-      if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) block = found->id;
-    }
+    const std::optional<QueryUnit> unit = resolve(query);
+    if (!unit) return std::nullopt;
     dns::DnsName::TextBuffer domain;
-    const auto result = map(ldns->id, block, query.qname.to_text(domain));
+    const auto result = snapshot()->map(unit->ldns, unit->block, query.qname.to_text(domain));
     if (!result) return std::nullopt;
 
     dnsserver::DynamicAnswer answer;
     answer.ttl = config_.answer_ttl;
-    answer.ecs_scope_len = block ? config_.ecs_scope_len : 0;
+    answer.ecs_scope_len = unit->ecs_scope_len;
     answer.referral.push_back(dnsserver::DynamicReferral{
         suffix.child("ns" + std::to_string(result->deployment)),
         cluster_ns_address(result->deployment)});
@@ -200,22 +180,19 @@ dnsserver::DynamicAnswerFn MappingSystem::cluster_ns_handler() {
     // Which cluster is answering? The queried server address says.
     const Deployment* cluster = network_->deployment_of(query.server_address);
     if (cluster == nullptr) return std::nullopt;
+    dns::DnsName::TextBuffer domain;
+    ServerList servers;
+    snapshot()->pick_servers(cluster->id, query.qname.to_text(domain), servers);
+    if (servers.empty()) return std::nullopt;
     dnsserver::DynamicAnswer answer;
     answer.ttl = config_.answer_ttl;
     // The global choice was made by the delegation; this answer holds for
     // any client the resolver asks for.
     answer.ecs_scope_len = 0;
-    dns::DnsName::TextBuffer domain;
-    const std::vector<net::IpAddr> servers =
-        local_lb_.pick_servers(network_->deployments()[cluster->id], query.qname.to_text(domain));
     answer.addresses.assign(servers.begin(), servers.end());
-    if (answer.addresses.empty()) return std::nullopt;
     if (config_.serve_ipv6) {
-      const std::size_t v4_count = answer.addresses.size();
-      for (std::size_t i = 0; i < v4_count; ++i) {
-        if (answer.addresses[i].is_v4()) {
-          answer.addresses.emplace_back(CdnNetwork::v6_alias(answer.addresses[i].v4()));
-        }
+      for (const net::IpAddr& server : servers) {
+        if (server.is_v4()) answer.addresses.emplace_back(CdnNetwork::v6_alias(server.v4()));
       }
     }
     return answer;

@@ -6,28 +6,41 @@
 //   EUMAP_t: Σ_internet x Σ_cdn x Domain x Client -> IPs   (end-user)
 //
 // plus the client-aware NS hybrid of §6. Σ_internet is the World +
-// latency model; Σ_cdn is the CdnNetwork with liveness/load. The facade
-// wires scoring and the two load-balancing levels together and exposes a
-// DynamicAnswerFn so an AuthoritativeServer can serve it over DNS: with
-// an ECS option present (and end-user mapping enabled) the client block
-// decides the answer; otherwise the resolver address does.
+// latency model; Σ_cdn is the CdnNetwork with its liveness. The facade
+// measures the ping mesh, partitions the ping targets into mapping units
+// and owns the published MapSnapshot: every decision — scoring, then
+// global and local load balancing — is a pure read of the current
+// snapshot plus a charge to the shared LoadLedger. rescore() (or a
+// control::MapMaker driving this system) publishes the next snapshot
+// after liveness changes. A DynamicAnswerFn serves the decisions over
+// DNS: with an ECS option present (and end-user mapping enabled) the
+// client block decides the answer; otherwise the resolver address does.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
 
-#include "cdn/load_balancer.h"
 #include "cdn/network.h"
 #include "cdn/ping_mesh.h"
 #include "cdn/scoring.h"
 #include "dnsserver/authoritative.h"
 #include "dnsserver/transport.h"
+#include "lockfree/atomics_policy.h"
+#include "lockfree/versioned_rcu.h"
 #include "topo/latency.h"
 #include "topo/world.h"
+#include "util/shard_pool.h"
+#include "util/sim_clock.h"
 
 namespace eum::cdn {
+
+class LoadLedger;
+class MapSnapshot;
+class MappingUnits;
 
 enum class MappingPolicy : std::uint8_t {
   ns_based,         ///< map by the LDNS's own location (Equation 1)
@@ -51,12 +64,11 @@ struct MappingConfig {
   /// aggregation is O(deployments x block-LDNS associations) — the
   /// dominant startup cost at millions of blocks — so paper-scale runs
   /// that never use client_aware_ns mapping disable it; cluster lookups
-  /// then fall back to the LDNS's own ping-target list.
+  /// then fall back to the unit list of the LDNS's own ping target.
   bool precompute_cluster_scores = true;
   /// Also offer the chosen servers' IPv6 aliases, so AAAA questions are
   /// answerable (the ECS wire format is family-agnostic either way).
   bool serve_ipv6 = true;
-  GlobalLbConfig global_lb;
 };
 
 /// The most servers one answer may name (MappingConfig::servers_per_answer
@@ -67,19 +79,14 @@ struct MappingConfig {
 inline constexpr std::size_t kMaxServersPerAnswer = 4;
 static_assert(2 * kMaxServersPerAnswer <= dnsserver::DynamicAnswer::kInlineAddresses);
 
+/// The servers one answer names, held inline.
+using ServerList = util::SmallVector<net::IpAddr, kMaxServersPerAnswer>;
+
 struct MapResult {
   DeploymentId deployment = 0;
-  util::SmallVector<net::IpAddr, kMaxServersPerAnswer> servers;
+  ServerList servers;
   float expected_rtt_ms = 0.0F;  ///< mesh RTT from the chosen cluster to the unit
 };
-
-/// A thread-safe replacement for the mapping hot path. When installed
-/// (control::MapMaker::install_fast_path), every map() / DNS-handler
-/// decision is resolved against an immutable published map snapshot
-/// instead of this object's mutable scoring/LB state, so UDP workers
-/// serve lock-free while the control plane rebuilds in the background.
-using FastMapFn = std::function<std::optional<MapResult>(
-    topo::LdnsId, std::optional<topo::BlockId>, std::string_view domain, double load_units)>;
 
 /// Per-LDNS end-user gate (control::RolloutController): returning false
 /// answers the resolver's clients NS-based even when ECS is present —
@@ -88,31 +95,47 @@ using EndUserGateFn = std::function<bool(topo::LdnsId)>;
 
 class MappingSystem {
  public:
+  /// Decides whether a rebuilt map is published: called with the new
+  /// generation and the current one.
+  using PublishIf = std::function<bool(const MapSnapshot& built, const MapSnapshot& current)>;
+
   /// `world`, `network` and `latency` are borrowed and must outlive the
-  /// mapping system. Builds the ping mesh and scoring tables up front
-  /// (the paper's periodic topology-discovery/scoring cycle). Throws
+  /// mapping system. Measures the ping mesh, scores the CANS clusters,
+  /// partitions the targets into mapping units and publishes map version
+  /// 1 up front (the paper's periodic topology-discovery/scoring cycle),
+  /// so every map*() call and handler answers from a snapshot. Throws
   /// std::invalid_argument when servers_per_answer exceeds
   /// kMaxServersPerAnswer.
   MappingSystem(const topo::World* world, CdnNetwork* network,
                 const topo::LatencyModel* latency, MappingConfig config);
 
+  // The handlers capture `this`.
+  MappingSystem(const MappingSystem&) = delete;
+  MappingSystem& operator=(const MappingSystem&) = delete;
+
+  // --- decisions: lock-free reads of the current snapshot ----------------
+  //
+  // `load_units` charges the chosen cluster in the shared LoadLedger;
+  // a cluster whose ledger load would pass its capacity is skipped.
+
   /// NS-based mapping for the given LDNS.
   [[nodiscard]] std::optional<MapResult> map_ldns(topo::LdnsId ldns, std::string_view domain,
-                                                  double load_units = 0.0);
+                                                  double load_units = 0.0) const;
 
   /// End-user mapping for the given client block.
   [[nodiscard]] std::optional<MapResult> map_block(topo::BlockId block, std::string_view domain,
-                                                   double load_units = 0.0);
+                                                   double load_units = 0.0) const;
 
   /// Client-aware NS mapping for the given LDNS's client cluster.
   [[nodiscard]] std::optional<MapResult> map_cluster(topo::LdnsId ldns, std::string_view domain,
-                                                     double load_units = 0.0);
+                                                     double load_units = 0.0) const;
 
   /// Policy-dispatching entry: uses the configured policy, falling back to
   /// NS-based when end-user mapping lacks a client block.
   [[nodiscard]] std::optional<MapResult> map(topo::LdnsId ldns,
                                              std::optional<topo::BlockId> client_block,
-                                             std::string_view domain, double load_units = 0.0);
+                                             std::string_view domain,
+                                             double load_units = 0.0) const;
 
   /// Adapter for AuthoritativeServer::add_dynamic_domain: resolves the
   /// querying LDNS by address and the client block by ECS prefix.
@@ -138,7 +161,8 @@ class MappingSystem {
   [[nodiscard]] dnsserver::DynamicAnswerFn top_level_handler(const dns::DnsName& suffix);
 
   /// Low-level handler: the cluster identified by the queried server
-  /// address answers with its own servers (local load balancing only).
+  /// address answers with its own servers (local load balancing only),
+  /// as the current snapshot froze them.
   [[nodiscard]] dnsserver::DynamicAnswerFn cluster_ns_handler();
 
   /// Wire the full hierarchy into a directory: `top` becomes the
@@ -149,28 +173,60 @@ class MappingSystem {
                         dnsserver::AuthoritativeServer& low, const dns::DnsName& suffix);
 
   [[nodiscard]] const PingMesh& mesh() const noexcept { return mesh_; }
-  [[nodiscard]] const Scoring& scoring() const noexcept { return *scoring_; }
-  /// The same tables, shared: each control::MapSnapshot serves its CANS
-  /// lists and LDNS fallback targets from them instead of scoring again.
-  [[nodiscard]] std::shared_ptr<const Scoring> shared_scoring() const noexcept {
-    return scoring_;
-  }
+  /// The CANS cluster tables every snapshot serves from.
+  [[nodiscard]] const Scoring& scoring() const noexcept { return scoring_; }
   [[nodiscard]] const MappingConfig& config() const noexcept { return config_; }
   [[nodiscard]] CdnNetwork& network() noexcept { return *network_; }
   [[nodiscard]] const CdnNetwork& network() const noexcept { return *network_; }
   [[nodiscard]] const topo::World& world() const noexcept { return *world_; }
 
-  /// Re-run scoring after liveness/topology changes (the paper's periodic
-  /// refresh; load state is preserved). Synchronous and unsafe against
-  /// concurrent map() calls — the control plane's MapMaker is the
-  /// serving-safe replacement. Snapshots keep the tables they shared.
+  // --- the published map ---------------------------------------------------
+
+  /// The current map. Lock-free acquire load; the returned snapshot is
+  /// immutable and stays valid for as long as the reference is held,
+  /// however many republishes happen meanwhile.
+  [[nodiscard]] std::shared_ptr<const MapSnapshot> snapshot() const {
+    return published_.snapshot();
+  }
+
+  [[nodiscard]] std::uint64_t version() const noexcept { return published_.version(); }
+
+  /// The version cell itself, for serve-path consumers that key caches
+  /// on the published map generation (UdpServerConfig::map_version).
+  /// Invalidation contract: a publish stores the snapshot pointer before
+  /// the version (both release), so an acquire load that returns V
+  /// guarantees snapshot() already serves generation >= V — an answer
+  /// computed after that load can never be cached under a version newer
+  /// than the map that produced it. The protocol lives in
+  /// lockfree::VersionedRcu and is model-checked (mc/protocols.cpp).
+  [[nodiscard]] const std::atomic<std::uint64_t>& version_cell() const noexcept {
+    return published_.version_cell();
+  }
+
+  /// The per-cluster load ledger every generation charges (survives
+  /// republishes).
+  [[nodiscard]] LoadLedger& loads() noexcept { return *ledger_; }
+  /// The unit partition every generation scores against: latency-
+  /// equivalent ping targets grouped exactly (epsilon 0).
+  [[nodiscard]] const MappingUnits& units() const noexcept { return *units_; }
+
+  /// Republish after liveness changes: build the next version as a delta
+  /// against the current map and publish it. Safe beside serving threads
+  /// (they keep answering from the generation they loaded). Rebuilds have
+  /// one writer: the thread that changes liveness, which must not run
+  /// another rebuild of this system (rescore() or a control::MapMaker's)
+  /// at the same time.
   void rescore();
 
-  // --- control-plane hooks (src/control) --------------------------------
+  /// One rebuild of the published map (single writer, as rescore()):
+  /// build the next version from the network's current liveness as a
+  /// delta against the current map, sharding unit scoring over `pool`
+  /// (may be null), and publish it when `publish_if` returns true.
+  /// Returns the current map afterwards.
+  std::shared_ptr<const MapSnapshot> rebuild(util::SimTime built_at, util::ShardPool* pool,
+                                             const PublishIf& publish_if);
 
-  /// Install (or clear, with nullptr) the snapshot-reading fast path.
-  /// Setup-time only: install before serving threads start.
-  void set_fast_path(FastMapFn fast_path) { fast_path_ = std::move(fast_path); }
+  // --- roll-out gate -------------------------------------------------------
 
   /// Install (or clear) the per-LDNS end-user gate. Setup-time only; the
   /// gate itself must be safe to call from serving threads.
@@ -184,19 +240,30 @@ class MappingSystem {
   }
 
  private:
-  [[nodiscard]] std::optional<MapResult> finish(std::optional<DeploymentId> deployment,
-                                                topo::PingTargetId unit_target,
-                                                std::string_view domain, double load_units);
+  friend class MapSnapshot;  // a build takes the shared partition and ledger
+
+  /// A DNS query's mapping inputs: the querying LDNS, and the client /24
+  /// when the query carries ECS, the block is in the world and the
+  /// roll-out gate is open for the LDNS (only then is the answer scoped
+  /// to the client).
+  struct QueryUnit {
+    topo::LdnsId ldns = 0;
+    std::optional<topo::BlockId> block;
+    int ecs_scope_len = 0;  ///< the answer's scope: /0 unless `block` decided it
+  };
+  [[nodiscard]] std::optional<QueryUnit> resolve(const dnsserver::DynamicQuery& query) const;
 
   const topo::World* world_;
   CdnNetwork* network_;
-  const topo::LatencyModel* latency_;
   MappingConfig config_;
   PingMesh mesh_;
-  std::shared_ptr<const Scoring> scoring_;
-  std::unique_ptr<GlobalLoadBalancer> global_lb_;
-  LocalLoadBalancer local_lb_;
-  FastMapFn fast_path_;
+  Scoring scoring_;
+  std::shared_ptr<const MappingUnits> units_;
+  std::shared_ptr<LoadLedger> ledger_;
+  /// Snapshot-before-version publish protocol (extracted lock-free
+  /// kernel; identical code is model-checked under mc::atomic).
+  lockfree::VersionedRcu<lockfree::StdAtomicsPolicy, std::shared_ptr<const MapSnapshot>>
+      published_;
   EndUserGateFn end_user_gate_;
 };
 

@@ -42,7 +42,7 @@ CdnNetwork CdnNetwork::build_at(const topo::World& world, const std::vector<std:
     deployment.servers.reserve(servers_per_cluster);
     for (std::size_t s = 0; s < servers_per_cluster; ++s) {
       deployment.servers.push_back(
-          Server{net::IpV4Addr{block24 + static_cast<std::uint32_t>(s) + 1}, 0.0, true});
+          Server{net::IpV4Addr{block24 + static_cast<std::uint32_t>(s) + 1}, true});
     }
     network.deployments_.push_back(std::move(deployment));
   }
@@ -92,13 +92,6 @@ void CdnNetwork::set_cluster_alive(DeploymentId id, bool alive) {
 
 void CdnNetwork::set_server_alive(DeploymentId id, std::size_t server_index, bool alive) {
   deployments_.at(id).servers.at(server_index).alive = alive;
-}
-
-void CdnNetwork::reset_load() noexcept {
-  for (Deployment& d : deployments_) {
-    d.load = 0.0;
-    for (Server& s : d.servers) s.load = 0.0;
-  }
 }
 
 }  // namespace eum::cdn

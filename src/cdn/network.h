@@ -19,7 +19,6 @@ using DeploymentId = std::uint32_t;
 
 struct Server {
   net::IpV4Addr address;
-  double load = 0.0;  ///< current assigned traffic units
   bool alive = true;
 };
 
@@ -30,8 +29,9 @@ struct Deployment {
   geo::GeoPoint location;
   net::IpPrefix server_block;  ///< /24 housing this cluster's servers
   std::vector<Server> servers;
-  double capacity = 1e9;  ///< traffic units the cluster can absorb
-  double load = 0.0;
+  /// Traffic units the cluster can absorb; the load charged against it
+  /// lives in the mapping system's LoadLedger.
+  double capacity = 1e9;
   bool alive = true;
 
   [[nodiscard]] std::size_t alive_servers() const noexcept {
@@ -71,9 +71,6 @@ class CdnNetwork {
   /// Mark a whole cluster (or one server) dead/alive.
   void set_cluster_alive(DeploymentId id, bool alive);
   void set_server_alive(DeploymentId id, std::size_t server_index, bool alive);
-
-  /// Clear all load counters.
-  void reset_load() noexcept;
 
  private:
   std::vector<Deployment> deployments_;

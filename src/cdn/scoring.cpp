@@ -29,35 +29,15 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
   }
   Scoring scoring;
   scoring.top_k_ = top_k;
-  scoring.target_count_ = mesh.target_count();
   const std::size_t n_dep = mesh.deployment_count();
-
-  // Per ping target, in tiles of consecutive targets: a target's column
-  // strides across the row-major mesh, a tile's columns share cache lines.
-  scoring.by_target_.resize(scoring.target_count_ * top_k);
-  for (std::size_t t0 = 0; t0 < scoring.target_count_; t0 += kColumnTile) {
-    const std::size_t columns = std::min(kColumnTile, scoring.target_count_ - t0);
-    best_k(
-        n_dep, columns, top_k, {},
-        [&](std::size_t d, std::size_t c) {
-          const auto target = static_cast<topo::PingTargetId>(t0 + c);
-          return path_score(klass, mesh.rtt_ms(d, target), mesh.loss_rate(d, target));
-        },
-        &scoring.by_target_[t0 * top_k]);
-  }
 
   // Per LDNS cluster: traffic-weighted member targets.
   // Member weights: demand x use-fraction of each block, grouped by the
   // block's ping target. Skipped (cluster_scores=false) for non-CANS
   // deployments at paper scale — the aggregation walks every association
-  // entry per deployment, the dominant cost at millions of blocks;
-  // cluster_candidates then falls back to per-target lists.
+  // entry per deployment, the dominant cost at millions of blocks.
   const std::size_t n_ldns = world.ldnses.size();
   scoring.cluster_has_data_.resize(n_ldns, false);
-  scoring.ldns_target_.resize(n_ldns, 0);
-  for (std::size_t l = 0; l < n_ldns; ++l) {
-    scoring.ldns_target_[l] = world.ldnses[l].ping_target;
-  }
   if (!cluster_scores) return scoring;
   std::vector<std::unordered_map<topo::PingTargetId, double>> members(n_ldns);
   for (const topo::ClientBlock& block : world.blocks) {
@@ -87,14 +67,9 @@ Scoring Scoring::build(const topo::World& world, const CdnNetwork& network, cons
   return scoring;
 }
 
-std::span<const Candidate> Scoring::target_candidates(topo::PingTargetId target) const {
-  if (target >= target_count_) throw std::out_of_range{"Scoring: unknown ping target"};
-  return {by_target_.data() + static_cast<std::size_t>(target) * top_k_, top_k_};
-}
-
 std::span<const Candidate> Scoring::cluster_candidates(topo::LdnsId ldns) const {
   if (ldns >= cluster_has_data_.size()) throw std::out_of_range{"Scoring: unknown LDNS"};
-  if (!cluster_has_data_[ldns]) return target_candidates(ldns_target_[ldns]);
+  if (!cluster_has_data_[ldns]) return {};
   return {by_cluster_.data() + static_cast<std::size_t>(ldns) * top_k_, top_k_};
 }
 

@@ -2,10 +2,12 @@
 //
 // "The topological map is then used to evaluate what performance clients
 // of each LDNS is likely to see if they are assigned to each Akamai
-// server cluster, a process called scoring." We precompute, for every
-// ping target (the unit of EU and NS mapping) and for every LDNS client
-// cluster (the unit of CANS mapping, §6), the top-K deployments by
-// expected latency; the load balancer then walks these candidate lists.
+// server cluster, a process called scoring." A path's score depends on
+// the traffic class (path_score); every candidate list is the top-K
+// deployments by that score, ranked by best_k. MapSnapshot ranks the
+// lists of the EU and NS mapping units (groups of ping targets) on every
+// rebuild; Scoring holds the liveness-independent lists of the LDNS
+// client clusters (the unit of CANS mapping, §6), built once.
 #pragma once
 
 #include <algorithm>
@@ -47,8 +49,8 @@ struct Candidate {
 /// (score, id). Deployments are scanned in ascending id and kept by
 /// insertion, so an equal score never moves ahead of an earlier id; a
 /// column with fewer than `keep` entries is padded with {0, +inf}. Every
-/// candidate table — Scoring's and control::MapSnapshot's, full and delta —
-/// is ranked here, which is what keeps them bit-identical to one another.
+/// candidate table — Scoring's and MapSnapshot's, full and delta — is
+/// ranked here, which is what keeps them bit-identical to one another.
 template <typename Score>
 void best_k(std::size_t deployments, std::size_t columns, std::size_t keep,
             std::span<const char> live, const Score& score, Candidate* out) {
@@ -72,42 +74,31 @@ void best_k(std::size_t deployments, std::size_t columns, std::size_t keep,
 
 class Scoring {
  public:
-  /// Build candidate lists. `top_k` deployments are retained per unit,
-  /// ranked by the traffic class's scoring function. `cluster_scores`
-  /// controls the per-LDNS CANS aggregation — the one pass that walks
-  /// every block-LDNS association per deployment. Paper-scale worlds that
-  /// only need per-target lists (EU/NS mapping) turn it off;
-  /// cluster_candidates then falls back to the LDNS's own target list.
+  /// Build the CANS candidate lists: `top_k` deployments per LDNS client
+  /// cluster, ranked by the traffic class's scoring function. The
+  /// aggregation walks every block-LDNS association per deployment, so
+  /// paper-scale worlds that never map by client cluster turn
+  /// `cluster_scores` off; every list is then empty.
   static Scoring build(const topo::World& world, const CdnNetwork& network, const PingMesh& mesh,
                        std::size_t top_k = 8, TrafficClass klass = TrafficClass::web,
                        bool cluster_scores = true);
 
-  /// Candidates for a ping target, best first (EU and NS mapping units).
-  [[nodiscard]] std::span<const Candidate> target_candidates(topo::PingTargetId target) const;
-
   /// Candidates for an LDNS's client cluster, best first: deployments
   /// minimizing the traffic-weighted mean latency to the clients behind
-  /// that LDNS (CANS mapping, §6 scheme 3). LDNSes with no clients fall
-  /// back to their own ping target's list.
+  /// that LDNS (CANS mapping, §6 scheme 3). Empty for an LDNS without
+  /// clients, or when cluster scores were not built: the caller maps such
+  /// an LDNS by its own ping target's unit list.
   [[nodiscard]] std::span<const Candidate> cluster_candidates(topo::LdnsId ldns) const;
 
   [[nodiscard]] std::size_t top_k() const noexcept { return top_k_; }
-
-  /// The LDNS's own ping target (the fallback mapping unit for a cluster).
-  [[nodiscard]] topo::PingTargetId ldns_target(topo::LdnsId ldns) const {
-    return ldns_target_.at(ldns);
-  }
 
   /// Same candidate tables (the map maker's publish-skip check).
   friend bool operator==(const Scoring&, const Scoring&) = default;
 
  private:
   std::size_t top_k_ = 0;
-  std::size_t target_count_ = 0;
-  std::vector<Candidate> by_target_;   ///< target_count x top_k
   std::vector<Candidate> by_cluster_;  ///< ldns_count x top_k
   std::vector<bool> cluster_has_data_;
-  std::vector<topo::PingTargetId> ldns_target_;  ///< fallback unit per LDNS
 };
 
 }  // namespace eum::cdn

@@ -101,7 +101,7 @@ DecisionExplainer::Explanation DecisionExplainer::explain(
   }
 
   // One acquire load pins the snapshot generation for the whole report.
-  const std::shared_ptr<const MapSnapshot> snapshot = maker_->current();
+  const std::shared_ptr<const cdn::MapSnapshot> snapshot = maker_->current();
   out.map = snapshot->explain(ldns->id, out.block, out.qname);
   out.ok = true;
   return out;
@@ -141,7 +141,7 @@ std::string DecisionExplainer::render(const Explanation& explanation) {
                       static_cast<unsigned long>(map.mapping_unit), map.unit_size);
   out += util::format("candidates (%zu%s):\n", map.candidates.size(),
                       map.fallback_scan ? ", chosen via full mesh fallback scan" : "");
-  for (const MapSnapshot::ExplainCandidate& candidate : map.candidates) {
+  for (const cdn::MapSnapshot::ExplainCandidate& candidate : map.candidates) {
     out += util::format("  %s cluster %lu score=%.2fms %s %s load=%.1f/%.1f\n",
                         candidate.chosen ? "*" : " ",
                         static_cast<unsigned long>(candidate.deployment),
@@ -185,9 +185,9 @@ std::string DecisionExplainer::command(const std::vector<std::string>& args) con
 
 std::string snapshot_info(MapMaker& maker) {
   maker.refresh_gauges();
-  const std::shared_ptr<const MapSnapshot> snapshot = maker.current();
+  const std::shared_ptr<const cdn::MapSnapshot> snapshot = maker.current();
   std::size_t alive = 0;
-  for (const MapSnapshot::Cluster& cluster : snapshot->clusters()) {
+  for (const cdn::MapSnapshot::Cluster& cluster : snapshot->clusters()) {
     if (!cluster.servers.empty()) ++alive;
   }
   std::string out;

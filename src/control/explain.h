@@ -4,14 +4,14 @@
 // *would* be told under each policy. DecisionExplainer is the live
 // version of that question for an operator: given a client IP (and
 // optionally a qname and resolver), replay the mapping decision against
-// the CURRENT published MapSnapshot and RolloutController state and
+// the CURRENT published cdn::MapSnapshot and RolloutController state and
 // report every input to it — which LDNS was attributed, whether the
 // end-user gate was open for it (cohort, ramp fraction, whitelist),
 // the ECS scope the answer would carry, and each candidate cluster with
 // its score/liveness/load, with the chosen one marked.
 //
 // Consistency guarantee: the explanation calls the same
-// MapSnapshot::map() the serve path's dns_handler calls (same snapshot
+// cdn::MapSnapshot::map() the serve path's dns_handler calls (same snapshot
 // generation, same zero marginal load), so for a given snapshot version
 // the explained servers are exactly the served servers. The snapshot
 // version is part of the report so an operator can tell when a
@@ -27,9 +27,9 @@
 #include <string_view>
 #include <vector>
 
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
 #include "control/map_maker.h"
-#include "control/map_snapshot.h"
 #include "control/rollout_controller.h"
 #include "net/ip.h"
 #include "topo/world.h"
@@ -66,7 +66,7 @@ class DecisionExplainer {
     double fraction = 0.0;
     bool whitelisted = false;
 
-    MapSnapshot::MapExplanation map;  ///< the snapshot-level decision trail
+    cdn::MapSnapshot::MapExplanation map;  ///< the snapshot-level decision trail
   };
 
   /// All pointers are borrowed and must outlive the explainer; `rollout`

@@ -67,15 +67,21 @@ MapMaker::MapMaker(cdn::MappingSystem* mapping, const util::SimClock* clock,
       "eum_control_liveness_publish_latency_us",
       "background thread: wake that ran the probe round -> liveness publish");
 
-  ledger_ = std::make_shared<LoadLedger>(mapping_->network().size());
-  units_ = MappingUnits::build(mapping_->mesh(),
-                               MappingUnitsConfig{config_.unit_epsilon_ms});
-  mapping_units_->set(static_cast<std::int64_t>(units_->unit_count()));
+  mapping_units_->set(static_cast<std::int64_t>(mapping_->units().unit_count()));
   pool_ = std::make_unique<util::ShardPool>(config_.scoring_shards == 0
                                                 ? util::ShardPool::hardware_workers()
                                                 : config_.scoring_shards - 1);
-  // Version 1 is published synchronously: serving can start immediately.
-  (void)rebuild_with_reason(/*force=*/true, RebuildReason::initial);
+  // The mapping system built and published its map at construction:
+  // adopt it as this maker's initial rebuild and publish, so serving can
+  // start immediately.
+  const std::shared_ptr<const cdn::MapSnapshot> adopted = mapping_->snapshot();
+  rebuilds_->add();
+  rebuilds_by_reason_[static_cast<std::size_t>(RebuildReason::initial)]->add();
+  units_rescored_->add(adopted->units_rescored());
+  last_build_ = build_time();
+  publishes_->add();
+  map_version_->set(static_cast<std::int64_t>(adopted->version()));
+  map_age_s_->set(0);
 }
 
 MapMaker::~MapMaker() { stop(); }
@@ -85,12 +91,12 @@ util::SimTime MapMaker::build_time() const noexcept {
   return util::SimTime{static_cast<std::int64_t>(elapsed_us(started_at_) / 1'000'000U)};
 }
 
-std::shared_ptr<const MapSnapshot> MapMaker::rebuild_now(bool force) {
+std::shared_ptr<const cdn::MapSnapshot> MapMaker::rebuild_now(bool force) {
   return rebuild_with_reason(force, RebuildReason::manual);
 }
 
-std::shared_ptr<const MapSnapshot> MapMaker::rebuild_with_reason(bool force,
-                                                                 RebuildReason reason) {
+std::shared_ptr<const cdn::MapSnapshot> MapMaker::rebuild_with_reason(bool force,
+                                                                      RebuildReason reason) {
   const std::scoped_lock lock{rebuild_mutex_};
   // Sample the transition counter BEFORE the build reads liveness: a
   // transition that lands while scoring runs is not in this snapshot, so
@@ -98,44 +104,35 @@ std::shared_ptr<const MapSnapshot> MapMaker::rebuild_with_reason(bool force,
   // tick must still see it as new.
   const std::uint64_t pre_transitions = monitor_ != nullptr ? monitor_->transitions() : 0;
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t next_version = published_.version() + 1;
-  MapSnapshot::BuildInputs inputs;
-  inputs.units = units_;
-  inputs.pool = pool_.get();
-  if (config_.incremental) inputs.previous = published_.snapshot();
-  std::shared_ptr<const MapSnapshot> built =
-      MapSnapshot::build(*mapping_, ledger_, next_version, build_time(), inputs);
-  rebuild_latency_->record(elapsed_us(t0));
-  if (config_.after_build_hook) config_.after_build_hook();
-  rebuilds_->add();
-  rebuilds_by_reason_[static_cast<std::size_t>(reason)]->add();
-  if (built->delta()) delta_rebuilds_->add();
-  units_rescored_->add(built->units_rescored());
-  last_build_ = build_time();
-  if (monitor_ != nullptr) {
-    transitions_seen_.store(pre_transitions, std::memory_order_relaxed);
-  }
-
-  std::shared_ptr<const MapSnapshot> live = published_.snapshot();
-  if (!force && !config_.publish_unchanged && live != nullptr &&
-      live->serving_equal(*built)) {
+  bool publish = false;
+  // The mapping system builds a delta against its current map and calls
+  // back before it would publish.
+  std::shared_ptr<const cdn::MapSnapshot> current = mapping_->rebuild(
+      build_time(), pool_.get(),
+      [&](const cdn::MapSnapshot& built, const cdn::MapSnapshot& live) {
+        rebuild_latency_->record(elapsed_us(t0));
+        if (config_.after_build_hook) config_.after_build_hook();
+        rebuilds_->add();
+        rebuilds_by_reason_[static_cast<std::size_t>(reason)]->add();
+        if (built.delta()) delta_rebuilds_->add();
+        units_rescored_->add(built.units_rescored());
+        last_build_ = build_time();
+        if (monitor_ != nullptr) {
+          transitions_seen_.store(pre_transitions, std::memory_order_relaxed);
+        }
+        publish = force || config_.publish_unchanged || !live.serving_equal(built);
+        return publish;
+      });
+  if (!publish) {
     publishes_skipped_->add();
-    return live;
+    return current;
   }
-
-  // Publish order matters for version-keyed consumers (the UDP wire
-  // answer cache): the snapshot must be visible BEFORE the version, so a
-  // reader that observes version V via version_cell() is guaranteed
-  // current() already serves generation >= V. VersionedRcu::publish
-  // stores both with release (model-checked; weakening either store
-  // yields a violating schedule — see AUDIT_memory_orders.json).
-  published_.publish(built, next_version);
   publishes_->add();
-  map_version_->set(static_cast<std::int64_t>(next_version));
+  map_version_->set(static_cast<std::int64_t>(current->version()));
   published_wall_us_.store(static_cast<std::int64_t>(elapsed_us(started_at_)),
                            std::memory_order_relaxed);
   map_age_s_->set(0);
-  return built;
+  return current;
 }
 
 bool MapMaker::tick() {
@@ -150,14 +147,6 @@ bool MapMaker::tick() {
   (void)rebuild_with_reason(/*force=*/transitioned,
                             transitioned ? RebuildReason::liveness : RebuildReason::periodic);
   return true;
-}
-
-void MapMaker::install_fast_path() {
-  mapping_->set_fast_path(
-      [this](topo::LdnsId ldns, std::optional<topo::BlockId> block, std::string_view domain,
-             double load_units) {
-        return published_.snapshot()->map(ldns, block, domain, load_units);
-      });
 }
 
 void MapMaker::start(std::chrono::milliseconds interval) {

@@ -3,13 +3,15 @@
 // "The map maker" in the paper continuously recomputes the topology
 // scores and load-balancing decisions from fresh liveness and measurement
 // data and distributes the resulting map to the name servers. This class
-// is that loop: it rebuilds scoring + global-LB state into an immutable
-// MapSnapshot and publishes it through an RCU-style
-// `std::atomic<std::shared_ptr<const MapSnapshot>>`. Serving threads load
-// the pointer once per query (acquire) and answer entirely from that
-// generation; retired snapshots die when their last in-flight reader
-// drops the reference — no locks, no torn maps, no quiescent-state
-// bookkeeping.
+// is that loop's control side: it decides when the mapping system's
+// published cdn::MapSnapshot is rebuilt, skips publishing rebuilds that
+// would serve identically, and exports the control-plane metrics. The
+// snapshot cell itself belongs to cdn::MappingSystem, which answers every
+// query from it: serving threads load the pointer once per query
+// (acquire) and answer entirely from that generation; retired snapshots
+// die when their last in-flight reader drops the reference — no locks,
+// no torn maps, no quiescent-state bookkeeping. A map maker adopts the
+// mapping system's version 1 as its initial publish.
 //
 // Two drive modes share the same rebuild path:
 //   - tick(): synchronous and SimClock-driven, for simulations and tests
@@ -36,11 +38,9 @@
 #include <thread>
 
 #include "cdn/liveness.h"
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
-#include "control/map_snapshot.h"
-#include "control/mapping_units.h"
-#include "lockfree/atomics_policy.h"
-#include "lockfree/versioned_rcu.h"
+#include "cdn/mapping_units.h"
 #include "obs/metrics.h"
 #include "util/shard_pool.h"
 #include "util/sim_clock.h"
@@ -59,16 +59,12 @@ struct MapMakerConfig {
   /// map maker). nullptr gives the maker a private registry.
   obs::MetricsRegistry* registry = nullptr;
   /// Total scoring concurrency per rebuild (workers + the rebuild thread
-  /// itself). 0 sizes to the hardware; 1 scores serially.
+  /// itself). 0 sizes to the hardware; 1 scores serially. Every rebuild
+  /// is a delta against the current map: it re-scores only the mapping
+  /// units the liveness transitions since then can affect (exact by the
+  /// shared (score, id) ordering — the differential tests pin delta
+  /// output == a full build).
   std::size_t scoring_shards = 0;
-  /// Delta rebuilds: re-score only the mapping units the liveness
-  /// transitions since the previous snapshot can affect. Exact by the
-  /// shared (score, id) ordering — the differential test pins delta
-  /// output == full-rebuild output.
-  bool incremental = true;
-  /// Latency-vector quantization for the unit partition (see
-  /// MappingUnitsConfig::epsilon_ms; 0 = exact grouping).
-  float unit_epsilon_ms = 0.0F;
   /// Test seam: runs on the rebuild thread after the snapshot is built
   /// but before it is published — the window where a liveness transition
   /// is too late for the built map and must survive into the next tick.
@@ -79,7 +75,7 @@ struct MapMakerConfig {
 /// loop that is rebuilding on schedule from one thrashing on liveness
 /// flaps (surfaced by the admin channel's `snapshot.info`).
 enum class RebuildReason : std::uint8_t {
-  initial,    ///< the synchronous version-1 build in the constructor
+  initial,    ///< the mapping system's version 1, adopted by the constructor
   periodic,   ///< tick() interval elapsed / background cadence fired
   liveness,   ///< a watched LivenessMonitor transition forced a publish
   requested,  ///< request_rebuild() woke the background thread
@@ -92,8 +88,8 @@ class MapMaker {
  public:
   /// `mapping` is borrowed and must outlive the map maker; `clock` (also
   /// borrowed, may be nullptr) timestamps snapshots and paces tick().
-  /// Builds and publishes version 1 synchronously, so current() is never
-  /// null.
+  /// Adopts the mapping system's current map (its version 1 on a fresh
+  /// system) as the initial publish, so current() is never null.
   explicit MapMaker(cdn::MappingSystem* mapping, const util::SimClock* clock = nullptr,
                     MapMakerConfig config = {});
   ~MapMaker();
@@ -101,35 +97,24 @@ class MapMaker {
   MapMaker(const MapMaker&) = delete;
   MapMaker& operator=(const MapMaker&) = delete;
 
-  /// The current map. Lock-free acquire load; the returned snapshot is
-  /// immutable and stays valid for as long as the reference is held,
-  /// however many republishes happen meanwhile.
-  [[nodiscard]] std::shared_ptr<const MapSnapshot> current() const {
-    return published_.snapshot();
+  /// The mapping system's current map (cdn::MappingSystem::snapshot()).
+  [[nodiscard]] std::shared_ptr<const cdn::MapSnapshot> current() const {
+    return mapping_->snapshot();
   }
 
-  [[nodiscard]] std::uint64_t version() const noexcept { return published_.version(); }
+  [[nodiscard]] std::uint64_t version() const noexcept { return mapping_->version(); }
 
-  /// The version cell itself, for serve-path consumers that key caches
-  /// on the published map generation (UdpServerConfig::map_version).
-  /// Invalidation contract: rebuild_now() stores the snapshot pointer
-  /// before the version (both release), so an acquire load that returns
-  /// V guarantees current() already serves generation >= V — an answer
-  /// computed after that load can never be cached under a version newer
-  /// than the map that produced it. The protocol lives in
-  /// lockfree::VersionedRcu and is model-checked (mc/protocols.cpp).
+  /// The mapping system's version cell, for serve-path consumers that key
+  /// caches on the published map generation (see
+  /// cdn::MappingSystem::version_cell for the invalidation contract).
   [[nodiscard]] const std::atomic<std::uint64_t>& version_cell() const noexcept {
-    return published_.version_cell();
+    return mapping_->version_cell();
   }
 
-  /// The shared per-cluster load ledger (survives republishes).
-  [[nodiscard]] LoadLedger& loads() noexcept { return *ledger_; }
-
-  /// Route the mapping system's map()/DNS handlers through the published
-  /// snapshot: installs a fast path that resolves every decision against
-  /// current(). After this, the mapping handlers are safe to call from
-  /// many serving threads with no external lock.
-  void install_fast_path();
+  /// No-op: the mapping system always answers from its published
+  /// snapshot. Kept for callers that still make the call (the serving
+  /// benchmark).
+  void install_fast_path() {}
 
   /// Watch a liveness monitor (borrowed). tick() treats new transitions
   /// as an on-demand rebuild trigger, publishing even when the periodic
@@ -145,7 +130,7 @@ class MapMaker {
   /// config.publish_unchanged) the result is always published; otherwise a
   /// serving-identical rebuild is skipped. Returns the now-current
   /// snapshot either way.
-  std::shared_ptr<const MapSnapshot> rebuild_now(bool force = false);
+  std::shared_ptr<const cdn::MapSnapshot> rebuild_now(bool force = false);
 
   /// SimClock-driven drive: rebuild when the rescore interval elapsed or
   /// the watched monitor transitioned since the last build. Returns true
@@ -176,28 +161,22 @@ class MapMaker {
   [[nodiscard]] std::uint64_t rebuilds_for(RebuildReason reason) const noexcept {
     return rebuilds_by_reason_[static_cast<std::size_t>(reason)]->value();
   }
-  /// The unit partition every snapshot of this maker scores against.
-  [[nodiscard]] const MappingUnits& units() const noexcept { return *units_; }
+  /// The unit partition every snapshot scores against (the mapping
+  /// system's).
+  [[nodiscard]] const cdn::MappingUnits& units() const noexcept { return mapping_->units(); }
 
  private:
   static constexpr std::size_t kRebuildReasons = 5;
 
   [[nodiscard]] util::SimTime build_time() const noexcept;
-  std::shared_ptr<const MapSnapshot> rebuild_with_reason(bool force, RebuildReason reason);
+  std::shared_ptr<const cdn::MapSnapshot> rebuild_with_reason(bool force, RebuildReason reason);
   void run_loop(std::chrono::milliseconds interval);
 
   cdn::MappingSystem* mapping_;
   const util::SimClock* clock_;
   MapMakerConfig config_;
   cdn::LivenessMonitor* monitor_ = nullptr;
-  std::shared_ptr<LoadLedger> ledger_;
-  std::shared_ptr<const MappingUnits> units_;
   std::unique_ptr<util::ShardPool> pool_;
-
-  /// Snapshot-before-version publish protocol (extracted lock-free
-  /// kernel; identical code is model-checked under mc::atomic).
-  lockfree::VersionedRcu<lockfree::StdAtomicsPolicy, std::shared_ptr<const MapSnapshot>>
-      published_;
 
   std::mutex rebuild_mutex_;  ///< serializes rebuild_now callers
   util::SimTime last_build_{};

@@ -17,13 +17,13 @@
 // entries.
 //
 // Invalidation is by construction, not by sweeping: the snapshot
-// version is part of the key, and the serve path reads the MapMaker's
-// version cell (acquire) once per batch. A republish bumps the version,
-// every old entry stops matching, and stale wires age out by overwrite.
-// MapMaker publishes the snapshot pointer BEFORE the version (both
-// release), so a worker that reads version V is guaranteed the mapping
-// fast path already serves generation >= V — no answer computed from an
-// old map can be stored under a new version.
+// version is part of the key, and the serve path reads the mapping
+// system's version cell (acquire) once per batch. A republish bumps the
+// version, every old entry stops matching, and stale wires age out by
+// overwrite. The mapping system publishes the snapshot pointer BEFORE the
+// version (both release), so a worker that reads version V is guaranteed
+// the mapping decisions already come from generation >= V — no answer
+// computed from an old map can be stored under a new version.
 //
 // Threading: one AnswerCache per worker, touched only by its owning
 // thread. No locks, no atomics, no sharing — which is also what keeps

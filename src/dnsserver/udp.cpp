@@ -496,8 +496,8 @@ bool UdpAuthorityServer::serve_on(UdpSocket& socket, std::size_t worker,
   }
   // One version read per batch: every answer in the batch is served (and
   // cached) under the same map generation. The acquire pairs with the
-  // MapMaker's release publish, which stores the snapshot BEFORE the
-  // version — so version V here implies the fast path serves >= V.
+  // mapping system's release publish, which stores the snapshot BEFORE
+  // the version — so version V here implies the decisions serve >= V.
   const std::uint64_t version =
       config_.map_version != nullptr
           ? config_.map_version->load(std::memory_order_acquire)

@@ -2,8 +2,8 @@
 //
 // Built as its own executable because it replaces the global operator
 // new with one that counts allocations per thread. The stack is the one
-// the server runs: a generated world, the mapping system behind the map
-// maker's snapshot path, the authoritative engine and a
+// the server runs: a generated world, the mapping system answering from
+// its published snapshot behind a map maker, the authoritative engine and a
 // UdpAuthorityServer with its answer cache on. One pass over a set of
 // distinct queries warms the worker's scratch and the cache slots; then
 // the map version moves, so a second pass misses the cache on every
@@ -91,7 +91,6 @@ TEST(AllocationGate, CacheMissServesWithoutAllocating) {
   cdn::CdnNetwork network = cdn::CdnNetwork::build(tiny_world(), 80);
   cdn::MappingSystem mapping{&tiny_world(), &network, &test_latency(), cdn::MappingConfig{}};
   control::MapMaker maker{&mapping};
-  maker.install_fast_path();
 
   // Loopback peers are not world resolvers: answer them as the first
   // ECS-capable resolver, as the serving benchmark does, so every query

@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <set>
+#include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "cdn/load_balancer.h"
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
 #include "cdn/network.h"
 #include "cdn/ping_mesh.h"
@@ -153,15 +159,28 @@ std::vector<Candidate> sorted_top_k(std::vector<Candidate> column, std::size_t k
   return column;
 }
 
-// Both candidate tables against a full sort of each column, on a network
-// whose repeated sites give pairs of deployments identical columns (exact
-// score ties), for a top_k of 1, of 8 and beyond the network's size.
+/// The mapping system's current candidate list for ping target `t`.
+std::span<const Candidate> unit_list(const MapSnapshot& snapshot, topo::PingTargetId t) {
+  return snapshot.unit_candidates(snapshot.units().unit_of(t));
+}
+
+MappingConfig top_k_config(std::size_t top_k, TrafficClass klass = TrafficClass::web) {
+  MappingConfig config;
+  config.scoring_top_k = top_k;
+  config.traffic_class = klass;
+  return config;
+}
+
+// Both candidate tables — the snapshot's per-unit lists and Scoring's CANS
+// lists — against a full sort of each column, on a network whose repeated
+// sites give pairs of deployments identical columns (exact score ties),
+// for a top_k of 1, of 8 and beyond the network's size.
 TEST(Scoring, TopKMatchesSortedReference) {
   const auto& world = tiny_world();
   std::vector<std::uint32_t> sites;
   for (std::uint32_t s = 0; s < 12; ++s) sites.push_back(s);
   for (const std::uint32_t repeat : {4U, 0U, 9U, 4U}) sites.push_back(repeat);
-  const CdnNetwork network = CdnNetwork::build_at(world, sites);
+  CdnNetwork network = CdnNetwork::build_at(world, sites);
   const PingMesh mesh = PingMesh::measure(world, network, test_latency());
   ASSERT_EQ(mesh.rtt_ms(4, 7), mesh.rtt_ms(12, 7));  // the ties are real
 
@@ -175,7 +194,8 @@ TEST(Scoring, TopKMatchesSortedReference) {
 
   for (const TrafficClass klass : {TrafficClass::web, TrafficClass::video}) {
     for (const std::size_t top_k : {std::size_t{1}, std::size_t{8}, network.size() + 3}) {
-      const Scoring scoring = Scoring::build(world, network, mesh, top_k, klass, true);
+      const MappingSystem mapping{&world, &network, &test_latency(), top_k_config(top_k, klass)};
+      const auto snapshot = mapping.snapshot();
       for (std::size_t t = 0; t < world.ping_targets.size(); ++t) {
         const auto target = static_cast<topo::PingTargetId>(t);
         std::vector<Candidate> column;
@@ -184,13 +204,17 @@ TEST(Scoring, TopKMatchesSortedReference) {
                                      path_score(klass, mesh.rtt_ms(d, target),
                                                 mesh.loss_rate(d, target))});
         }
-        const auto got = scoring.target_candidates(target);
+        const auto got = unit_list(*snapshot, target);
         ASSERT_EQ(std::vector<Candidate>(got.begin(), got.end()), sorted_top_k(column, top_k))
             << "target " << t << " top_k " << top_k;
       }
       std::size_t clusters = 0;
       for (std::size_t l = 0; l < world.ldnses.size(); ++l) {
-        if (members[l].empty()) continue;
+        const auto got = mapping.scoring().cluster_candidates(static_cast<topo::LdnsId>(l));
+        if (members[l].empty()) {
+          EXPECT_TRUE(got.empty()) << "ldns " << l;  // mapped by its own unit list
+          continue;
+        }
         ++clusters;
         double wsum = 0.0;
         for (const auto& [target, weight] : members[l]) wsum += weight;
@@ -203,7 +227,6 @@ TEST(Scoring, TopKMatchesSortedReference) {
           }
           column.push_back(Candidate{static_cast<DeploymentId>(d), static_cast<float>(score / wsum)});
         }
-        const auto got = scoring.cluster_candidates(static_cast<topo::LdnsId>(l));
         ASSERT_EQ(std::vector<Candidate>(got.begin(), got.end()), sorted_top_k(column, top_k))
             << "ldns " << l << " top_k " << top_k;
       }
@@ -214,15 +237,17 @@ TEST(Scoring, TopKMatchesSortedReference) {
 
 TEST(Scoring, TargetCandidatesAreSortedTopK) {
   const auto& world = tiny_world();
-  const CdnNetwork network = CdnNetwork::build(world, 30);
-  const PingMesh mesh = PingMesh::measure(world, network, test_latency());
-  const Scoring scoring = Scoring::build(world, network, mesh, 5);
+  CdnNetwork network = CdnNetwork::build(world, 30);
+  const MappingSystem mapping{&world, &network, &test_latency(), top_k_config(5)};
+  const auto snapshot = mapping.snapshot();
   for (topo::PingTargetId t = 0; t < 50; ++t) {
-    const auto candidates = scoring.target_candidates(t);
+    const auto candidates = unit_list(*snapshot, t);
     ASSERT_EQ(candidates.size(), 5U);
     // Sorted ascending and matching a brute-force minimum.
     float brute_min = std::numeric_limits<float>::infinity();
-    for (std::size_t d = 0; d < network.size(); ++d) brute_min = std::min(brute_min, mesh.rtt_ms(d, t));
+    for (std::size_t d = 0; d < network.size(); ++d) {
+      brute_min = std::min(brute_min, mapping.mesh().rtt_ms(d, t));
+    }
     EXPECT_FLOAT_EQ(candidates[0].score_ms, brute_min);
     for (std::size_t i = 1; i < candidates.size(); ++i) {
       EXPECT_LE(candidates[i - 1].score_ms, candidates[i].score_ms);
@@ -232,10 +257,9 @@ TEST(Scoring, TargetCandidatesAreSortedTopK) {
 
 TEST(Scoring, TopKLargerThanDeploymentsPadsWithInfinity) {
   const auto& world = tiny_world();
-  const CdnNetwork network = CdnNetwork::build(world, 3);
-  const PingMesh mesh = PingMesh::measure(world, network, test_latency());
-  const Scoring scoring = Scoring::build(world, network, mesh, 6);
-  const auto candidates = scoring.target_candidates(0);
+  CdnNetwork network = CdnNetwork::build(world, 3);
+  const MappingSystem mapping{&world, &network, &test_latency(), top_k_config(6)};
+  const auto candidates = unit_list(*mapping.snapshot(), 0);
   ASSERT_EQ(candidates.size(), 6U);
   EXPECT_TRUE(std::isfinite(candidates[2].score_ms));
   EXPECT_FALSE(std::isfinite(candidates[3].score_ms));
@@ -293,148 +317,155 @@ TEST(Scoring, RejectsMismatchedMesh) {
   EXPECT_THROW(Scoring::build(world, big, mesh, 0), std::invalid_argument);
 }
 
-// ---------- GlobalLoadBalancer ----------
+// ---------- global load balancing: a unit's list, then the full scan ----------
 
 struct LbFixture : ::testing::Test {
   LbFixture()
       : network(CdnNetwork::build(tiny_world(), 20, 4, 100.0)),
-        mesh(PingMesh::measure(tiny_world(), network, test_latency())),
-        scoring(Scoring::build(tiny_world(), network, mesh, 4)) {}
+        mapping(&tiny_world(), &network, &test_latency(), top_k_config(4)),
+        candidates(list_of(0)) {}
+
+  /// Target `t`'s candidate list in the current map, copied.
+  [[nodiscard]] std::vector<Candidate> list_of(topo::PingTargetId t) const {
+    const auto list = unit_list(*mapping.snapshot(), t);
+    return {list.begin(), list.end()};
+  }
+  [[nodiscard]] std::optional<MapResult> assign(topo::PingTargetId t, double units) const {
+    return mapping.snapshot()->map_target(t, "lb.example", units);
+  }
 
   CdnNetwork network;
-  PingMesh mesh;
-  Scoring scoring;
+  MappingSystem mapping;
+  std::vector<Candidate> candidates;  ///< target 0's list on the fresh map
 };
 
 TEST_F(LbFixture, AssignsBestCandidate) {
-  GlobalLoadBalancer lb{&network, &scoring, &mesh};
-  const auto assigned = lb.assign_for_target(0, 1.0);
+  const auto assigned = assign(0, 1.0);
   ASSERT_TRUE(assigned.has_value());
-  EXPECT_EQ(*assigned, scoring.target_candidates(0)[0].deployment);
-  EXPECT_DOUBLE_EQ(network.deployments()[*assigned].load, 1.0);
+  EXPECT_EQ(assigned->deployment, candidates[0].deployment);
+  EXPECT_DOUBLE_EQ(mapping.loads().load(assigned->deployment), 1.0);
 }
 
 TEST_F(LbFixture, SkipsDeadCluster) {
-  GlobalLoadBalancer lb{&network, &scoring, &mesh};
-  const auto candidates = scoring.target_candidates(0);
   network.set_cluster_alive(candidates[0].deployment, false);
-  const auto assigned = lb.assign_for_target(0, 1.0);
+  mapping.rescore();
+  const auto assigned = assign(0, 1.0);
   ASSERT_TRUE(assigned.has_value());
-  EXPECT_EQ(*assigned, candidates[1].deployment);
+  EXPECT_EQ(assigned->deployment, candidates[1].deployment);
+  // The republished list holds live clusters only.
+  EXPECT_EQ(list_of(0)[0], candidates[1]);
 }
 
 TEST_F(LbFixture, SpillsOnOverload) {
-  GlobalLoadBalancer lb{&network, &scoring, &mesh};
-  const auto candidates = scoring.target_candidates(0);
-  network.deployments()[candidates[0].deployment].load = 99.5;  // capacity 100
-  const auto assigned = lb.assign_for_target(0, 1.0);
+  (void)mapping.loads().add(candidates[0].deployment, 99.5);  // capacity 100
+  const auto assigned = assign(0, 1.0);
   ASSERT_TRUE(assigned.has_value());
-  EXPECT_EQ(*assigned, candidates[1].deployment);
+  EXPECT_EQ(assigned->deployment, candidates[1].deployment);
 }
 
-TEST_F(LbFixture, LoadUnawareIgnoresCapacity) {
-  GlobalLbConfig config;
-  config.load_aware = false;
-  GlobalLoadBalancer lb{&network, &scoring, &mesh, config};
-  const auto candidates = scoring.target_candidates(0);
-  network.deployments()[candidates[0].deployment].load = 1e12;
-  const auto assigned = lb.assign_for_target(0, 1.0);
-  ASSERT_TRUE(assigned.has_value());
-  EXPECT_EQ(*assigned, candidates[0].deployment);
-}
-
+// With every listed cluster dead or full, the decision scans the whole
+// column and takes the best usable cluster by (score, id).
 TEST_F(LbFixture, FullScanFallbackWhenCandidatesDead) {
-  GlobalLoadBalancer lb{&network, &scoring, &mesh};
-  for (const Candidate& c : scoring.target_candidates(0)) {
-    if (std::isfinite(c.score_ms)) network.set_cluster_alive(c.deployment, false);
+  network.set_cluster_alive(candidates[0].deployment, false);
+  network.set_cluster_alive(candidates[1].deployment, false);
+  mapping.rescore();
+  const std::vector<Candidate> live = list_of(0);
+  for (const Candidate& c : live) (void)mapping.loads().add(c.deployment, 100.0);
+
+  std::optional<DeploymentId> best;
+  for (std::size_t d = 0; d < network.size(); ++d) {
+    const Deployment& cluster = network.deployments()[d];
+    if (!cluster.alive || mapping.loads().load(d) + 1.0 > cluster.capacity) continue;
+    if (!best || mapping.mesh().rtt_ms(d, 0) < mapping.mesh().rtt_ms(*best, 0)) {
+      best = static_cast<DeploymentId>(d);
+    }
   }
-  const auto assigned = lb.assign_for_target(0, 1.0);
+  ASSERT_TRUE(best.has_value());
+  const auto assigned = assign(0, 1.0);
   ASSERT_TRUE(assigned.has_value());
-  EXPECT_TRUE(network.deployments()[*assigned].alive);
+  EXPECT_EQ(assigned->deployment, *best);
+  EXPECT_TRUE(network.deployments()[assigned->deployment].alive);
+  EXPECT_TRUE(std::none_of(live.begin(), live.end(), [&](const Candidate& c) {
+    return c.deployment == assigned->deployment;
+  }));
 }
 
 TEST_F(LbFixture, NulloptWhenEverythingDead) {
-  GlobalLoadBalancer lb{&network, &scoring, &mesh};
   for (std::size_t d = 0; d < network.size(); ++d) {
     network.set_cluster_alive(static_cast<DeploymentId>(d), false);
   }
-  EXPECT_FALSE(lb.assign_for_target(0, 1.0).has_value());
+  mapping.rescore();
+  EXPECT_FALSE(assign(0, 1.0).has_value());
 }
 
-TEST_F(LbFixture, OverloadFactorExtendsCapacity) {
-  GlobalLbConfig config;
-  config.overload_factor = 2.0;
-  GlobalLoadBalancer lb{&network, &scoring, &mesh, config};
-  const auto candidates = scoring.target_candidates(0);
-  network.deployments()[candidates[0].deployment].load = 150.0;  // 1.5x capacity
-  const auto assigned = lb.assign_for_target(0, 1.0);
-  ASSERT_TRUE(assigned.has_value());
-  EXPECT_EQ(*assigned, candidates[0].deployment);
+// ---------- local load balancing: rendezvous hashing in the cluster ----------
+
+/// A one-cluster network: every decision lands on cluster 0, so the
+/// answer's servers are the local choice alone.
+struct OneCluster {
+  explicit OneCluster(std::size_t servers)
+      : network(CdnNetwork::build(tiny_world(), 1, servers)),
+        mapping(&tiny_world(), &network, &test_latency(), MappingConfig{}) {}
+
+  [[nodiscard]] ServerList servers(std::string_view domain) const {
+    ServerList out;
+    mapping.snapshot()->pick_servers(0, domain, out);
+    return out;
+  }
+
+  CdnNetwork network;
+  MappingSystem mapping;
+};
+
+TEST(Rendezvous, SameDomainSameServers) {
+  const OneCluster fx{8};
+  const auto first = fx.mapping.map_block(0, "www.shop.example");
+  const auto second = fx.mapping.map_block(17, "www.shop.example");
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(first->servers, second->servers);
+  EXPECT_EQ(first->servers.size(), 2U);
+  EXPECT_EQ(first->servers, fx.servers("www.shop.example"));
 }
 
-// ---------- LocalLoadBalancer ----------
-
-TEST(LocalLoadBalancer, SameDomainSameServers) {
-  CdnNetwork network = CdnNetwork::build(tiny_world(), 1, 8);
-  Deployment& cluster = network.deployments()[0];
-  const LocalLoadBalancer lb{2};
-  const auto first = lb.pick_servers(cluster, "www.shop.example");
-  const auto second = lb.pick_servers(cluster, "www.shop.example");
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first.size(), 2U);
-}
-
-TEST(LocalLoadBalancer, DifferentDomainsSpreadAcrossServers) {
-  CdnNetwork network = CdnNetwork::build(tiny_world(), 1, 8);
-  Deployment& cluster = network.deployments()[0];
-  const LocalLoadBalancer lb{2};
+TEST(Rendezvous, DifferentDomainsSpreadAcrossServers) {
+  const OneCluster fx{8};
   std::set<std::uint32_t> used;
   for (int i = 0; i < 40; ++i) {
-    const auto servers = lb.pick_servers(cluster, "domain-" + std::to_string(i) + ".example");
-    for (const net::IpAddr& s : servers) used.insert(s.v4().value());
+    for (const net::IpAddr& s : fx.servers("domain-" + std::to_string(i) + ".example")) {
+      used.insert(s.v4().value());
+    }
   }
   EXPECT_GE(used.size(), 6U);  // rendezvous hashing spreads domains
 }
 
-TEST(LocalLoadBalancer, SkipsDeadServers) {
-  CdnNetwork network = CdnNetwork::build(tiny_world(), 1, 4);
-  Deployment& cluster = network.deployments()[0];
-  const LocalLoadBalancer lb{2};
-  const auto before = lb.pick_servers(cluster, "x.example");
+TEST(Rendezvous, SkipsDeadServers) {
+  OneCluster fx{4};
+  const ServerList before = fx.servers("x.example");
+  ASSERT_EQ(before.size(), 2U);
   // Kill the first-ranked server; the answer changes but stays live.
+  const Deployment& cluster = fx.network.deployments()[0];
   for (std::size_t i = 0; i < cluster.servers.size(); ++i) {
     if (net::IpAddr{cluster.servers[i].address} == before[0]) {
-      cluster.servers[i].alive = false;
+      fx.network.set_server_alive(0, i, false);
     }
   }
-  const auto after = lb.pick_servers(cluster, "x.example");
+  fx.mapping.rescore();
+  const ServerList after = fx.servers("x.example");
   EXPECT_EQ(after.size(), 2U);
   EXPECT_EQ(std::find(after.begin(), after.end(), before[0]), after.end());
   // Minimal disruption: the surviving pick is retained.
   EXPECT_NE(std::find(after.begin(), after.end(), before[1]), after.end());
 }
 
-TEST(LocalLoadBalancer, DegradedClusterReturnsFewer) {
-  CdnNetwork network = CdnNetwork::build(tiny_world(), 1, 2);
-  Deployment& cluster = network.deployments()[0];
-  cluster.servers[0].alive = false;
-  const LocalLoadBalancer lb{2};
-  EXPECT_EQ(lb.pick_servers(cluster, "x.example").size(), 1U);
-  cluster.servers[1].alive = false;
-  EXPECT_TRUE(lb.pick_servers(cluster, "x.example").empty());
-}
-
-TEST(LocalLoadBalancer, ServerCapacitySkipsLoaded) {
-  CdnNetwork network = CdnNetwork::build(tiny_world(), 1, 3);
-  Deployment& cluster = network.deployments()[0];
-  const LocalLoadBalancer lb{2};
-  const auto initial = lb.pick_servers(cluster, "y.example", 5.0, 8.0);
-  EXPECT_EQ(initial.size(), 2U);
-  // The two picked servers carry 2.5 each; a further 7-unit request
-  // exceeds their capacity of 8, so the third server must be chosen.
-  const auto next = lb.pick_servers(cluster, "y.example", 7.0, 8.0);
-  ASSERT_EQ(next.size(), 1U);
-  EXPECT_EQ(std::find(initial.begin(), initial.end(), next[0]), initial.end());
+TEST(Rendezvous, DegradedClusterReturnsFewer) {
+  OneCluster fx{2};
+  fx.network.set_server_alive(0, 0, false);
+  fx.mapping.rescore();
+  EXPECT_EQ(fx.servers("x.example").size(), 1U);
+  fx.network.set_server_alive(0, 1, false);
+  fx.mapping.rescore();
+  EXPECT_TRUE(fx.servers("x.example").empty());
+  EXPECT_FALSE(fx.mapping.map_block(0, "x.example").has_value());
 }
 
 }  // namespace

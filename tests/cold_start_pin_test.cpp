@@ -3,62 +3,31 @@
 // cluster scores off, one scoring shard — perfbench's build_stack).
 //
 // Each table the path produces is hashed with FNV-1a over its exact bits:
-// the generated world, every ping-mesh cell, the mapping-unit partition,
-// the mapping system's per-target candidate lists and the first
-// snapshot's per-unit candidates. The hex strings were recorded from the
-// implementation that ranked anycast sites inside std::sort's comparator,
-// measured the mesh through two haversines per cell and scored every
-// column with a partial_sort, so a speed-up that moves any output bit of
-// world generation, measurement, partitioning or scoring fails here, and
-// the failing component names the table that moved. Every unit of this
-// world is a single target, so the last two tables hash alike.
+// the generated world, every ping-mesh cell, the mapping-unit partition
+// and the first snapshot's per-unit candidates. The hex strings were
+// recorded from the implementation that ranked anycast sites inside
+// std::sort's comparator, measured the mesh through two haversines per
+// cell and scored every column with a partial_sort, so a speed-up that
+// moves any output bit of world generation, measurement, partitioning or
+// scoring fails here, and the failing component names the table that
+// moved. Every unit of this world is a single target, so the snapshot's
+// hash is also the one its per-target candidate lists had when the
+// mapping system still kept them.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <string>
-#include <string_view>
 
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
+#include "cdn/mapping_units.h"
 #include "control/map_maker.h"
-#include "control/map_snapshot.h"
+#include "pin_hash.h"
 #include "topo/world_gen.h"
 
 namespace eum {
 namespace {
 
-/// 64-bit FNV-1a over the bytes of the values fed to it.
-class Fnv {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void u64(std::uint64_t value) { bytes(&value, sizeof value); }
-  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void f32(float value) { u64(std::bit_cast<std::uint32_t>(value)); }
-  void text(std::string_view value) {
-    u64(value.size());
-    bytes(value.data(), value.size());
-  }
-  void point(const geo::GeoPoint& p) {
-    f64(p.lat_deg);
-    f64(p.lon_deg);
-  }
-
-  [[nodiscard]] std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash_));
-    return buf;
-  }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using testing::Fnv;
 
 struct BenchmarkStack {
   topo::World world;
@@ -141,7 +110,7 @@ TEST(ColdStartPin, BenchmarkWorldTablesAreUnchanged) {
     }
   }
 
-  const control::MappingUnits& units = stack.maker.units();
+  const cdn::MappingUnits& units = stack.maker.units();
   Fnv units_hash;
   units_hash.u64(units.unit_count());
   units_hash.u64(units.fingerprint());
@@ -149,20 +118,11 @@ TEST(ColdStartPin, BenchmarkWorldTablesAreUnchanged) {
     units_hash.u64(units.unit_of(static_cast<topo::PingTargetId>(t)));
   }
 
-  Fnv scoring_hash;
-  for (std::size_t t = 0; t < world.ping_targets.size(); ++t) {
-    for (const cdn::Candidate& candidate :
-         stack.mapping.scoring().target_candidates(static_cast<topo::PingTargetId>(t))) {
-      scoring_hash.u64(candidate.deployment);
-      scoring_hash.f32(candidate.score_ms);
-    }
-  }
-
   const auto snapshot = stack.maker.current();
   Fnv snapshot_hash;
   for (std::size_t u = 0; u < units.unit_count(); ++u) {
     for (const cdn::Candidate& candidate :
-         snapshot->unit_candidates(static_cast<control::MappingUnits::UnitId>(u))) {
+         snapshot->unit_candidates(static_cast<cdn::MappingUnits::UnitId>(u))) {
       snapshot_hash.u64(candidate.deployment);
       snapshot_hash.f32(candidate.score_ms);
     }
@@ -174,7 +134,6 @@ TEST(ColdStartPin, BenchmarkWorldTablesAreUnchanged) {
   EXPECT_EQ(world_hash.hex(), "286145c988613ec7");
   EXPECT_EQ(mesh_hash.hex(), "48db8d2ee7523061");
   EXPECT_EQ(units_hash.hex(), "a67429a5c440aac7");
-  EXPECT_EQ(scoring_hash.hex(), "796061d9628cc42e");
   EXPECT_EQ(snapshot_hash.hex(), "796061d9628cc42e");
 }
 

@@ -18,12 +18,12 @@
 #include <vector>
 
 #include "cdn/liveness.h"
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
+#include "cdn/mapping_units.h"
 #include "cdn/ping_mesh.h"
 #include "cdn/scoring.h"
 #include "control/map_maker.h"
-#include "control/map_snapshot.h"
-#include "control/mapping_units.h"
 #include "test_world.h"
 #include "util/shard_pool.h"
 #include "util/sim_clock.h"
@@ -32,6 +32,9 @@ namespace eum::control {
 namespace {
 
 using namespace std::chrono_literals;
+using cdn::MappingUnits;
+using cdn::MappingUnitsConfig;
+using cdn::MapSnapshot;
 using testing::test_latency;
 using testing::tiny_world;
 
@@ -158,28 +161,31 @@ TEST(MappingUnits, RejectsBadEpsilon) {
 // ---------------------------------------------------------------------------
 // Delta rebuilds: incremental output is pinned to full-rebuild output
 // across a liveness flap sequence (kill, partial server kill, revive,
-// multi-kill) — the serving-equality contract of ISSUE 9's tentpole.
+// multi-kill). The map maker's every rebuild is a delta against the
+// mapping system's current map; the full reference is a direct build of
+// the same state with no previous generation.
 
 struct DeltaFixture {
   const topo::World& world = tiny_world();
   cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
   cdn::MappingSystem mapping{&world, &network, &test_latency(), cdn::MappingConfig{}};
+
+  /// A from-scratch full build of the current liveness (not published).
+  [[nodiscard]] std::shared_ptr<const MapSnapshot> full_build(util::ShardPool* pool = nullptr) {
+    return MapSnapshot::build(mapping, mapping.version() + 1, util::SimTime{0}, {pool, {}});
+  }
 };
 
 TEST(DeltaRebuild, IncrementalEqualsFullAcrossFlapSequence) {
   DeltaFixture fx;
   MapMakerConfig inc_config;
-  inc_config.incremental = true;
   inc_config.scoring_shards = 3;
-  MapMakerConfig full_config;
-  full_config.incremental = false;
-  full_config.scoring_shards = 1;
   MapMaker incremental{&fx.mapping, nullptr, inc_config};
-  MapMaker full{&fx.mapping, nullptr, full_config};
 
   const auto compare = [&](const char* step) {
     const auto inc_snapshot = incremental.rebuild_now(true);
-    const auto full_snapshot = full.rebuild_now(true);
+    const auto full_snapshot = fx.full_build();
+    EXPECT_TRUE(inc_snapshot->delta()) << step;
     ASSERT_TRUE(inc_snapshot->serving_equal(*full_snapshot)) << step;
     EXPECT_FALSE(full_snapshot->delta()) << step;
     for (topo::LdnsId ldns = 0; ldns < 15; ++ldns) {
@@ -233,11 +239,7 @@ TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
   ASSERT_GT(fx.network.size(), 2 * top_k);
   MapMakerConfig inc_config;
   inc_config.scoring_shards = 3;
-  MapMakerConfig full_config;
-  full_config.incremental = false;
-  full_config.scoring_shards = 1;
   MapMaker incremental{&fx.mapping, nullptr, inc_config};
-  MapMaker full{&fx.mapping, nullptr, full_config};
 
   // Unit 0's live deployments in (score, id) order on its representative.
   const MappingUnits::UnitId unit = 0;
@@ -261,7 +263,7 @@ TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
 
   const auto inc_snapshot = incremental.rebuild_now(true);
   EXPECT_TRUE(inc_snapshot->delta());
-  ASSERT_TRUE(inc_snapshot->serving_equal(*full.rebuild_now(true)));
+  ASSERT_TRUE(inc_snapshot->serving_equal(*fx.full_build()));
   const std::vector<cdn::Candidate> survivors = live_ranking();
   ASSERT_GE(survivors.size(), top_k);
   const auto candidates = inc_snapshot->unit_candidates(unit);
@@ -269,7 +271,7 @@ TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
   for (std::size_t i = 0; i < top_k; ++i) EXPECT_EQ(candidates[i], survivors[i]) << "slot " << i;
 
   for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(best[i].deployment, true);
-  EXPECT_TRUE(incremental.rebuild_now(true)->serving_equal(*full.rebuild_now(true)));
+  EXPECT_TRUE(incremental.rebuild_now(true)->serving_equal(*fx.full_build()));
   EXPECT_EQ(incremental.current()->unit_candidates(unit)[0], best[0]);
 }
 
@@ -278,23 +280,17 @@ TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
 // with dead clusters.
 TEST(DeltaRebuild, ShardedFullBuildEqualsSerial) {
   DeltaFixture fx;
-  MapMakerConfig serial_config;
-  serial_config.incremental = false;
-  serial_config.scoring_shards = 1;
-  MapMakerConfig sharded_config = serial_config;
-  sharded_config.scoring_shards = 4;
-  MapMaker serial{&fx.mapping, nullptr, serial_config};
-  MapMaker sharded{&fx.mapping, nullptr, sharded_config};
+  util::ShardPool pool{3};
   // The full pass goes to the pool only from 256 units.
-  ASSERT_GE(serial.units().unit_count(), 256U);
-  EXPECT_TRUE(sharded.current()->serving_equal(*serial.current()));
+  ASSERT_GE(fx.mapping.units().unit_count(), 256U);
+  EXPECT_TRUE(fx.full_build(&pool)->serving_equal(*fx.full_build()));
 
   fx.network.set_cluster_alive(3, false);
   fx.network.set_cluster_alive(17, false);
-  EXPECT_TRUE(sharded.rebuild_now(true)->serving_equal(*serial.rebuild_now(true)));
+  EXPECT_TRUE(fx.full_build(&pool)->serving_equal(*fx.full_build()));
   fx.network.set_cluster_alive(3, true);
   fx.network.set_cluster_alive(17, true);
-  EXPECT_TRUE(sharded.rebuild_now(true)->serving_equal(*serial.rebuild_now(true)));
+  EXPECT_TRUE(fx.full_build(&pool)->serving_equal(*fx.full_build()));
 }
 
 TEST(DeltaRebuild, SnapshotExposesTheUnitPartition) {

@@ -1,8 +1,8 @@
 // src/control: the map-maker control plane. Covers the staged roll-out
-// controller, frozen map snapshots + the shared load ledger, the map
-// maker's publish/skip/tick logic, and (TSan-gated via
+// controller, the mapping system's frozen map snapshots + the shared load
+// ledger, the map maker's publish/skip/tick logic, and (TSan-gated via
 // scripts/tsan_check.sh) lock-free serving over real UDP sockets while
-// the map maker republishes in a tight loop.
+// the map is republished in a tight loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "cdn/liveness.h"
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
 #include "control/map_maker.h"
-#include "control/map_snapshot.h"
 #include "control/rollout_controller.h"
 #include "dnsserver/udp.h"
 #include "obs/metrics.h"
@@ -130,48 +130,31 @@ TEST(RolloutController, GateSwitchesEcsScopeOnTheDnsPath) {
 // ---------------------------------------------------------------------------
 // MapSnapshot
 
-TEST(MapSnapshot, MatchesLiveMappingOnFreshState) {
-  const topo::World& world = tiny_world();
-  cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
-  cdn::MappingSystem mapping{&world, &network, &test_latency(), cdn::MappingConfig{}};
-  auto ledger = std::make_shared<LoadLedger>(network.size());
-  const auto snapshot = MapSnapshot::build(mapping, ledger, 1, util::SimTime{0});
-
-  // Zero-load decisions must agree with the live path: same cluster, same
-  // rendezvous-hashed servers (cache affinity across publish generations).
-  for (topo::LdnsId ldns = 0; ldns < 20; ++ldns) {
-    const std::optional<topo::BlockId> block =
-        ldns % 2 == 0 ? std::optional<topo::BlockId>{ldns * 7} : std::nullopt;
-    const auto frozen = snapshot->map(ldns, block, "www.g.cdn.example");
-    const auto live = mapping.map(ldns, block, "www.g.cdn.example");
-    ASSERT_EQ(frozen.has_value(), live.has_value());
-    if (!frozen) continue;
-    EXPECT_EQ(frozen->deployment, live->deployment);
-    EXPECT_EQ(frozen->servers, live->servers);
-    EXPECT_FLOAT_EQ(frozen->expected_rtt_ms, live->expected_rtt_ms);
-  }
-}
+using cdn::MapSnapshot;
 
 TEST(MapSnapshot, FreezesLivenessAtBuildTime) {
   const topo::World& world = tiny_world();
   cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
   cdn::MappingSystem mapping{&world, &network, &test_latency(), cdn::MappingConfig{}};
-  auto ledger = std::make_shared<LoadLedger>(network.size());
-  const auto old_map = MapSnapshot::build(mapping, ledger, 1, util::SimTime{0});
+  const auto old_map = mapping.snapshot();
 
   const auto pick = old_map->map(0, std::nullopt, "x.example");
   ASSERT_TRUE(pick.has_value());
   const cdn::DeploymentId victim = pick->deployment;
 
-  // Kill the chosen cluster after the build: the old generation keeps
-  // serving it (frozen view), the next build routes around it.
+  // Kill the chosen cluster: the current generation keeps serving it
+  // (frozen view) until the next one is published, which routes around it.
   network.set_cluster_alive(victim, false);
-  const auto rebuilt = MapSnapshot::build(mapping, ledger, 2, util::SimTime{1});
+  ASSERT_EQ(mapping.map_ldns(0, "x.example")->deployment, victim);
+  mapping.rescore();
+  const auto rebuilt = mapping.snapshot();
+  EXPECT_EQ(rebuilt->version(), 2U);
   EXPECT_FALSE(old_map->clusters()[victim].servers.empty());
   EXPECT_TRUE(rebuilt->clusters()[victim].servers.empty());
-  const auto rerouted = rebuilt->map(0, std::nullopt, "x.example");
+  const auto rerouted = mapping.map_ldns(0, "x.example");
   ASSERT_TRUE(rerouted.has_value());
   EXPECT_NE(rerouted->deployment, victim);
+  EXPECT_EQ(old_map->map(0, std::nullopt, "x.example")->deployment, victim);
   network.set_cluster_alive(victim, true);
 }
 
@@ -180,12 +163,11 @@ TEST(MapSnapshot, LedgerCarriesLoadAcrossGenerations) {
   // Tiny capacity so a few charged sessions overload a cluster.
   cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 20, 4, /*cluster_capacity=*/10.0);
   cdn::MappingSystem mapping{&world, &network, &test_latency(), cdn::MappingConfig{}};
-  auto ledger = std::make_shared<LoadLedger>(network.size());
-  const auto first = MapSnapshot::build(mapping, ledger, 1, util::SimTime{0});
+  const auto first = mapping.snapshot();
 
   const auto initial = first->map(0, std::nullopt, "x.example", 8.0);
   ASSERT_TRUE(initial.has_value());
-  EXPECT_DOUBLE_EQ(ledger->load(initial->deployment), 8.0);
+  EXPECT_DOUBLE_EQ(mapping.loads().load(initial->deployment), 8.0);
 
   // The favourite is now too full for another 8 units: the snapshot's
   // global LB must spill to the next candidate.
@@ -195,29 +177,32 @@ TEST(MapSnapshot, LedgerCarriesLoadAcrossGenerations) {
 
   // A republish shares the ledger: the new generation still sees the
   // load and keeps spilling (load state is continuous across maps).
-  const auto second = MapSnapshot::build(mapping, ledger, 2, util::SimTime{1});
+  mapping.rescore();
+  const auto second = mapping.snapshot();
+  ASSERT_NE(second, first);
   EXPECT_DOUBLE_EQ(second->loads().load(initial->deployment), 8.0);
   const auto still_spilled = second->map(0, std::nullopt, "x.example", 8.0);
   ASSERT_TRUE(still_spilled.has_value());
   EXPECT_NE(still_spilled->deployment, initial->deployment);
 }
 
-// A snapshot serves its CANS lists from the mapping system's own Scoring,
-// not a second copy, and keeps those tables alive across a rescore().
+// Every generation serves its CANS lists from the mapping system's own
+// Scoring, not a copy: scores never depend on liveness, so a rescore()
+// republishes against the same tables.
 TEST(MapSnapshot, SharesTheMappingSystemsScoring) {
   const topo::World& world = tiny_world();
   cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
   cdn::MappingConfig config;
   config.policy = cdn::MappingPolicy::client_aware_ns;
   cdn::MappingSystem mapping{&world, &network, &test_latency(), config};
-  const std::weak_ptr<const cdn::Scoring> tables = mapping.shared_scoring();
-  const auto snapshot = MapSnapshot::build(mapping, std::make_shared<LoadLedger>(network.size()),
-                                           1, util::SimTime{0});
-  EXPECT_EQ(tables.use_count(), 2);  // the mapping system and the snapshot
+  const auto snapshot = mapping.snapshot();
+  EXPECT_EQ(&snapshot->scoring(), &mapping.scoring());
   const auto before = snapshot->map(3, std::nullopt, "x.example");
   mapping.rescore();
-  EXPECT_EQ(tables.use_count(), 1);  // the snapshot alone
-  const auto after = snapshot->map(3, std::nullopt, "x.example");
+  const auto republished = mapping.snapshot();
+  EXPECT_EQ(&republished->scoring(), &mapping.scoring());
+  EXPECT_TRUE(republished->serving_equal(*snapshot));
+  const auto after = republished->map(3, std::nullopt, "x.example");
   ASSERT_TRUE(before.has_value());
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->deployment, before->deployment);
@@ -228,15 +213,12 @@ TEST(MapSnapshot, SharesTheMappingSystemsScoring) {
 TEST(MapSnapshot, RejectsTopKBeyondTheTileScratch) {
   const topo::World& world = tiny_world();
   cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
-  auto ledger = std::make_shared<LoadLedger>(network.size());
   cdn::MappingConfig config;
   config.scoring_top_k = 256;
   const cdn::MappingSystem widest{&world, &network, &test_latency(), config};
-  const auto snapshot = MapSnapshot::build(widest, ledger, 1, util::SimTime{0});
-  EXPECT_EQ(snapshot->unit_candidates(0).size(), 256U);
+  EXPECT_EQ(widest.snapshot()->unit_candidates(0).size(), 256U);
   config.scoring_top_k = 257;
-  const cdn::MappingSystem too_wide{&world, &network, &test_latency(), config};
-  EXPECT_THROW((void)MapSnapshot::build(too_wide, ledger, 1, util::SimTime{0}),
+  EXPECT_THROW((cdn::MappingSystem{&world, &network, &test_latency(), config}),
                std::invalid_argument);
 }
 
@@ -435,7 +417,6 @@ TEST(ControlConcurrency, FastPathServesEveryEcsQueryUnderChurn) {
   MapMakerConfig config;
   config.publish_unchanged = true;
   MapMaker maker{&fx.mapping, nullptr, config};
-  maker.install_fast_path();
 
   // The real serving stack: mapping handler behind a resolver-fallback
   // patch (loopback clients are not in the world), four UDP workers.

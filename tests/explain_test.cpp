@@ -27,8 +27,8 @@ using testing::tiny_world;
 using Source = DecisionExplainer::ResolverSource;
 
 /// The serving stack the explain must agree with: mapping behind a
-/// roll-out gate, map maker publishing snapshots, fast path installed so
-/// dns_handler serves from the SAME snapshot explain() replays against.
+/// roll-out gate, map maker publishing snapshots, so dns_handler serves
+/// from the SAME snapshot explain() replays against.
 struct ExplainFixture {
   const topo::World& world = tiny_world();
   cdn::CdnNetwork network;
@@ -48,7 +48,6 @@ struct ExplainFixture {
         }()),
         maker(&mapping) {
     mapping.set_end_user_gate(rollout.gate());
-    maker.install_fast_path();
     handler = mapping.dns_handler();
   }
 
@@ -123,9 +122,9 @@ TEST(DecisionExplain, GateOpenMatchesServedClientBlockAnswer) {
   // Exactly one candidate is marked chosen, and it is the answer.
   const auto chosen = std::count_if(
       explanation.map.candidates.begin(), explanation.map.candidates.end(),
-      [](const MapSnapshot::ExplainCandidate& c) { return c.chosen; });
+      [](const cdn::MapSnapshot::ExplainCandidate& c) { return c.chosen; });
   EXPECT_EQ(chosen, 1);
-  for (const MapSnapshot::ExplainCandidate& candidate : explanation.map.candidates) {
+  for (const cdn::MapSnapshot::ExplainCandidate& candidate : explanation.map.candidates) {
     if (candidate.chosen) {
       EXPECT_EQ(candidate.deployment, explanation.map.result->deployment);
     }

@@ -143,6 +143,7 @@ TEST_F(PipelineFixture, ClusterFailureReroutesClients) {
   const cdn::Deployment* cluster = network.deployment_of(before[0]);
   ASSERT_NE(cluster, nullptr);
   network.set_cluster_alive(cluster->id, false);
+  mapping.rescore();
   const auto after = resolve(block, ldns, false);
   ASSERT_FALSE(after.empty());
   EXPECT_NE(network.deployment_of(after[0])->id, cluster->id);

@@ -141,6 +141,7 @@ TEST_F(LivenessFixture, MonitorDrivenFailoverEndToEnd) {
     clock.advance(2);
     (void)monitor.tick();
   }
+  mapping.rescore();  // what a map maker watching the monitor does
   const auto after = mapping.map_block(0, "mon.example");
   ASSERT_TRUE(after.has_value());
   EXPECT_NE(after->deployment, victim);

@@ -2,6 +2,11 @@
 // end-user vs client-aware-NS decisions, and the DNS integration.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
 #include "dnsserver/transport.h"
 #include "geo/coords.h"
@@ -112,9 +117,55 @@ TEST_F(MappingFixture, DeadClusterAvoided) {
   const auto first = mapping.map_block(9, "c.example");
   ASSERT_TRUE(first.has_value());
   network.set_cluster_alive(first->deployment, false);
+  mapping.rescore();  // liveness reaches the decisions with the next map
   const auto second = mapping.map_block(9, "c.example");
   ASSERT_TRUE(second.has_value());
   EXPECT_NE(second->deployment, first->deployment);
+}
+
+// rescore() republishes beside serving threads: one thread kills and
+// revives a cluster, republishing after every flip, while two threads
+// answer ECS queries through dns_handler(). Each query is answered from
+// whichever generation it loaded. Run under TSan by scripts/tsan_check.sh.
+TEST(MappingSystem, RescoreWhileServing) {
+  const auto& world = tiny_world();
+  CdnNetwork network = CdnNetwork::build(world, 30);
+  MappingSystem mapping{&world, &network, &test_latency(), MappingConfig{}};
+  const DeploymentId victim = mapping.map_block(0, "www.g.cdn.example")->deployment;
+
+  constexpr int kFlips = 60;
+  std::atomic<bool> done{false};
+  std::thread control{[&] {
+    for (int i = 0; i < kFlips; ++i) {
+      network.set_cluster_alive(victim, i % 2 == 1);
+      mapping.rescore();
+    }
+    done.store(true, std::memory_order_release);
+  }};
+
+  std::atomic<int> unanswered{0};
+  std::vector<std::thread> servers;
+  for (int w = 0; w < 2; ++w) {
+    servers.emplace_back([&, w, handler = mapping.dns_handler()] {
+      dnsserver::DynamicQuery query;
+      query.qname = dns::DnsName::from_text("www.g.cdn.example");
+      for (std::size_t i = static_cast<std::size_t>(w); !done.load(std::memory_order_acquire);
+           i += 2) {
+        query.resolver = world.ldnses[i % world.ldnses.size()].address;
+        query.client_block = world.blocks[i % world.blocks.size()].prefix;
+        const auto answer = handler(query);
+        if (!answer || answer->addresses.empty()) unanswered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  control.join();
+  for (std::thread& t : servers) t.join();
+
+  EXPECT_EQ(unanswered.load(std::memory_order_relaxed), 0);
+  EXPECT_EQ(mapping.version(), 1U + kFlips);
+  // The last flip revived the victim: the current map serves it again.
+  EXPECT_FALSE(mapping.snapshot()->clusters()[victim].servers.empty());
+  EXPECT_EQ(mapping.map_block(0, "www.g.cdn.example")->deployment, victim);
 }
 
 TEST(MappingSystem, RejectsNullDependencies) {

@@ -1,6 +1,10 @@
 // Traffic-class scoring (§2.2: different score functions per class).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
 #include "test_world.h"
 
@@ -69,19 +73,30 @@ TEST(TrafficClassScoring, MeshCarriesLossMatrix) {
   }
 }
 
+/// The best-ranked cluster of target `t`'s unit in the current map.
+DeploymentId first_choice(const MappingSystem& mapping, topo::PingTargetId t) {
+  const auto snapshot = mapping.snapshot();
+  return snapshot->unit_candidates(snapshot->units().unit_of(t))[0].deployment;
+}
+
+MappingConfig class_config(TrafficClass klass, std::size_t top_k) {
+  MappingConfig config;
+  config.traffic_class = klass;
+  config.scoring_top_k = top_k;
+  return config;
+}
+
 TEST(TrafficClassScoring, VideoRankingDiffersSomewhere) {
   // Over enough targets, the two classes must disagree on at least one
   // best deployment (a lossy-but-near site loses its rank for video).
   const auto& world = tiny_world();
-  const CdnNetwork network = CdnNetwork::build(world, 40);
-  const PingMesh mesh = PingMesh::measure(world, network, test_latency());
-  const Scoring web = Scoring::build(world, network, mesh, 4, TrafficClass::web);
-  const Scoring video = Scoring::build(world, network, mesh, 4, TrafficClass::video);
+  CdnNetwork network = CdnNetwork::build(world, 40);
+  const MappingSystem web{&world, &network, &test_latency(), class_config(TrafficClass::web, 4)};
+  const MappingSystem video{&world, &network, &test_latency(),
+                            class_config(TrafficClass::video, 4)};
   int differing = 0;
   for (topo::PingTargetId t = 0; t < world.ping_targets.size(); ++t) {
-    if (web.target_candidates(t)[0].deployment != video.target_candidates(t)[0].deployment) {
-      ++differing;
-    }
+    if (first_choice(web, t) != first_choice(video, t)) ++differing;
   }
   EXPECT_GT(differing, 0);
   // But for most targets the nearest site is also clean: broad agreement.
@@ -90,19 +105,80 @@ TEST(TrafficClassScoring, VideoRankingDiffersSomewhere) {
 
 TEST(TrafficClassScoring, VideoChoicesHaveBetterThroughputScore) {
   const auto& world = tiny_world();
-  const CdnNetwork network = CdnNetwork::build(world, 40);
-  const PingMesh mesh = PingMesh::measure(world, network, test_latency());
-  const Scoring web = Scoring::build(world, network, mesh, 1, TrafficClass::web);
-  const Scoring video = Scoring::build(world, network, mesh, 1, TrafficClass::video);
+  CdnNetwork network = CdnNetwork::build(world, 40);
+  const MappingSystem web{&world, &network, &test_latency(), class_config(TrafficClass::web, 1)};
+  const MappingSystem video{&world, &network, &test_latency(),
+                            class_config(TrafficClass::video, 1)};
+  const PingMesh& mesh = web.mesh();
   for (topo::PingTargetId t = 0; t < world.ping_targets.size(); ++t) {
-    const auto web_pick = web.target_candidates(t)[0].deployment;
-    const auto video_pick = video.target_candidates(t)[0].deployment;
+    const auto web_pick = first_choice(web, t);
+    const auto video_pick = first_choice(video, t);
     const float web_video_score =
         path_score(TrafficClass::video, mesh.rtt_ms(web_pick, t), mesh.loss_rate(web_pick, t));
     const float video_video_score = path_score(TrafficClass::video, mesh.rtt_ms(video_pick, t),
                                                mesh.loss_rate(video_pick, t));
     EXPECT_LE(video_video_score, web_video_score + 1e-4F) << "target " << t;
   }
+}
+
+// A unit whose listed clusters are all full spills through the full
+// column scan, and that scan ranks by the class's score like the list
+// did: under video the spill lands on the best-scored usable cluster,
+// not the lowest-RTT one, and explain reports the score it ranked by.
+TEST(TrafficClassScoring, VideoSpillFollowsTheClassScore) {
+  const auto& world = tiny_world();
+  constexpr double kCapacity = 50.0;
+  CdnNetwork network = CdnNetwork::build(world, 40, 8, kCapacity);
+  MappingSystem video{&world, &network, &test_latency(), class_config(TrafficClass::video, 4)};
+  const auto snapshot = video.snapshot();
+  const PingMesh& mesh = video.mesh();
+  const auto video_score = [&](std::size_t d, topo::PingTargetId t) {
+    return path_score(TrafficClass::video, mesh.rtt_ms(d, t), mesh.loss_rate(d, t));
+  };
+
+  // A client block whose unit's best unlisted cluster by score is not
+  // its lowest-RTT unlisted cluster.
+  const topo::ClientBlock* block = nullptr;
+  std::size_t by_score = 0;
+  for (const topo::ClientBlock& candidate : world.blocks) {
+    const topo::PingTargetId t = candidate.ping_target;
+    const auto list = snapshot->unit_candidates(snapshot->units().unit_of(t));
+    const auto listed = [&](std::size_t d) {
+      return std::any_of(list.begin(), list.end(),
+                         [&](const Candidate& c) { return c.deployment == d; });
+    };
+    std::optional<std::size_t> best_score;
+    std::optional<std::size_t> best_rtt;
+    for (std::size_t d = 0; d < network.size(); ++d) {
+      if (listed(d)) continue;
+      if (!best_score || video_score(d, t) < video_score(*best_score, t)) best_score = d;
+      if (!best_rtt || mesh.rtt_ms(d, t) < mesh.rtt_ms(*best_rtt, t)) best_rtt = d;
+    }
+    if (best_score != best_rtt) {
+      block = &candidate;
+      by_score = *best_score;
+      break;
+    }
+  }
+  ASSERT_NE(block, nullptr) << "no unit where the class score and the RTT rank apart";
+
+  // Fill every listed cluster past its capacity through the ledger.
+  const topo::PingTargetId t = block->ping_target;
+  for (const Candidate& c : snapshot->unit_candidates(snapshot->units().unit_of(t))) {
+    (void)video.loads().add(c.deployment, kCapacity + 1.0);
+  }
+  const auto spilled = video.map_block(block->id, "v.example", 1.0);
+  ASSERT_TRUE(spilled.has_value());
+  EXPECT_EQ(spilled->deployment, by_score);
+
+  const MapSnapshot::MapExplanation explained =
+      snapshot->explain(world.primary_ldns(*block).id, block->id, "v.example");
+  ASSERT_TRUE(explained.result.has_value());
+  EXPECT_TRUE(explained.fallback_scan);
+  EXPECT_EQ(explained.result->deployment, by_score);
+  ASSERT_FALSE(explained.candidates.empty());
+  EXPECT_TRUE(explained.candidates.back().chosen);
+  EXPECT_EQ(explained.candidates.back().score_ms, video_score(by_score, t));
 }
 
 TEST(TrafficClassScoring, MappingSystemHonoursClass) {

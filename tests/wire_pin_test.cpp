@@ -1,8 +1,9 @@
 // Byte-identity pins for the serve path's wire output.
 //
 // Each case is a fixed query answered by AuthoritativeServer::handle and
-// serialized by Message::encode on the seeded tiny world with the map
-// maker's snapshot path installed — the path the UDP server serves. The
+// serialized by Message::encode on the seeded tiny world, answered from
+// the mapping system's published snapshot behind a map maker — the path
+// the UDP server serves. The
 // hex strings were recorded from the codec that predates inline names
 // and offset-table compression, so any change to the encoder, the
 // handler or the mapping decision that moves a served byte fails here.
@@ -88,7 +89,6 @@ struct WirePinFixture : ::testing::Test {
       : network(cdn::CdnNetwork::build(tiny_world(), 80)),
         mapping(&tiny_world(), &network, &test_latency(), cdn::MappingConfig{}),
         maker(&mapping) {
-    maker.install_fast_path();
     engine.add_dynamic_domain(DnsName::from_text("g.cdn.example"), mapping.dns_handler());
     engine.add_zone(static_zone());
     mapping.install_two_tier(directory, top, low, DnsName::from_text("b.cdn.example"));
