@@ -14,7 +14,7 @@
 #include "dnsserver/zone_file.h"
 #include "dnsserver/transport.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
+#include "obs/trace.h"
 #include "topo/world_gen.h"
 #include "topo/world_io.h"
 
@@ -191,30 +191,36 @@ dns::Message obs_bench_query() {
 }
 
 /// Fully instrumented serving path: 1-in-16-sampled latency histogram
-/// recording, plus a 1-in-128-sampled structured query log — the
-/// production setup. The acceptance bar is <5% overhead vs
-/// BM_AuthHandleUninstrumented.
+/// recording, plus a flight-recorder QueryTracer around each query that
+/// keeps 1 in 128. Compare with BM_AuthHandleUninstrumented; the tracer
+/// here reads the clock in both begin() and finish(), where the UDP
+/// worker shares one begin() timestamp per rx batch.
 void BM_AuthHandleInstrumented(benchmark::State& state) {
   dnsserver::AuthoritativeServer& authority = obs_bench_authority();
-  static obs::QueryLog query_log{obs::QueryLogConfig{4096, 8, 128}};
+  static obs::FlightRecorder recorder{[] {
+    obs::FlightRecorderConfig config;
+    config.sample_every = 128;
+    return config;
+  }()};
+  obs::QueryTracer tracer{&recorder, 0};
+  const obs::TracerScope trace_scope{&tracer};
   authority.set_latency_tracking(true);
-  authority.set_query_log(&query_log);
   const dns::Message query = obs_bench_query();
   const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
   for (auto _ : state) {
+    tracer.begin();
     benchmark::DoNotOptimize(authority.handle(query, resolver));
+    tracer.finish();
   }
-  authority.set_query_log(nullptr);
 }
 BENCHMARK(BM_AuthHandleInstrumented);
 
-/// Same engine with latency tracking and the query log off: the clock
-/// reads, the sampling tick, and the histogram record are skipped
-/// entirely (counters stay on — they are single relaxed atomics).
+/// Same engine with latency tracking and tracing off: the clock reads,
+/// the sampling tick, and the histogram record are skipped entirely
+/// (counters stay on — they are single relaxed atomics).
 void BM_AuthHandleUninstrumented(benchmark::State& state) {
   dnsserver::AuthoritativeServer& authority = obs_bench_authority();
   authority.set_latency_tracking(false);
-  authority.set_query_log(nullptr);
   const dns::Message query = obs_bench_query();
   const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
   for (auto _ : state) {

@@ -28,8 +28,9 @@
 // ECS scope, candidate cluster scores, chosen servers) against the
 // currently published map snapshot.
 //
-// --trace-sample=N records every Nth query's trace spans into the
-// flight recorder (default 64; 1 = every query; negative disables
+// --trace-sample=N records every Nth query into the flight recorder —
+// client, ECS source prefix, qname, qtype, answer source, rcode, latency
+// and trace spans (default 64; 1 = every query; negative disables
 // tracing). Anomalous queries — slow, SERVFAIL, stale-served, worker
 // exception, send error — are always retained regardless of sampling;
 // drain them with the admin channel's `traces` command as NDJSON.
@@ -57,8 +58,9 @@
 // With --metrics the full obs::MetricsRegistry — authority, resolver,
 // scoped-cache, control-plane, and per-worker UDP counters plus
 // latency-percentile histograms — is dumped every 10 seconds in both
-// Prometheus text format and as a stats::Table, and the sampled
-// structured query log is drained to stderr as NDJSON. Sending SIGUSR1
+// Prometheus text format and as a stats::Table, and the flight recorder
+// is drained to stderr as NDJSON (the same records the admin `traces`
+// command drains; whichever drains first gets them). Sending SIGUSR1
 // triggers one extra dump on demand (with or without --metrics):
 //   kill -USR1 $(pidof ecs_dns_server)
 //
@@ -91,7 +93,6 @@
 #include "obs/admin.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
 #include "obs/trace.h"
 #include "stats/table.h"
 #include "topo/world_gen.h"
@@ -107,15 +108,19 @@ volatile std::sig_atomic_t g_dump_requested = 0;
 void on_sigusr1(int) { g_dump_requested = 1; }
 
 /// One full observability dump: Prometheus exposition + table to stdout,
-/// freshly logged query records to stderr as NDJSON.
-void dump_observability(const obs::MetricsRegistry& registry, obs::QueryLog& query_log) {
+/// freshly recorded per-query records to stderr as NDJSON.
+void dump_observability(const obs::MetricsRegistry& registry, obs::FlightRecorder& recorder) {
   const obs::MetricsSnapshot snapshot = registry.snapshot();
   std::printf("--- metrics (prometheus) ---\n%s", obs::render_prometheus(snapshot).c_str());
   std::printf("--- metrics (table) ---\n%s\n", obs::render_table(snapshot).render().c_str());
-  const std::size_t drained = query_log.drain_to(stderr);
-  std::printf("--- query log: %zu record%s drained to stderr (%llu dropped) ---\n", drained,
-              drained == 1 ? "" : "s",
-              static_cast<unsigned long long>(query_log.dropped()));
+  const std::vector<obs::TraceRecord> records = recorder.drain();
+  for (const obs::TraceRecord& record : records) {
+    std::fprintf(stderr, "%s\n", obs::FlightRecorder::to_ndjson(record).c_str());
+  }
+  std::fflush(stderr);
+  std::printf("--- flight recorder: %zu record%s drained to stderr (%llu overwritten) ---\n",
+              records.size(), records.size() == 1 ? "" : "s",
+              static_cast<unsigned long long>(recorder.overwritten()));
   std::fflush(stdout);
 }
 
@@ -172,7 +177,6 @@ int main(int argc, char** argv) {
   // the demo recursive resolver (and its scoped cache), and the UDP
   // front end all record into it, so one snapshot covers everything.
   obs::MetricsRegistry registry;
-  obs::QueryLog query_log{obs::QueryLogConfig{4096, 8, 1}};
 
   // Control plane: the map maker rebuilds and publishes the mapping
   // system's immutable map snapshots, counted in the shared registry's
@@ -196,7 +200,6 @@ int main(int argc, char** argv) {
   // whoami TXT responder. Unknown resolvers (like 127.0.0.1) fall back to
   // a default LDNS so interactive dig queries still get answers.
   dnsserver::AuthoritativeServer engine{&registry};
-  engine.set_query_log(&query_log);
   const topo::Ldns& fallback_ldns = world.ldnses.front();
   auto inner = mapping.dns_handler();
   engine.add_dynamic_domain(
@@ -357,7 +360,11 @@ int main(int argc, char** argv) {
     resolver_config.serve_stale_window = 300;
     dnsserver::RecursiveResolver resolver{resolver_config, &clock, &injector,
                                           world.ldnses.front().address};
-    resolver.set_query_log(&query_log);
+    // Each resolution is one flight-recorder record, traced like a UDP
+    // datagram; the worker id past the UDP workers' marks its records.
+    obs::QueryTracer tracer{trace_sample >= 0 ? &recorder : nullptr,
+                            static_cast<std::uint32_t>(workers)};
+    const obs::TracerScope trace_scope{&tracer};
     const auto qname = dns::DnsName::from_text("www.g.cdn.example");
     std::uint64_t hits = 0;
     for (int round = 0; round < 3; ++round) {
@@ -367,7 +374,10 @@ int main(int argc, char** argv) {
         const auto query = dns::Message::make_query(
             static_cast<std::uint16_t>(1000 + round * 16 + static_cast<int>(b)), qname,
             dns::RecordType::A);
+        tracer.begin();
+        tracer.set_qname_text(qname.to_string());
         (void)resolver.resolve(query, client);
+        tracer.finish();
       }
       hits = resolver.stats().cache_hits;
     }
@@ -391,7 +401,7 @@ int main(int argc, char** argv) {
 
   if (metrics) {
     maker.refresh_gauges();
-    dump_observability(registry, query_log);
+    dump_observability(registry, recorder);
   }
 
   // Exit after 30 seconds without a new query; with --metrics the full
@@ -422,7 +432,7 @@ int main(int argc, char** argv) {
       g_dump_requested = 0;
       polls_since_dump = 0;
       maker.refresh_gauges();
-      dump_observability(registry, query_log);
+      dump_observability(registry, recorder);
     }
   }
   admin.stop();
@@ -438,7 +448,7 @@ int main(int argc, char** argv) {
               dnsserver::udp_server_stats_table(final_stats).render().c_str());
   if (metrics) {
     maker.refresh_gauges();
-    dump_observability(registry, query_log);
+    dump_observability(registry, recorder);
   }
   return 0;
 }

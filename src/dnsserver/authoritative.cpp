@@ -97,53 +97,34 @@ Message AuthoritativeServer::handle(const Message& query, const net::IpAddr& sou
 void AuthoritativeServer::handle_into(const Message& query, const net::IpAddr& source,
                                       Message& response, const net::IpAddr& server_address) {
   // Timing is sampled: two clock reads cost more than the rest of the
-  // instrumentation combined, so only every Nth query (and every
-  // query-log-sampled query) pays them. The tick is the queries counter
-  // handle_inner() bumps anyway; concurrent handlers may occasionally
-  // double- or zero-sample a tick, which sampling tolerates by design.
-  const bool time_hist =
-      latency_tracking_ && (queries_->value() & latency_sample_mask_) == 0;
-  const bool log_this = query_log_ != nullptr && query_log_->sample();
-  const bool timing = time_hist || log_this;
+  // instrumentation combined, so only every Nth query pays them. The
+  // tick is the queries counter handle_inner() bumps anyway; concurrent
+  // handlers may occasionally double- or zero-sample a tick, which
+  // sampling tolerates by design.
+  const bool timing = latency_tracking_ && (queries_->value() & latency_sample_mask_) == 0;
   const auto start =
       timing ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   obs::AnswerSource answer_source = obs::AnswerSource::static_answer;
   handle_inner(query, source, server_address, response, answer_source);
-  // Flight-recorder span via the thread-local tracer (installed by the
-  // UDP worker; null on untraced transports). A SERVFAIL — whatever layer
-  // produced it — marks the trace anomalous so it is always retained.
+  // Flight-recorder span and answer fields via the thread-local tracer
+  // (installed by the UDP worker; null on untraced transports). A
+  // SERVFAIL — whatever layer produced it — marks the trace anomalous so
+  // it is always retained.
   if (obs::QueryTracer* tracer = obs::current_tracer()) {
     if (obs::TraceSpan* span = tracer->span(obs::TraceStage::handle)) {
       span->code = static_cast<std::int32_t>(response.header.rcode);
       span->set_detail(obs::to_string(answer_source));
     }
+    tracer->set_answer(source, query, answer_source, response.header.rcode);
     if (response.header.rcode == Rcode::serv_fail) {
       tracer->note_anomaly(obs::TraceAnomaly::kServfail);
     }
   }
   if (timing) {
-    const auto latency_us = static_cast<std::uint64_t>(
+    handle_latency_->record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
                                                               start)
-            .count());
-    if (time_hist) handle_latency_->record(latency_us);
-    if (log_this) {
-      obs::QueryLogRecord record;
-      record.ts_us = obs::QueryLog::now_us();
-      record.client = source.to_string();
-      if (const dns::ClientSubnetOption* ecs = query.client_subnet()) {
-        record.ecs = ecs->source_block().to_string();
-      }
-      if (!query.questions.empty()) {
-        record.qname = query.questions.front().name.to_string();
-        record.qtype = dns::to_string(query.questions.front().type);
-      }
-      record.source = answer_source;
-      record.rcode = dns::to_string(response.header.rcode);
-      record.latency_us = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(latency_us, 0xFFFFFFFFull));
-      query_log_->log(std::move(record));
-    }
+            .count()));
   }
 }
 

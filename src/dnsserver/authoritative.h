@@ -23,7 +23,7 @@
 #include "dns/message.h"
 #include "dnsserver/zone.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
+#include "obs/trace.h"
 #include "util/small_vector.h"
 
 namespace eum::dnsserver {
@@ -108,9 +108,8 @@ class AuthoritativeServer {
   /// instrumentation cost; sampling keeps the steady-state overhead below
   /// a branch and one relaxed load (the tick is the queries counter the
   /// engine already bumps) while the percentiles stay faithful at
-  /// serving volume. Rounded up to a power of two; query-log sampled
-  /// queries are always timed so their records carry real latencies
-  /// regardless of this setting.
+  /// serving volume. Rounded up to a power of two. Flight-recorder
+  /// records carry the tracer's own latency, unaffected by this setting.
   void set_latency_sampling(std::uint32_t every) noexcept {
     std::uint32_t pow2 = 1;
     while (pow2 < every && pow2 < (1u << 30)) pow2 <<= 1;
@@ -118,11 +117,6 @@ class AuthoritativeServer {
   }
 
   static constexpr std::uint32_t kDefaultLatencySampleEvery = 16;
-
-  /// Attach a structured query log (borrowed; may be shared with other
-  /// components). Sampling is the log's own concern — unsampled queries
-  /// skip all record-building work.
-  void set_query_log(obs::QueryLog* log) noexcept { query_log_ = log; }
 
   /// The registry this engine records into (its own unless one was
   /// injected). Exposition formats hang off the registry.
@@ -132,10 +126,10 @@ class AuthoritativeServer {
   /// `server_address` is the address the query was received on (passed to
   /// dynamic handlers; defaults to unspecified). Safe to call from many
   /// threads concurrently provided registration (add_zone /
-  /// add_dynamic_domain / set_ecs_enabled / set_query_log) has finished
-  /// and the dynamic handlers themselves are thread-safe — counters and
-  /// histograms are wait-free relaxed atomics so the multithreaded UDP
-  /// front end stays race-free.
+  /// add_dynamic_domain / set_ecs_enabled) has finished and the dynamic
+  /// handlers themselves are thread-safe — counters and histograms are
+  /// wait-free relaxed atomics so the multithreaded UDP front end stays
+  /// race-free.
   [[nodiscard]] dns::Message handle(const dns::Message& query, const net::IpAddr& source,
                                     const net::IpAddr& server_address = net::IpAddr{});
 
@@ -177,7 +171,6 @@ class AuthoritativeServer {
   obs::Counter* refused_;
   obs::Counter* form_errors_;
   obs::LatencyHistogram* handle_latency_;
-  obs::QueryLog* query_log_ = nullptr;
   std::uint32_t latency_sample_mask_ = kDefaultLatencySampleEvery - 1;
 };
 

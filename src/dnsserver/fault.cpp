@@ -177,22 +177,6 @@ Upstream::ForwardToResult FaultInjector::try_forward_to(const net::IpAddr& serve
   return result;
 }
 
-Message FaultInjector::forward(const Message& query, const net::IpAddr& source) {
-  // Infallible adapter for legacy callers: a dropped/lost attempt
-  // surfaces as SERVFAIL, which is what a resolver without retry support
-  // would eventually conclude anyway.
-  if (auto response = try_forward(query, source)) return std::move(*response);
-  Message failure = Message::make_response(query);
-  failure.header.rcode = dns::Rcode::serv_fail;
-  return failure;
-}
-
-std::optional<Message> FaultInjector::forward_to(const net::IpAddr& server, const Message& query,
-                                                 const net::IpAddr& source) {
-  ForwardToResult result = try_forward_to(server, query, source);
-  return std::move(result.response);
-}
-
 FaultStats FaultInjector::stats() const {
   FaultStats stats;
   stats.drops = drops_->value();

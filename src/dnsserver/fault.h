@@ -61,7 +61,7 @@ struct FaultSpec {
 };
 
 struct FaultInjectorConfig {
-  /// Default mix applied to forward() and to servers without an override.
+  /// Default mix applied to try_forward() and to servers without an override.
   FaultSpec faults;
   /// Seed for the fault stream; same seed = same fault sequence.
   std::uint64_t seed = 0xFA017EEDULL;
@@ -89,15 +89,10 @@ class FaultInjector : public Upstream {
   /// Replace the default fault mix (thread-safe; applies to subsequent
   /// queries).
   void set_faults(FaultSpec spec);
-  /// Override the mix for one authority address (matched by
-  /// try_forward_to/forward_to target).
+  /// Override the mix for one authority address (matched by the
+  /// try_forward_to target).
   void set_faults_for(const net::IpAddr& server, FaultSpec spec);
 
-  [[nodiscard]] dns::Message forward(const dns::Message& query,
-                                     const net::IpAddr& source) override;
-  [[nodiscard]] std::optional<dns::Message> forward_to(const net::IpAddr& server,
-                                                       const dns::Message& query,
-                                                       const net::IpAddr& source) override;
   [[nodiscard]] std::optional<dns::Message> try_forward(const dns::Message& query,
                                                         const net::IpAddr& source) override;
   [[nodiscard]] ForwardToResult try_forward_to(const net::IpAddr& server,

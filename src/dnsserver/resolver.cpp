@@ -391,34 +391,18 @@ Message RecursiveResolver::query_upstream(const DnsName& name, RecordType type,
 }
 
 Message RecursiveResolver::resolve(const Message& client_query, const net::IpAddr& client_addr) {
-  const bool timing = latency_tracking_ || query_log_ != nullptr;
-  const auto start =
-      timing ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
+  const auto start = std::chrono::steady_clock::now();
   obs::AnswerSource answer_source = obs::AnswerSource::upstream;
   Message response = resolve_inner(client_query, client_addr, answer_source);
-  if (timing) {
-    const auto latency_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                              start)
-            .count());
-    if (latency_tracking_) resolve_latency_->record(latency_us);
-    if (query_log_ != nullptr && query_log_->sample()) {
-      obs::QueryLogRecord record;
-      record.ts_us = obs::QueryLog::now_us();
-      record.client = client_addr.to_string();
-      if (const dns::ClientSubnetOption* ecs = client_query.client_subnet()) {
-        record.ecs = ecs->source_block().to_string();
-      }
-      if (!client_query.questions.empty()) {
-        record.qname = client_query.questions.front().name.to_string();
-        record.qtype = dns::to_string(client_query.questions.front().type);
-      }
-      record.source = answer_source;
-      record.rcode = dns::to_string(response.header.rcode);
-      record.latency_us =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(latency_us, 0xFFFFFFFFull));
-      query_log_->log(std::move(record));
-    }
+  resolve_latency_->record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                                            start)
+          .count()));
+  // The client's view, written after any authority this resolution
+  // reached through the same tracer, so the outermost layer's fields
+  // are the ones that commit.
+  if (obs::QueryTracer* tracer = obs::current_tracer()) {
+    tracer->set_answer(client_addr, client_query, answer_source, response.header.rcode);
   }
   return response;
 }
@@ -451,7 +435,7 @@ Message RecursiveResolver::resolve_inner(const Message& client_query,
   // scoped entries for other blocks would (mis)match the connection.
   const net::IpAddr& lookup_addr = ecs_client ? *ecs_client : client_addr;
 
-  // Resolve with CNAME chasing across authorities. The logged answer
+  // Resolve with CNAME chasing across authorities. The recorded answer
   // source reflects the first hop: a scoped or global cache hit, or an
   // upstream round trip.
   DnsName current = question.name;

@@ -26,7 +26,7 @@
 #include "dnsserver/authoritative.h"
 #include "dnsserver/scoped_cache.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
+#include "obs/trace.h"
 #include "stats/table.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
@@ -35,56 +35,32 @@ namespace eum::dnsserver {
 
 /// Where the resolver forwards cache misses. Implementations route the
 /// query to the correct authority (in-memory bus, UDP, or the simulator).
-///
-/// Two tiers: the legacy `forward`/`forward_to` pair is infallible-ish
-/// (loss is invisible), and the `try_*` pair makes failure explicit —
-/// nullopt means the query or its response was lost (drop, timeout,
-/// unparseable wire) and the attempt is retryable. The defaults adapt
-/// either tier onto the other, so existing transports keep working and
-/// failure-aware ones (FaultInjector, UdpUpstream) override `try_*`.
+/// Failure is explicit: a missing response means the query or its
+/// response was lost (drop, timeout, unparseable wire) and the attempt is
+/// retryable.
 class Upstream {
  public:
   virtual ~Upstream() = default;
-  /// Forward `query` on behalf of resolver `source`; returns the response.
-  [[nodiscard]] virtual dns::Message forward(const dns::Message& query,
-                                             const net::IpAddr& source) = 0;
-  /// Forward `query` to a specific nameserver address (used to chase
-  /// delegations). Implementations without addressable servers return
-  /// nullopt and the resolver keeps the referral response.
-  [[nodiscard]] virtual std::optional<dns::Message> forward_to(const net::IpAddr& server,
-                                                               const dns::Message& query,
-                                                               const net::IpAddr& source) {
-    (void)server;
-    (void)query;
-    (void)source;
-    return std::nullopt;
-  }
 
-  /// Failure-aware forward: nullopt = the attempt failed (dropped or
-  /// timed out) and may be retried.
+  /// Forward `query` on behalf of resolver `source`; nullopt = the
+  /// attempt failed (dropped or timed out) and may be retried.
   [[nodiscard]] virtual std::optional<dns::Message> try_forward(const dns::Message& query,
-                                                                const net::IpAddr& source) {
-    return forward(query, source);
-  }
+                                                                const net::IpAddr& source) = 0;
 
   struct ForwardToResult {
     /// nullopt with `addressable` = the attempt failed (retryable).
     std::optional<dns::Message> response;
     /// false: the transport has no route to this nameserver at all — the
-    /// resolver keeps the referral instead of retrying (the legacy
-    /// forward_to-returns-nullopt semantics).
+    /// resolver keeps the referral instead of retrying.
     bool addressable = true;
   };
 
-  /// Failure-aware forward_to; see ForwardToResult for the distinction
-  /// between a lost query and an unaddressable server.
+  /// Forward `query` to a specific nameserver address (used to chase
+  /// delegations); see ForwardToResult for the distinction between a
+  /// lost query and an unaddressable server.
   [[nodiscard]] virtual ForwardToResult try_forward_to(const net::IpAddr& server,
                                                        const dns::Message& query,
-                                                       const net::IpAddr& source) {
-    auto response = forward_to(server, query, source);
-    const bool addressable = response.has_value();
-    return ForwardToResult{std::move(response), addressable};
-  }
+                                                       const net::IpAddr& source) = 0;
 };
 
 /// Upstream retry policy: `attempts` bounds the queries sent per
@@ -183,13 +159,6 @@ class RecursiveResolver {
   /// in one call. Live state (cached entries, entry gauges) survives.
   void reset_stats() noexcept;
 
-  /// Attach a structured query log (borrowed): one record per client
-  /// query, with the cache outcome as the answer source.
-  void set_query_log(obs::QueryLog* log) noexcept { query_log_ = log; }
-
-  /// Record resolve() serving latency (on by default).
-  void set_latency_tracking(bool enabled) noexcept { latency_tracking_ = enabled; }
-
   /// The registry this resolver (and its cache) records into.
   [[nodiscard]] obs::MetricsRegistry& registry() noexcept { return *registry_; }
 
@@ -228,12 +197,12 @@ class RecursiveResolver {
                                            const net::IpAddr& client_addr,
                                            obs::AnswerSource& answer_source);
 
-  /// forward() with the retry policy applied; nullopt = every attempt
+  /// try_forward() with the retry policy applied; nullopt = every attempt
   /// failed. `retried` is set when any attempt beyond the first ran.
   [[nodiscard]] std::optional<dns::Message> forward_with_retries(dns::Message& query,
                                                                  const dns::DnsName& name,
                                                                  bool& retried);
-  /// forward_to() over the glue candidates in SRTT order, immediate
+  /// try_forward_to() over the glue candidates in SRTT order, immediate
   /// failover across servers, backoff when re-trying the same one.
   /// `unaddressable` = the transport could route to none of them (the
   /// caller keeps the referral).
@@ -268,8 +237,6 @@ class RecursiveResolver {
   obs::Counter* stale_served_;
   obs::LatencyHistogram* resolve_latency_;
   obs::LatencyHistogram* retry_latency_;
-  obs::QueryLog* query_log_ = nullptr;
-  bool latency_tracking_ = true;
   ScopedEcsCache cache_;
   std::atomic<std::uint16_t> next_id_{1};
   mutable std::mutex srtt_mutex_;

@@ -22,19 +22,20 @@ void AuthorityDirectory::add_server(const net::IpAddr& address, AuthoritativeSer
   servers_by_address_[address.v4().value()] = server;
 }
 
-std::optional<Message> AuthorityDirectory::forward_to(const net::IpAddr& server,
-                                                      const Message& query,
-                                                      const net::IpAddr& source) {
-  if (!server.is_v4()) return std::nullopt;
+Upstream::ForwardToResult AuthorityDirectory::try_forward_to(const net::IpAddr& server,
+                                                             const Message& query,
+                                                             const net::IpAddr& source) {
+  if (!server.is_v4()) return ForwardToResult{std::nullopt, false};
   const auto it = servers_by_address_.find(server.v4().value());
-  if (it == servers_by_address_.end()) return std::nullopt;
+  if (it == servers_by_address_.end()) return ForwardToResult{std::nullopt, false};
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   const Message parsed_query = Message::decode(query.encode());
   const Message response = it->second->handle(parsed_query, source, server);
-  return Message::decode(response.encode());
+  return ForwardToResult{Message::decode(response.encode()), true};
 }
 
-Message AuthorityDirectory::forward(const Message& query, const net::IpAddr& source) {
+std::optional<Message> AuthorityDirectory::try_forward(const Message& query,
+                                                       const net::IpAddr& source) {
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   // Encode/decode both directions so all simulated traffic passes through
   // the real codec.

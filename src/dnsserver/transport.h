@@ -41,15 +41,16 @@ class AuthorityDirectory : public Upstream {
   }
 
   /// Forward a query to the owning authority, round-tripping the wire
-  /// encoding both ways. Returns REFUSED if no authority matches.
-  [[nodiscard]] dns::Message forward(const dns::Message& query,
-                                     const net::IpAddr& source) override;
+  /// encoding both ways. Never loses a query: REFUSED if no authority
+  /// matches.
+  [[nodiscard]] std::optional<dns::Message> try_forward(const dns::Message& query,
+                                                        const net::IpAddr& source) override;
 
-  /// Forward to a registered server address (delegation chasing); nullopt
-  /// for unknown addresses.
-  [[nodiscard]] std::optional<dns::Message> forward_to(const net::IpAddr& server,
-                                                       const dns::Message& query,
-                                                       const net::IpAddr& source) override;
+  /// Forward to a registered server address (delegation chasing); an
+  /// unknown address is unaddressable.
+  [[nodiscard]] ForwardToResult try_forward_to(const net::IpAddr& server,
+                                               const dns::Message& query,
+                                               const net::IpAddr& source) override;
 
  private:
   std::vector<std::pair<dns::DnsName, AuthoritativeServer*>> authorities_;

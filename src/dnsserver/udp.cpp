@@ -1,7 +1,5 @@
 #include "dnsserver/udp.h"
 
-#include "obs/query_log.h"
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -511,7 +509,7 @@ bool UdpAuthorityServer::serve_on(UdpSocket& socket, std::size_t worker,
   for (std::size_t i = 0; i < got; ++i) {
     if (tracer != nullptr) {
       tracer->begin(received_at);  // one clock read for the whole batch
-      tracer->set_client_v4(batch.peer(i).address.value());
+      tracer->set_client(net::IpAddr{batch.peer(i).address});
     }
     try {
       serve_datagram(batch, i, worker, version, cache, tracer);
@@ -535,7 +533,6 @@ bool UdpAuthorityServer::serve_on(UdpSocket& socket, std::size_t worker,
       // retention is via a synthesized record: one per flush, carrying
       // the errno and the refused-datagram count.
       obs::TraceRecord record;
-      record.ts_us = obs::QueryLog::now_us();
       record.worker = static_cast<std::uint32_t>(worker);
       record.anomalies = obs::TraceAnomaly::kSendError;
       record.span_count = 1;
@@ -761,13 +758,6 @@ Upstream::ForwardToResult UdpUpstream::try_forward_to(const net::IpAddr& server,
     return ForwardToResult{std::nullopt, false};
   }
   return ForwardToResult{try_forward(query, source), true};
-}
-
-dns::Message UdpUpstream::forward(const dns::Message& query, const net::IpAddr& source) {
-  if (auto response = try_forward(query, source)) return std::move(*response);
-  dns::Message failure = dns::Message::make_response(query);
-  failure.header.rcode = dns::Rcode::serv_fail;
-  return failure;
 }
 
 }  // namespace eum::dnsserver

@@ -192,8 +192,9 @@ struct UdpServerConfig {
   std::size_t batch = 32;
   /// Slots in the per-worker wire answer cache; 0 (default) disables it.
   /// With the cache on, repeat queries are answered from memoized wire
-  /// bytes and never reach the engine (its counters and query log see
-  /// only misses), so enabling it is an explicit opt-in.
+  /// bytes and never reach the engine (its counters see only misses, and
+  /// a hit's flight-recorder record carries no answer fields), so
+  /// enabling it is an explicit opt-in.
   std::size_t answer_cache_entries = 0;
   /// Responses larger than this are not cached.
   std::size_t answer_cache_max_wire = 4096;
@@ -365,9 +366,6 @@ class UdpUpstream : public Upstream {
   explicit UdpUpstream(UdpEndpoint server,
                        std::chrono::milliseconds timeout = std::chrono::milliseconds{250});
 
-  /// Infallible adapter: a timeout surfaces as SERVFAIL.
-  [[nodiscard]] dns::Message forward(const dns::Message& query,
-                                     const net::IpAddr& source) override;
   /// nullopt = no (matching) response before the timeout.
   [[nodiscard]] std::optional<dns::Message> try_forward(const dns::Message& query,
                                                         const net::IpAddr& source) override;

@@ -62,28 +62,6 @@ std::string full_name(const std::string& name, const Labels& labels) {
   return name + render_labels(labels);
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------- HistogramSnapshot ----------
@@ -330,21 +308,21 @@ std::string render_json(const MetricsSnapshot& snapshot) {
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     const auto& sample = snapshot.counters[i];
     if (i != 0) out += ',';
-    out += "\"" + json_escape(full_name(sample.name, sample.labels)) +
+    out += "\"" + util::json_escape(full_name(sample.name, sample.labels)) +
            "\":" + std::to_string(sample.value);
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     const auto& sample = snapshot.gauges[i];
     if (i != 0) out += ',';
-    out += "\"" + json_escape(full_name(sample.name, sample.labels)) +
+    out += "\"" + util::json_escape(full_name(sample.name, sample.labels)) +
            "\":" + std::to_string(sample.value);
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const auto& sample = snapshot.histograms[i];
     if (i != 0) out += ',';
-    out += "\"" + json_escape(full_name(sample.name, sample.labels)) + "\":" +
+    out += "\"" + util::json_escape(full_name(sample.name, sample.labels)) + "\":" +
            util::format("{\"count\":%llu,\"sum\":%llu,\"mean\":%.3f,\"p50\":%.1f,"
                         "\"p90\":%.1f,\"p99\":%.1f,\"p999\":%.1f}",
                         static_cast<unsigned long long>(sample.hist.count),

@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstring>
 
-#include "obs/query_log.h"
+#include "dns/message.h"
 #include "util/strings.h"
 
 namespace eum::obs {
@@ -12,27 +12,6 @@ namespace eum::obs {
 namespace {
 
 thread_local QueryTracer* t_current_tracer = nullptr;
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Render one span as text for the flat NDJSON "spans" field.
 void render_span(const TraceSpan& span, std::string& out) {
@@ -48,6 +27,23 @@ void render_span(const TraceSpan& span, std::string& out) {
 }
 
 }  // namespace
+
+const char* to_string(AnswerSource source) noexcept {
+  switch (source) {
+    case AnswerSource::none: return "none";
+    case AnswerSource::static_answer: return "static";
+    case AnswerSource::dynamic_answer: return "dynamic";
+    case AnswerSource::referral: return "referral";
+    case AnswerSource::negative: return "negative";
+    case AnswerSource::refused: return "refused";
+    case AnswerSource::form_error: return "form_error";
+    case AnswerSource::cache_hit: return "cache_hit";
+    case AnswerSource::cache_hit_scoped: return "cache_hit_scoped";
+    case AnswerSource::upstream: return "upstream";
+    case AnswerSource::stale: return "stale";
+  }
+  return "unknown";
+}
 
 const char* to_string(TraceStage stage) noexcept {
   switch (stage) {
@@ -160,6 +156,11 @@ void FlightRecorder::recompute_threshold() noexcept {
 void FlightRecorder::commit(const TraceRecord& record) noexcept {
   TraceRecord stamped = record;
   stamped.seq = commit_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Wall-clock microseconds since the epoch, only for correlating kept
+  // records with external logs; latencies come from steady_clock.
+  stamped.ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::system_clock::now().time_since_epoch())
+                      .count();
   const bool anomalous = stamped.anomalies != 0;
   Ring& ring = anomalous ? anomaly_ring_ : sampled_ring_;
   const std::size_t discarded = ring.push(stamped);
@@ -184,15 +185,23 @@ std::string FlightRecorder::to_ndjson(const TraceRecord& record) {
     if (!spans.empty()) spans += "; ";
     render_span(record.spans[i], spans);
   }
-  const std::uint32_t v4 = record.client_v4;
+  // Addresses, prefixes and DNS mnemonics render as plain ASCII with no
+  // quote or backslash, so only qname and spans need escaping.
   std::string out = util::format(
-      "{\"seq\":%llu,\"ts_us\":%lld,\"worker\":%u,\"client\":\"%u.%u.%u.%u\","
-      "\"qname\":\"%s\",\"latency_us\":%u,\"sampled\":%u,\"anomalies\":\"%s\","
-      "\"spans\":\"%s\"}",
+      "{\"seq\":%llu,\"ts_us\":%lld,\"worker\":%u,\"client\":\"%s\",",
       static_cast<unsigned long long>(record.seq), static_cast<long long>(record.ts_us),
-      record.worker, (v4 >> 24) & 0xFFU, (v4 >> 16) & 0xFFU, (v4 >> 8) & 0xFFU, v4 & 0xFFU,
-      json_escape(record.qname).c_str(), record.latency_us, record.sampled,
-      anomaly_names(record.anomalies).c_str(), json_escape(spans).c_str());
+      record.worker, record.client.to_string().c_str());
+  if (record.ecs) out += "\"ecs\":\"" + record.ecs->to_string() + "\",";
+  out += "\"qname\":\"" + util::json_escape(record.qname) + "\",";
+  if (record.source != AnswerSource::none) {
+    out += util::format("\"qtype\":\"%s\",\"source\":\"%s\",\"rcode\":\"%s\",",
+                        dns::to_string(record.qtype).c_str(), to_string(record.source),
+                        dns::to_string(record.rcode).c_str());
+  }
+  out += util::format(
+      "\"latency_us\":%u,\"sampled\":%u,\"anomalies\":\"%s\",\"spans\":\"%s\"}",
+      record.latency_us, record.sampled, anomaly_names(record.anomalies).c_str(),
+      util::json_escape(spans).c_str());
   return out;
 }
 
@@ -206,8 +215,12 @@ void QueryTracer::begin(std::chrono::steady_clock::time_point started) noexcept 
   scratch_.anomalies = 0;
   scratch_.sampled = next_tick_sampled() ? 1 : 0;
   scratch_.span_count = 0;
-  scratch_.client_v4 = 0;
+  scratch_.client = net::IpAddr{};
   scratch_.qname[0] = '\0';
+  scratch_.ecs.reset();
+  scratch_.qtype = dns::RecordType{};
+  scratch_.source = AnswerSource::none;
+  scratch_.rcode = dns::Rcode::no_error;
   deferred_qname_ = {};
   started_ = started;
   active_ = true;
@@ -234,6 +247,20 @@ void QueryTracer::set_qname_text(std::string_view text) noexcept {
   const std::size_t n = std::min(text.size(), TraceRecord::kQnameSize - 1);
   std::memcpy(scratch_.qname, text.data(), n);
   scratch_.qname[n] = '\0';
+}
+
+void QueryTracer::set_answer(const net::IpAddr& client, const dns::Message& query,
+                             AnswerSource source, dns::Rcode rcode) noexcept {
+  if (!active_) return;
+  scratch_.client = client;
+  if (const dns::ClientSubnetOption* ecs = query.client_subnet()) {
+    scratch_.ecs = ecs->source_block();
+  } else {
+    scratch_.ecs.reset();
+  }
+  scratch_.qtype = query.questions.empty() ? dns::RecordType{} : query.questions.front().type;
+  scratch_.source = source;
+  scratch_.rcode = rcode;
 }
 
 TraceSpan* QueryTracer::span(TraceStage stage) noexcept {
@@ -275,11 +302,11 @@ void QueryTracer::finish() noexcept {
   }
   if (scratch_.sampled == 0 && scratch_.anomalies == 0) return;
   // Work deferred to the 1-in-N commit path: decoding the wire qname
-  // and reading the wall clock happen only for records actually kept.
+  // (and, in commit(), reading the wall clock) happen only for records
+  // actually kept.
   if (scratch_.qname[0] == '\0' && !deferred_qname_.empty()) {
     render_qname(deferred_qname_);
   }
-  scratch_.ts_us = QueryLog::now_us();
   recorder_->commit(scratch_);
 }
 

@@ -1,31 +1,35 @@
-// Per-query flight recorder: sampled trace spans on the serve path.
+// Per-query flight recorder: the serve path's one per-query record.
 //
 // The paper's staged rollout (§4) needed operators to answer "what
-// happened to THIS query" — aggregates (metrics.h) can't. This module
+// happened to THIS query" — which resolver asked, for which client
+// block, and what it got back; aggregates (metrics.h) can't. This module
 // is the per-query layer: every query gets a preallocated per-worker
-// scratch record (QueryTracer) that the serve path fills with spans —
-// rx, answer-cache probe, mapping decision, authoritative handle,
-// resolver attempts, tx — and a finish() decision commits it into a
-// global bounded ring (FlightRecorder) when the query was sampled OR
-// anomalous. Anomalies (latency above a rolling p99-derived threshold,
-// SERVFAIL, stale-served, worker exception, send error) are always
-// retained, even when sampling would have dropped the query: they land
-// in their own ring, so a flood of healthy traffic can never evict the
-// one trace the operator needs.
+// scratch record (QueryTracer) that the serve path fills with the
+// answer fields (client, ECS source prefix, qtype, answer source, rcode)
+// and with spans — rx, answer-cache probe, mapping decision,
+// authoritative handle, resolver attempts, tx — and a finish() decision
+// commits it into a global bounded ring (FlightRecorder) when the query
+// was sampled OR anomalous. Anomalies (latency above a rolling
+// p99-derived threshold, SERVFAIL, stale-served, worker exception, send
+// error) are always retained, even when sampling would have dropped the
+// query: they land in their own ring, so a flood of healthy traffic can
+// never evict the one trace the operator needs.
 //
 // Serve-path discipline (enforced by scripts/lint_invariants.py, which
 // fences this file): the per-query cost is wait-free and allocation-free
-// — QueryTracer is single-owner POD scratch (plain stores, two
-// steady_clock reads per query), and FlightRecorder's rings are bounded
-// MPMC queues in the Vyukov style (per-cell sequence numbers, explicit
-// memory orders, no locks anywhere). Wall-clock timestamps are read only
-// at commit time, through obs::QueryLog::now_us(), so unsampled healthy
-// queries never touch the wall clock.
+// — QueryTracer is single-owner scratch (plain stores of fixed-size,
+// trivially copyable values; two steady_clock reads per query), and
+// FlightRecorder's rings are bounded MPMC queues in the Vyukov style
+// (per-cell sequence numbers, explicit memory orders, no locks
+// anywhere). Addresses, prefixes and codes stay values until
+// FlightRecorder::to_ndjson renders them, off the serve path. The wall
+// clock is read once per kept record, in FlightRecorder::commit, so
+// unsampled healthy queries never touch it.
 //
 // Deep layers (the authoritative engine, the mapping handler, the
-// resolver) add spans through a thread-local current tracer installed by
-// the UDP worker (TracerScope), so no function signature on the serve
-// path had to change to thread the trace through.
+// resolver) add spans and answer fields through a thread-local current
+// tracer installed by the UDP worker (TracerScope), so no function
+// signature on the serve path had to change to thread the trace through.
 #pragma once
 
 #include <atomic>
@@ -33,15 +37,43 @@
 #include <cstdint>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "dns/types.h"
 #include "lockfree/atomics_policy.h"
 #include "lockfree/mpmc_ring.h"
+#include "net/ip.h"
+#include "net/prefix.h"
+
+namespace eum::dns {
+class Message;
+}  // namespace eum::dns
 
 namespace eum::obs {
+
+/// Where the answer came from — the paper's serving-path taxonomy
+/// (static zone, mapping-system dynamic answer, two-tier referral) plus
+/// the resolver-side cache outcomes RFC 7871 adds.
+enum class AnswerSource : std::uint8_t {
+  none,              ///< no answering layer ran (undecodable, wire answer-cache hit)
+  static_answer,     ///< authoritative zone data
+  dynamic_answer,    ///< mapping-system (CDN) answer
+  referral,          ///< two-tier delegation
+  negative,          ///< NXDOMAIN / NODATA
+  refused,           ///< not our zone
+  form_error,        ///< malformed query
+  cache_hit,         ///< resolver: served by a global (scope-/0) entry
+  cache_hit_scoped,  ///< resolver: served by a scoped (RFC 7871) entry
+  upstream,          ///< resolver: forwarded to an authority
+  stale,             ///< resolver: RFC 8767 stale answer, upstream failed
+};
+
+[[nodiscard]] const char* to_string(AnswerSource source) noexcept;
 
 /// Where on the serve path a span was recorded.
 enum class TraceStage : std::uint8_t {
@@ -94,10 +126,17 @@ struct TraceRecord {
   std::uint32_t anomalies = 0;  ///< TraceAnomaly mask
   std::uint8_t sampled = 0;     ///< 1 when the sampler picked this query
   std::uint8_t span_count = 0;
-  std::uint32_t client_v4 = 0;  ///< host-order source address; 0 = unknown
+  net::IpAddr client;           ///< unicast source address; 0.0.0.0 = unknown
   char qname[kQnameSize] = {};  ///< dotted text, NUL-terminated ("" = unknown)
+  // Answer fields, set by the answering layer (QueryTracer::set_answer).
+  // With source == none no layer answered and the other three are unset.
+  std::optional<net::IpPrefix> ecs;  ///< the query's ECS source prefix, if any
+  dns::RecordType qtype{};
+  AnswerSource source = AnswerSource::none;
+  dns::Rcode rcode = dns::Rcode::no_error;
   TraceSpan spans[kMaxSpans];
 };
+static_assert(std::is_trivially_copyable_v<TraceRecord>, "committing a record is a copy");
 
 struct FlightRecorderConfig {
   /// Retained records per ring (sampled and anomalous rings are separate,
@@ -154,9 +193,10 @@ class FlightRecorder {
   /// is the tracer's dominant serve-path cost.
   void observe_latency_n(std::uint32_t us, std::uint32_t count) noexcept;
 
-  /// Enqueue a finished record. Routes to the anomaly ring when
-  /// record.anomalies != 0, else to the sampled ring. Lock-free; on a
-  /// full ring the oldest record of that ring is discarded (counted).
+  /// Enqueue a finished record, stamping its sequence number and wall
+  /// clock. Routes to the anomaly ring when record.anomalies != 0, else
+  /// to the sampled ring. Lock-free; on a full ring the oldest record of
+  /// that ring is discarded (counted).
   void commit(const TraceRecord& record) noexcept;
 
   /// Remove up to `max` records across both rings, oldest first by
@@ -180,7 +220,9 @@ class FlightRecorder {
   [[nodiscard]] const FlightRecorderConfig& config() const noexcept { return config_; }
 
   /// One flat NDJSON object (no trailing newline); spans are rendered
-  /// into a single string field so the schema stays flat.
+  /// into a single string field so the schema stays flat. `ecs` is
+  /// omitted when the query carried none, and `qtype`, `source` and
+  /// `rcode` when no answering layer ran.
   [[nodiscard]] static std::string to_ndjson(const TraceRecord& record);
 
  private:
@@ -221,11 +263,13 @@ class QueryTracer {
   QueryTracer(const QueryTracer&) = delete;
   QueryTracer& operator=(const QueryTracer&) = delete;
 
-  /// Arm the scratch for one query: resets spans/anomalies, consults the
-  /// recorder's sampler, stamps the start time. Every query is traced
-  /// into the scratch (cheap plain stores) so an anomaly discovered at
-  /// finish() still has its spans; only sampled queries stamp per-span
-  /// elapsed times (extra clock reads).
+  /// Arm the scratch for one query: resets spans, anomalies, the client
+  /// and the answer fields (a datagram that never reaches an answering
+  /// layer must not carry its predecessor's), consults the recorder's
+  /// sampler, stamps the start time. Every query is traced into the
+  /// scratch (cheap plain stores) so an anomaly discovered at finish()
+  /// still has its spans; only sampled queries stamp per-span elapsed
+  /// times (extra clock reads).
   void begin() noexcept { begin(std::chrono::steady_clock::now()); }
   /// begin() against a caller-provided start time. The worker passes the
   /// batch-receipt timestamp, shared by every datagram in the rx batch:
@@ -237,7 +281,14 @@ class QueryTracer {
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] bool sampled() const noexcept { return scratch_.sampled != 0; }
 
-  void set_client_v4(std::uint32_t host_order) noexcept { scratch_.client_v4 = host_order; }
+  void set_client(const net::IpAddr& client) noexcept { scratch_.client = client; }
+  /// Record what the answering layer saw and did: the client it answered,
+  /// the query's ECS source prefix and qtype, where the answer came from
+  /// and its rcode. Plain stores; a layer that wraps another (the
+  /// resolver around its upstream authority) calls this after the inner
+  /// one returns, so the outermost layer's view is what commits.
+  void set_answer(const net::IpAddr& client, const dns::Message& query, AnswerSource source,
+                  dns::Rcode rcode) noexcept;
   /// Record the wire-format qname (the answer-cache probe's view) by
   /// reference; it is decoded into dotted text only if the query commits
   /// (sampled or anomalous), so the 63-in-64 healthy majority never pays

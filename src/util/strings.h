@@ -25,4 +25,8 @@ namespace eum::util {
 /// Human-readable count with thousands separators ("1234567" -> "1,234,567").
 [[nodiscard]] std::string with_commas(std::int64_t value);
 
+/// JSON string-body escaping: quotes, backslashes and control characters
+/// (the NDJSON and JSON expositions in obs).
+[[nodiscard]] std::string json_escape(std::string_view text);
+
 }  // namespace eum::util

@@ -274,15 +274,15 @@ TEST(MessageDecode, RejectsUnsupportedEdnsVersion) {
 }
 
 TEST(ClientSubnetOption, ForQueryValidation) {
-  EXPECT_THROW(ClientSubnetOption::for_query(v4("1.2.3.4"), 33), WireError);
-  EXPECT_THROW(ClientSubnetOption::for_query(v4("1.2.3.4"), -1), WireError);
-  EXPECT_NO_THROW(ClientSubnetOption::for_query(v4("1.2.3.4"), 0));
+  EXPECT_THROW((void)ClientSubnetOption::for_query(v4("1.2.3.4"), 33), WireError);
+  EXPECT_THROW((void)ClientSubnetOption::for_query(v4("1.2.3.4"), -1), WireError);
+  EXPECT_NO_THROW((void)ClientSubnetOption::for_query(v4("1.2.3.4"), 0));
 }
 
 TEST(ClientSubnetOption, WithScopeValidation) {
   const auto ecs = ClientSubnetOption::for_query(v4("1.2.3.4"), 24);
-  EXPECT_THROW(ecs.with_scope(33), WireError);
-  EXPECT_NO_THROW(ecs.with_scope(0));
+  EXPECT_THROW((void)ecs.with_scope(33), WireError);
+  EXPECT_NO_THROW((void)ecs.with_scope(0));
   EXPECT_EQ(ecs.with_scope(16).scope_prefix_len(), 16);
 }
 

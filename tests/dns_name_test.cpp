@@ -33,17 +33,17 @@ TEST(DnsName, CaseInsensitiveEquality) {
 }
 
 TEST(DnsName, RejectsInvalidLabels) {
-  EXPECT_THROW(DnsName::from_text("a..b"), WireError);
-  EXPECT_THROW(DnsName::from_text(std::string(64, 'x') + ".com"), WireError);
+  EXPECT_THROW((void)DnsName::from_text("a..b"), WireError);
+  EXPECT_THROW((void)DnsName::from_text(std::string(64, 'x') + ".com"), WireError);
   // A name longer than 255 wire octets.
   std::string long_name;
   for (int i = 0; i < 50; ++i) long_name += "abcdef.";
   long_name += "com";
-  EXPECT_THROW(DnsName::from_text(long_name), WireError);
+  EXPECT_THROW((void)DnsName::from_text(long_name), WireError);
 }
 
 TEST(DnsName, MaxLabelLengthAccepted) {
-  EXPECT_NO_THROW(DnsName::from_text(std::string(63, 'x') + ".com"));
+  EXPECT_NO_THROW((void)DnsName::from_text(std::string(63, 'x') + ".com"));
 }
 
 TEST(DnsName, WireLength) {
@@ -64,15 +64,15 @@ TEST(DnsName, ParentAndChild) {
   const DnsName name = DnsName::from_text("a.b.c");
   EXPECT_EQ(name.parent().to_string(), "b.c");
   EXPECT_EQ(name.parent().parent().parent(), DnsName{});
-  EXPECT_THROW(DnsName{}.parent(), WireError);
+  EXPECT_THROW((void)DnsName{}.parent(), WireError);
   EXPECT_EQ(DnsName::from_text("b.c").child("A").to_string(), "a.b.c");
-  EXPECT_THROW(DnsName::from_text("x.y").child(""), WireError);
+  EXPECT_THROW((void)DnsName::from_text("x.y").child(""), WireError);
 }
 
 TEST(DnsName, FromLabels) {
   const DnsName name = DnsName::from_labels({"WWW", "foo", "net"});
   EXPECT_EQ(name.to_string(), "www.foo.net");
-  EXPECT_THROW(DnsName::from_labels({""}), WireError);
+  EXPECT_THROW((void)DnsName::from_labels({""}), WireError);
 }
 
 TEST(DnsName, Ordering) {
@@ -176,13 +176,13 @@ TEST(DnsNameWire, DecodeRejectsForwardPointer) {
   // Pointer at offset 0 pointing to offset 10 (forward).
   const std::vector<std::uint8_t> wire{0xC0, 0x0A, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
   ByteReader reader{wire};
-  EXPECT_THROW(DnsName::decode(reader), WireError);
+  EXPECT_THROW((void)DnsName::decode(reader), WireError);
 }
 
 TEST(DnsNameWire, DecodeRejectsSelfPointer) {
   const std::vector<std::uint8_t> wire{0xC0, 0x00};
   ByteReader reader{wire};
-  EXPECT_THROW(DnsName::decode(reader), WireError);
+  EXPECT_THROW((void)DnsName::decode(reader), WireError);
 }
 
 TEST(DnsNameWire, DecodeRejectsPointerLoop) {
@@ -191,25 +191,25 @@ TEST(DnsNameWire, DecodeRejectsPointerLoop) {
   const std::vector<std::uint8_t> wire{0xC0, 0x02, 0xC0, 0x00};
   ByteReader reader{wire};
   reader.seek(2);
-  EXPECT_THROW(DnsName::decode(reader), WireError);
+  EXPECT_THROW((void)DnsName::decode(reader), WireError);
 }
 
 TEST(DnsNameWire, DecodeRejectsTruncatedLabel) {
   const std::vector<std::uint8_t> wire{5, 'a', 'b'};
   ByteReader reader{wire};
-  EXPECT_THROW(DnsName::decode(reader), WireError);
+  EXPECT_THROW((void)DnsName::decode(reader), WireError);
 }
 
 TEST(DnsNameWire, DecodeRejectsMissingTerminator) {
   const std::vector<std::uint8_t> wire{1, 'a'};
   ByteReader reader{wire};
-  EXPECT_THROW(DnsName::decode(reader), WireError);
+  EXPECT_THROW((void)DnsName::decode(reader), WireError);
 }
 
 TEST(DnsNameWire, DecodeRejectsReservedLabelType) {
   const std::vector<std::uint8_t> wire{0x80, 'a', 0};
   ByteReader reader{wire};
-  EXPECT_THROW(DnsName::decode(reader), WireError);
+  EXPECT_THROW((void)DnsName::decode(reader), WireError);
 }
 
 TEST(DnsNameWire, PointerChainDecodes) {

@@ -111,7 +111,9 @@ TEST(TrafficModel, EncodeRoundTrips) {
     EXPECT_EQ(decoded.edns.has_value(), spec.edns);
     const dns::ClientSubnetOption* ecs = decoded.client_subnet();
     EXPECT_EQ(ecs != nullptr, spec.ecs.has_value());
-    if (ecs != nullptr) EXPECT_EQ(*ecs, *spec.ecs);
+    if (ecs != nullptr) {
+      EXPECT_EQ(*ecs, *spec.ecs);
+    }
   }
 }
 

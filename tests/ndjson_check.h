@@ -1,8 +1,8 @@
 // Minimal NDJSON line validator for tests: parses one flat JSON object
-// of string/integer values (the query-log schema) and returns its fields
-// decoded. Not a general JSON parser — nested objects and arrays are
-// rejected, which is exactly what the query-log schema promises not to
-// emit.
+// of string/integer values (the flight-recorder schema) and returns its
+// fields decoded. Not a general JSON parser — nested objects and arrays
+// are rejected, which is exactly what the flight-recorder schema
+// promises not to emit.
 #pragma once
 
 #include <cctype>

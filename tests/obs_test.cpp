@@ -1,6 +1,6 @@
-// Observability layer: metrics registry, log-bucket latency histograms,
-// and the sampled structured query log — plus the cross-component reset
-// contract regression tests.
+// Observability layer: metrics registry and log-bucket latency
+// histograms — plus the cross-component reset contract regression tests.
+// The per-query record (the flight recorder) is tested in trace_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,20 +13,14 @@
 #include "dnsserver/authoritative.h"
 #include "dnsserver/resolver.h"
 #include "dnsserver/transport.h"
-#include "ndjson_check.h"
 #include "obs/metrics.h"
-#include "obs/query_log.h"
 
 namespace eum {
 namespace {
 
-using obs::AnswerSource;
 using obs::HistogramSnapshot;
 using obs::LatencyHistogram;
 using obs::MetricsRegistry;
-using obs::QueryLog;
-using obs::QueryLogConfig;
-using obs::QueryLogRecord;
 
 // ---------- Histogram bucket layout ----------
 
@@ -458,148 +452,6 @@ TEST(ResetContract, SharedRegistryComponentsResetIndependently) {
   engine.reset_stats();
   EXPECT_EQ(engine.stats().queries, 0u);
   EXPECT_NE(engine_queries, 0u);
-}
-
-// ---------- Query log ----------
-
-QueryLogRecord sample_record() {
-  QueryLogRecord record;
-  record.ts_us = 1722945600000000;
-  record.client = "192.0.2.53";
-  record.ecs = "10.2.3.0/24";
-  record.qname = "www.g.cdn.example";
-  record.qtype = "A";
-  record.source = AnswerSource::dynamic_answer;
-  record.rcode = "NOERROR";
-  record.latency_us = 37;
-  return record;
-}
-
-TEST(QueryLogTest, NdjsonLineIsValidAndComplete) {
-  const std::string line = QueryLog::to_ndjson(sample_record());
-  const auto fields = test::parse_ndjson_line(line);
-  ASSERT_TRUE(fields.has_value()) << line;
-  EXPECT_EQ(fields->at("ts_us"), "1722945600000000");
-  EXPECT_EQ(fields->at("client"), "192.0.2.53");
-  EXPECT_EQ(fields->at("ecs"), "10.2.3.0/24");
-  EXPECT_EQ(fields->at("qname"), "www.g.cdn.example");
-  EXPECT_EQ(fields->at("qtype"), "A");
-  EXPECT_EQ(fields->at("source"), "dynamic");
-  EXPECT_EQ(fields->at("rcode"), "NOERROR");
-  EXPECT_EQ(fields->at("latency_us"), "37");
-}
-
-TEST(QueryLogTest, NdjsonOmitsEmptyEcsAndEscapes) {
-  QueryLogRecord record = sample_record();
-  record.ecs.clear();
-  record.qname = "we\"ird\\na\nme.example";
-  const std::string line = QueryLog::to_ndjson(record);
-  const auto fields = test::parse_ndjson_line(line);
-  ASSERT_TRUE(fields.has_value()) << line;
-  EXPECT_EQ(fields->count("ecs"), 0u);
-  EXPECT_EQ(fields->at("qname"), "we\"ird\\na\nme.example");
-}
-
-TEST(QueryLogTest, SamplingKeepsEveryNth) {
-  QueryLog log{QueryLogConfig{64, 1, 4}};
-  int sampled = 0;
-  for (int i = 0; i < 100; ++i) sampled += log.sample() ? 1 : 0;
-  EXPECT_EQ(sampled, 25);
-}
-
-TEST(QueryLogTest, RingOverwritesOldestAndCountsDrops) {
-  QueryLog log{QueryLogConfig{4, 1, 1}};
-  for (int i = 0; i < 10; ++i) {
-    QueryLogRecord record = sample_record();
-    record.ts_us = i;
-    log.log(std::move(record));
-  }
-  EXPECT_EQ(log.logged(), 10u);
-  EXPECT_EQ(log.dropped(), 6u);
-  const std::vector<QueryLogRecord> drained = log.drain();
-  ASSERT_EQ(drained.size(), 4u);
-  // Oldest-first, and the survivors are the newest four.
-  for (std::size_t i = 0; i < drained.size(); ++i) {
-    EXPECT_EQ(drained[i].ts_us, static_cast<std::int64_t>(6 + i));
-  }
-  EXPECT_TRUE(log.drain().empty());  // drain empties the ring
-}
-
-TEST(QueryLogTest, ConcurrentProducersAllLand) {
-  QueryLog log{QueryLogConfig{1 << 14, 8, 1}};
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&log, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        QueryLogRecord record;
-        record.ts_us = static_cast<std::int64_t>(t) * kPerThread + i;
-        record.client = "192.0.2." + std::to_string(t);
-        record.qname = "q" + std::to_string(i) + ".example";
-        record.qtype = "A";
-        record.rcode = "NOERROR";
-        if (log.sample()) log.log(std::move(record));
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(log.logged(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(log.dropped(), 0u);
-  const std::vector<QueryLogRecord> drained = log.drain();
-  ASSERT_EQ(drained.size(), static_cast<std::size_t>(kThreads) * kPerThread);
-  // Drain order is globally sorted by timestamp.
-  EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end(),
-                             [](const QueryLogRecord& a, const QueryLogRecord& b) {
-                               return a.ts_us < b.ts_us;
-                             }));
-  // Every record is valid NDJSON.
-  for (const QueryLogRecord& record : drained) {
-    EXPECT_TRUE(test::parse_ndjson_line(QueryLog::to_ndjson(record)).has_value());
-  }
-}
-
-TEST(QueryLogTest, AuthorityEmitsRecordsWithAnswerSources) {
-  QueryLog log{QueryLogConfig{256, 2, 1}};
-  dnsserver::AuthoritativeServer engine = make_cdn_engine();
-  engine.set_query_log(&log);
-  const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
-  (void)engine.handle(cdn_query(1), resolver);
-  // And one REFUSED (no zone matches).
-  (void)engine.handle(dns::Message::make_query(2, dns::DnsName::from_text("other.example"),
-                                               dns::RecordType::A),
-                      resolver);
-  const std::vector<QueryLogRecord> drained = log.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].source, AnswerSource::dynamic_answer);
-  EXPECT_EQ(drained[0].ecs, "10.2.3.0/24");
-  EXPECT_EQ(drained[0].qname, "www.g.cdn.example");
-  EXPECT_EQ(drained[1].source, AnswerSource::refused);
-  EXPECT_EQ(drained[1].rcode, "REFUSED");
-  for (const QueryLogRecord& record : drained) {
-    EXPECT_TRUE(test::parse_ndjson_line(QueryLog::to_ndjson(record)).has_value());
-  }
-}
-
-TEST(QueryLogTest, ResolverLogsCacheOutcomes) {
-  QueryLog log{QueryLogConfig{256, 2, 1}};
-  util::SimClock clock;
-  dnsserver::AuthoritativeServer engine = make_cdn_engine();
-  dnsserver::AuthorityDirectory directory;
-  directory.add_authority(dns::DnsName::from_text("g.cdn.example"), &engine);
-  dnsserver::ResolverConfig config;
-  config.ecs_enabled = true;
-  dnsserver::RecursiveResolver resolver{config, &clock, &directory,
-                                        *net::IpAddr::parse("198.51.100.1")};
-  resolver.set_query_log(&log);
-  const net::IpAddr client = *net::IpAddr::parse("10.2.3.4");
-  (void)resolver.resolve(cdn_query(1), client);  // miss -> upstream
-  (void)resolver.resolve(cdn_query(2), client);  // scoped hit
-  const std::vector<QueryLogRecord> drained = log.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].source, AnswerSource::upstream);
-  EXPECT_EQ(drained[1].source, AnswerSource::cache_hit_scoped);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "dnsserver/fault.h"
 #include "dnsserver/resolver.h"
 #include "dnsserver/transport.h"
-#include "obs/query_log.h"
+#include "obs/trace.h"
 
 namespace eum::dnsserver {
 namespace {
@@ -517,15 +517,24 @@ TEST_F(FaultyResolverFixture, ServeStaleBridgesUpstreamOutage) {
   ResolverConfig config;
   config.serve_stale_window = 3600;
   RecursiveResolver resolver = make_resolver(config);
-  obs::QueryLog log;
-  resolver.set_query_log(&log);
+  obs::FlightRecorderConfig trace_config;
+  trace_config.sample_every = 1;
+  obs::FlightRecorder recorder{trace_config};
+  obs::QueryTracer tracer{&recorder, 0};
+  const obs::TracerScope trace_scope{&tracer};
+  const auto traced_resolve = [&](std::uint16_t id) {
+    tracer.begin();
+    Message response = resolver.resolve(client_query(id), v4("1.2.3.4"));
+    tracer.finish();
+    return response;
+  };
 
-  const Message fresh = resolver.resolve(client_query(1), v4("1.2.3.4"));
+  const Message fresh = traced_resolve(1);
   ASSERT_EQ(fresh.answers.size(), 1U);
   clock_.advance(ttl_ + 5);  // past expiry, inside the stale window
   set_drop(1.0);             // total outage
 
-  const Message stale = resolver.resolve(client_query(2), v4("1.2.3.4"));
+  const Message stale = traced_resolve(2);
   EXPECT_EQ(stale.header.rcode, Rcode::no_error);
   ASSERT_EQ(stale.answers.size(), 1U);
   EXPECT_EQ(stale.answer_addresses(), fresh.answer_addresses());
@@ -534,8 +543,8 @@ TEST_F(FaultyResolverFixture, ServeStaleBridgesUpstreamOutage) {
   EXPECT_EQ(resolver.stats().stale_served, 1U);
   EXPECT_GT(resolver.stats().upstream_failures, 0U);
 
-  // The query log attributes exactly one answer to the stale path.
-  const auto records = log.drain();
+  // The flight recorder attributes exactly one answer to the stale path.
+  const auto records = recorder.drain();
   ASSERT_EQ(records.size(), 2U);
   const auto stale_count =
       std::count_if(records.begin(), records.end(),

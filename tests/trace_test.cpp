@@ -1,6 +1,7 @@
 // Query flight recorder: the Vyukov trace rings, the per-worker
-// QueryTracer scratch, the anomaly-retention guarantee, and the NDJSON
-// exposition. TraceConcurrency and TraceRetention run under TSan via
+// QueryTracer scratch, the anomaly-retention guarantee, the NDJSON
+// exposition, and the answer fields the authority and the resolver fill
+// in (TraceFields). Every suite here runs under TSan via
 // scripts/tsan_check.sh.
 #include <gtest/gtest.h>
 
@@ -8,13 +9,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dnsserver/transport.h"
 #include "dnsserver/udp.h"
 #include "ndjson_check.h"
 #include "obs/trace.h"
+#include "util/sim_clock.h"
 
 namespace eum::obs {
 namespace {
@@ -37,9 +41,13 @@ TraceRecord make_record(std::uint32_t anomalies = 0, std::uint8_t sampled = 1) {
   record.latency_us = 42;
   record.anomalies = anomalies;
   record.sampled = sampled;
-  record.client_v4 = (192U << 24) | (0U << 16) | (2U << 8) | 53U;
+  record.client = net::IpAddr{net::IpV4Addr{192, 0, 2, 53}};
   const char qname[] = "www.g.cdn.example";
   std::copy(qname, qname + sizeof(qname), record.qname);
+  record.ecs = net::IpPrefix::parse("10.2.3.0/24");
+  record.qtype = dns::RecordType::A;
+  record.source = AnswerSource::dynamic_answer;
+  record.rcode = dns::Rcode::no_error;
   record.span_count = 2;
   record.spans[0].stage = TraceStage::rx;
   record.spans[0].value = 64;
@@ -151,7 +159,11 @@ TEST(FlightRecorderTest, NdjsonIsFlatAndComplete) {
   EXPECT_EQ(fields->at("ts_us"), "1722945600000000");
   EXPECT_EQ(fields->at("worker"), "3");
   EXPECT_EQ(fields->at("client"), "192.0.2.53");
+  EXPECT_EQ(fields->at("ecs"), "10.2.3.0/24");
   EXPECT_EQ(fields->at("qname"), "www.g.cdn.example");
+  EXPECT_EQ(fields->at("qtype"), "A");
+  EXPECT_EQ(fields->at("source"), "dynamic");
+  EXPECT_EQ(fields->at("rcode"), "NOERROR");
   EXPECT_EQ(fields->at("latency_us"), "42");
   EXPECT_EQ(fields->at("sampled"), "1");
   EXPECT_EQ(fields->at("anomalies"), "slow");
@@ -171,6 +183,43 @@ TEST(FlightRecorderTest, NdjsonEscapesHostileDetailText) {
   ASSERT_TRUE(fields.has_value()) << line;
   EXPECT_EQ(fields->at("qname"), "we\"ird\\name.example");
   EXPECT_NE(fields->at("spans").find("quote\" back\\slash"), std::string::npos);
+}
+
+TEST(FlightRecorderTest, NdjsonOmitsAbsentEcsAndUnansweredFields) {
+  TraceRecord record = make_record();
+  record.client = *net::IpAddr::parse("2001:db8::53");
+  record.ecs.reset();  // the query carried no ECS
+  const char qname[] = "we\"ird\\na\nme.example";
+  std::copy(qname, qname + sizeof(qname), record.qname);
+  auto fields = test::parse_ndjson_line(FlightRecorder::to_ndjson(record));
+  ASSERT_TRUE(fields.has_value());
+  EXPECT_EQ(fields->at("client"), "2001:db8::53");
+  EXPECT_EQ(fields->count("ecs"), 0U);
+  EXPECT_EQ(fields->at("source"), "dynamic");
+  EXPECT_EQ(fields->at("qname"), "we\"ird\\na\nme.example");
+
+  record.source = AnswerSource::none;  // no answering layer ran
+  fields = test::parse_ndjson_line(FlightRecorder::to_ndjson(record));
+  ASSERT_TRUE(fields.has_value());
+  EXPECT_EQ(fields->count("qtype"), 0U);
+  EXPECT_EQ(fields->count("source"), 0U);
+  EXPECT_EQ(fields->count("rcode"), 0U);
+  EXPECT_NE(fields->find("latency_us"), fields->end());
+}
+
+TEST(FlightRecorderTest, CommitStampsSequenceAndWallClock) {
+  FlightRecorder recorder{quiet_config()};
+  TraceRecord record = make_record();
+  record.seq = 0;
+  record.ts_us = 0;
+  recorder.commit(record);
+  recorder.commit(record);
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 2U);
+  EXPECT_EQ(drained[0].seq, 1U);
+  EXPECT_EQ(drained[1].seq, 2U);
+  // Microseconds since the Unix epoch, so later than 2020-01-01.
+  for (const TraceRecord& stamped : drained) EXPECT_GT(stamped.ts_us, 1577836800000000);
 }
 
 // ---------- QueryTracer ----------
@@ -199,7 +248,7 @@ TEST(QueryTracerTest, AnomalyCommitsEvenWhenUnsampled) {
   tracer.begin();
   tracer.finish();  // burn the sampled first pick
   tracer.begin();
-  tracer.set_client_v4(0x7F000001U);
+  tracer.set_client(net::IpAddr{net::IpV4Addr{127, 0, 0, 1}});
   if (TraceSpan* span = tracer.span(TraceStage::handle)) span->code = 2;
   tracer.note_anomaly(TraceAnomaly::kServfail);
   tracer.finish();
@@ -276,6 +325,32 @@ TEST(QueryTracerTest, WireQnameDecodesLabelsWithoutAllocation) {
   EXPECT_STREQ(drained[0].qname, "www.g.example.");
 }
 
+TEST(QueryTracerTest, BeginClearsClientAndAnswerFields) {
+  FlightRecorder recorder{quiet_config()};
+  QueryTracer tracer{&recorder, 0};
+  const auto ecs = dns::ClientSubnetOption::for_query(*net::IpAddr::parse("10.2.3.4"), 24);
+  const dns::Message query = dns::Message::make_query(
+      1, dns::DnsName::from_text("www.g.cdn.example"), dns::RecordType::AAAA, ecs);
+  tracer.begin();
+  tracer.set_answer(*net::IpAddr::parse("2001:db8::1"), query, AnswerSource::dynamic_answer,
+                    dns::Rcode::refused);
+  tracer.finish();
+  tracer.begin();  // the next datagram never reaches an answering layer
+  tracer.finish();
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 2U);
+  EXPECT_EQ(drained[0].client, *net::IpAddr::parse("2001:db8::1"));
+  EXPECT_EQ(drained[0].ecs, net::IpPrefix::parse("10.2.3.0/24"));
+  EXPECT_EQ(drained[0].qtype, dns::RecordType::AAAA);
+  EXPECT_EQ(drained[0].source, AnswerSource::dynamic_answer);
+  EXPECT_EQ(drained[0].rcode, dns::Rcode::refused);
+  EXPECT_EQ(drained[1].client, net::IpAddr{});
+  EXPECT_FALSE(drained[1].ecs.has_value());
+  EXPECT_EQ(drained[1].qtype, dns::RecordType{});
+  EXPECT_EQ(drained[1].source, AnswerSource::none);
+  EXPECT_EQ(drained[1].rcode, dns::Rcode::no_error);
+}
+
 TEST(QueryTracerTest, TracerScopeInstallsAndRestores) {
   FlightRecorder recorder{quiet_config()};
   QueryTracer outer{&recorder, 0};
@@ -316,7 +391,7 @@ TEST(TraceConcurrency, WorkersCommitWhileDraining) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) {
         tracer.begin();
-        tracer.set_client_v4(0x0A000000U + static_cast<std::uint32_t>(i));
+        tracer.set_client(net::IpAddr{net::IpV4Addr{0x0A000000U + static_cast<std::uint32_t>(i)}});
         if (TraceSpan* span = tracer.span(TraceStage::rx)) span->value = i;
         if (i % 16 == 0) tracer.note_anomaly(TraceAnomaly::kServfail);
         tracer.finish();
@@ -428,6 +503,254 @@ TEST(TraceRetention, EveryInjectedAnomalyIsRetained) {
   EXPECT_LE(sampled_healthy, 1);
   EXPECT_EQ(recorder.observed(),
             static_cast<std::uint64_t>(kBoom + kSlow + kHealthy));
+}
+
+// ---------- Answer fields from the answering layers ----------
+
+dns::Message cdn_query(std::uint16_t id) {
+  const auto ecs = dns::ClientSubnetOption::for_query(*net::IpAddr::parse("10.2.3.4"), 24);
+  return dns::Message::make_query(id, dns::DnsName::from_text("www.g.cdn.example"),
+                                  dns::RecordType::A, ecs);
+}
+
+dnsserver::AuthoritativeServer make_cdn_engine() {
+  dnsserver::AuthoritativeServer engine;
+  engine.add_dynamic_domain(
+      dns::DnsName::from_text("g.cdn.example"),
+      [](const dnsserver::DynamicQuery&) -> std::optional<dnsserver::DynamicAnswer> {
+        dnsserver::DynamicAnswer answer;
+        answer.addresses = {net::IpAddr{net::IpV4Addr{203, 0, 113, 1}}};
+        answer.ecs_scope_len = 24;
+        return answer;
+      });
+  return engine;
+}
+
+std::map<std::string, std::string> ndjson_fields(const TraceRecord& record) {
+  const std::string line = FlightRecorder::to_ndjson(record);
+  auto fields = test::parse_ndjson_line(line);
+  EXPECT_TRUE(fields.has_value()) << line;
+  return fields.value_or(std::map<std::string, std::string>{});
+}
+
+TEST(TraceFields, AuthorityRecordsAnswerSources) {
+  FlightRecorder recorder{quiet_config()};
+  QueryTracer tracer{&recorder, 0};
+  const TracerScope scope{&tracer};
+  dnsserver::AuthoritativeServer engine = make_cdn_engine();
+  const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
+  tracer.begin();
+  (void)engine.handle(cdn_query(1), resolver);
+  tracer.finish();
+  // And one REFUSED (no zone matches).
+  tracer.begin();
+  (void)engine.handle(dns::Message::make_query(2, dns::DnsName::from_text("other.example"),
+                                               dns::RecordType::A),
+                      resolver);
+  tracer.finish();
+
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 2U);
+  const auto dynamic = ndjson_fields(drained[0]);
+  EXPECT_EQ(dynamic.at("client"), "192.0.2.53");
+  EXPECT_EQ(dynamic.at("source"), "dynamic");
+  EXPECT_EQ(dynamic.at("ecs"), "10.2.3.0/24");
+  EXPECT_EQ(dynamic.at("qtype"), "A");
+  EXPECT_EQ(dynamic.at("rcode"), "NOERROR");
+  const auto refused = ndjson_fields(drained[1]);
+  EXPECT_EQ(refused.at("source"), "refused");
+  EXPECT_EQ(refused.at("rcode"), "REFUSED");
+  EXPECT_EQ(refused.count("ecs"), 0U);
+}
+
+TEST(TraceFields, ResolverRecordsCacheOutcomes) {
+  FlightRecorder recorder{quiet_config()};
+  QueryTracer tracer{&recorder, 0};
+  const TracerScope scope{&tracer};
+  util::SimClock clock;
+  dnsserver::AuthoritativeServer engine = make_cdn_engine();
+  dnsserver::AuthorityDirectory directory;
+  directory.add_authority(dns::DnsName::from_text("g.cdn.example"), &engine);
+  dnsserver::ResolverConfig config;
+  config.ecs_enabled = true;
+  dnsserver::RecursiveResolver resolver{config, &clock, &directory,
+                                        *net::IpAddr::parse("198.51.100.1")};
+  const net::IpAddr client = *net::IpAddr::parse("10.2.3.4");
+  for (std::uint16_t id = 1; id <= 2; ++id) {  // miss -> upstream, then a scoped hit
+    tracer.begin();
+    (void)resolver.resolve(cdn_query(id), client);
+    tracer.finish();
+  }
+
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 2U);
+  EXPECT_EQ(drained[0].source, AnswerSource::upstream);
+  EXPECT_EQ(drained[1].source, AnswerSource::cache_hit_scoped);
+  // The resolver writes after the authority it reached: the upstream
+  // record is the client's view, not the authority's.
+  EXPECT_EQ(drained[0].client, client);
+  EXPECT_EQ(ndjson_fields(drained[0]).at("source"), "upstream");
+  EXPECT_EQ(ndjson_fields(drained[1]).at("source"), "cache_hit_scoped");
+}
+
+TEST(TraceFields, CacheHitAndUndecodableDatagramCarryNoAnswerFields) {
+  // A datagram answered from the wire answer cache, or one that never
+  // decodes, reaches no answering layer: its record must not inherit the
+  // previous datagram's ECS, qtype or answer source from the worker's
+  // reused scratch.
+  dnsserver::AuthoritativeServer engine = make_cdn_engine();
+  FlightRecorder recorder{quiet_config()};
+  dnsserver::UdpServerConfig config;
+  config.answer_cache_entries = 64;
+  config.recorder = &recorder;
+  dnsserver::UdpAuthorityServer server{
+      &engine, dnsserver::UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}, config};
+  server.start();
+  dnsserver::UdpDnsClient client;
+  EXPECT_TRUE(client.query(cdn_query(1), server.endpoint(), 2000ms).has_value());  // miss
+  EXPECT_TRUE(client.query(cdn_query(2), server.endpoint(), 2000ms).has_value());  // hit
+  dnsserver::UdpSocket socket{dnsserver::UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}};
+  const std::vector<std::uint8_t> garbage{0xAB, 0xCD, 0xFF};
+  socket.send_to(garbage, server.endpoint());
+  dnsserver::UdpEndpoint peer;
+  EXPECT_TRUE(socket.receive(2000ms, peer).has_value());  // FORMERR
+  server.stop();
+
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 3U);
+  EXPECT_EQ(drained[0].source, AnswerSource::dynamic_answer);
+  EXPECT_TRUE(drained[0].ecs.has_value());
+  for (std::size_t i = 1; i < drained.size(); ++i) {
+    EXPECT_EQ(drained[i].source, AnswerSource::none) << i;
+    EXPECT_FALSE(drained[i].ecs.has_value()) << i;
+    EXPECT_EQ(drained[i].qtype, dns::RecordType{}) << i;
+    const auto fields = ndjson_fields(drained[i]);
+    EXPECT_EQ(fields.count("ecs"), 0U) << i;
+    EXPECT_EQ(fields.count("qtype"), 0U) << i;
+    EXPECT_EQ(fields.count("source"), 0U) << i;
+    EXPECT_EQ(fields.at("client"), "127.0.0.1") << i;
+  }
+  EXPECT_NE(std::string_view{drained[1].qname}.find("www.g.cdn.example"), std::string_view::npos);
+}
+
+// ---------- The query log: the recorder's kept records ----------
+//
+// The records the recorder keeps are the server's query log: one NDJSON
+// line per kept query, sampled 1-in-N, bounded with counted overwrites,
+// fed by every worker at once.
+
+TEST(QueryLogTest, NdjsonLineIsValidAndComplete) {
+  // Recorded the way an answering layer records a query, not built by
+  // hand: every query-log field reaches the line.
+  FlightRecorder recorder{quiet_config()};
+  QueryTracer tracer{&recorder, 0};
+  tracer.begin();
+  tracer.set_qname_text("www.g.cdn.example");
+  tracer.set_answer(net::IpAddr{net::IpV4Addr{192, 0, 2, 53}}, cdn_query(1),
+                    AnswerSource::dynamic_answer, dns::Rcode::no_error);
+  tracer.finish();
+
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 1U);
+  const std::string line = FlightRecorder::to_ndjson(drained[0]);
+  const auto fields = test::parse_ndjson_line(line);
+  ASSERT_TRUE(fields.has_value()) << line;
+  EXPECT_EQ(fields->at("ts_us"), std::to_string(drained[0].ts_us));
+  EXPECT_EQ(fields->at("client"), "192.0.2.53");
+  EXPECT_EQ(fields->at("ecs"), "10.2.3.0/24");
+  EXPECT_EQ(fields->at("qname"), "www.g.cdn.example");
+  EXPECT_EQ(fields->at("qtype"), "A");
+  EXPECT_EQ(fields->at("source"), "dynamic");
+  EXPECT_EQ(fields->at("rcode"), "NOERROR");
+  EXPECT_EQ(fields->at("latency_us"), std::to_string(drained[0].latency_us));
+}
+
+TEST(QueryLogTest, SamplingKeepsEveryNth) {
+  // Two workers' tracers share one sampler and claim its ticks in
+  // strides; the log still keeps exactly one healthy query in N.
+  FlightRecorderConfig config = quiet_config();
+  config.sample_every = 4;
+  config.capacity = 512;
+  FlightRecorder recorder{config};
+  QueryTracer first{&recorder, 0};
+  QueryTracer second{&recorder, 1};
+  QueryTracer* const tracers[] = {&first, &second};
+  for (int i = 0; i < 256; ++i) {
+    for (QueryTracer* tracer : tracers) {
+      tracer->begin();
+      tracer->finish();
+    }
+  }
+  EXPECT_EQ(recorder.committed(), 128U);
+  EXPECT_EQ(recorder.overwritten(), 0U);
+  EXPECT_EQ(recorder.drain().size(), 128U);
+}
+
+TEST(QueryLogTest, RingOverwritesOldestAndCountsDrops) {
+  FlightRecorderConfig config = quiet_config();
+  config.capacity = 4;
+  FlightRecorder recorder{config};
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    TraceRecord record = make_record();
+    record.latency_us = i;  // marks commit order (commit restamps seq and ts_us)
+    recorder.commit(record);
+  }
+  EXPECT_EQ(recorder.committed(), 10U);
+  EXPECT_EQ(recorder.overwritten(), 6U);
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), 4U);
+  // Oldest-first, and the survivors are the newest four.
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(drained[i].latency_us, 6U + i);
+  }
+  EXPECT_TRUE(recorder.drain().empty());  // drain empties the ring
+}
+
+TEST(QueryLogTest, ConcurrentProducersAllLand) {
+  // Every worker logs at once into a ring that holds them all: nothing
+  // is lost, and the drain is one log in commit order.
+  FlightRecorderConfig config = quiet_config();
+  config.capacity = 1 << 12;
+  FlightRecorder recorder{config};
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 500;
+  const dns::Message query = cdn_query(1);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&recorder, &query, t] {
+      QueryTracer tracer{&recorder, static_cast<std::uint32_t>(t)};
+      const net::IpAddr client{net::IpV4Addr{192, 0, 2, static_cast<std::uint8_t>(t)}};
+      for (int i = 0; i < kPerThread; ++i) {
+        tracer.begin();
+        tracer.set_qname_text("q" + std::to_string(i) + ".example");
+        tracer.set_answer(client, query, AnswerSource::dynamic_answer, dns::Rcode::no_error);
+        tracer.finish();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  constexpr std::size_t kTotal = static_cast<std::size_t>(kThreads) * kPerThread;
+  EXPECT_EQ(recorder.committed(), kTotal);
+  EXPECT_EQ(recorder.overwritten(), 0U);
+  const std::vector<TraceRecord> drained = recorder.drain();
+  ASSERT_EQ(drained.size(), kTotal);
+  // Drain order is the global commit sequence, one number per record.
+  EXPECT_EQ(std::adjacent_find(drained.begin(), drained.end(),
+                               [](const TraceRecord& a, const TraceRecord& b) {
+                                 return a.seq >= b.seq;
+                               }),
+            drained.end());
+  std::vector<int> per_worker(kThreads, 0);
+  for (const TraceRecord& record : drained) {
+    ASSERT_LT(record.worker, static_cast<std::uint32_t>(kThreads));
+    ++per_worker[record.worker];
+    EXPECT_EQ(record.client, (net::IpAddr{net::IpV4Addr{
+                                 192, 0, 2, static_cast<std::uint8_t>(record.worker)}}));
+    EXPECT_TRUE(test::parse_ndjson_line(FlightRecorder::to_ndjson(record)).has_value());
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(per_worker[t], kPerThread) << t;
 }
 
 }  // namespace

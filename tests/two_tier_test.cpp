@@ -132,10 +132,11 @@ TEST_F(TwoTierFixture, ClusterNsAddressesAreDistinctAndRouted) {
     // The directory can address it.
     const Message query =
         Message::make_query(3, DnsName::from_text("y.b.cdn.example"), RecordType::A);
-    const auto response = directory.forward_to(ns, query, *net::IpAddr::parse("200.0.0.1"));
-    ASSERT_TRUE(response.has_value());
-    ASSERT_FALSE(response->answers.empty());
-    EXPECT_EQ(network.deployment_of(response->answer_addresses()[0])->id, d.id);
+    const auto result = directory.try_forward_to(ns, query, *net::IpAddr::parse("200.0.0.1"));
+    ASSERT_TRUE(result.addressable);
+    ASSERT_TRUE(result.response.has_value());
+    ASSERT_FALSE(result.response->answers.empty());
+    EXPECT_EQ(network.deployment_of(result.response->answer_addresses()[0])->id, d.id);
   }
 }
 

@@ -16,7 +16,7 @@
 
 #include "dnsserver/udp.h"
 #include "ndjson_check.h"
-#include "obs/query_log.h"
+#include "obs/trace.h"
 
 namespace eum::dnsserver {
 namespace {
@@ -290,13 +290,12 @@ TEST(UdpConcurrency, FourWorkersServeParallelClientsWithoutLoss) {
   EXPECT_NE(rendered.find("worker_0_queries"), std::string::npos);
 }
 
-TEST(UdpConcurrency, QueryLogStaysValidNdjsonUnderFourWorkerLoad) {
-  // Acceptance gate: with 4 workers concurrently logging into one
-  // lock-striped query log, every drained record renders as valid NDJSON
-  // with the full schema, nothing is lost, and timestamps drain sorted.
+TEST(UdpConcurrency, TraceRecordsStayValidNdjsonUnderFourWorkerLoad) {
+  // Acceptance gate: with 4 workers concurrently committing into one
+  // flight recorder, every drained record renders as valid NDJSON with
+  // the full answer schema, nothing is lost, and drain order is the
+  // commit order.
   AuthoritativeServer engine;
-  obs::QueryLog query_log{obs::QueryLogConfig{1 << 14, 8, 1}};
-  engine.set_query_log(&query_log);
   engine.add_dynamic_domain(
       DnsName::from_text("g.cdn.example"),
       [](const DynamicQuery&) -> std::optional<DynamicAnswer> {
@@ -306,8 +305,12 @@ TEST(UdpConcurrency, QueryLogStaysValidNdjsonUnderFourWorkerLoad) {
         answer.addresses = {v4("203.0.0.1")};
         return answer;
       });
-  UdpAuthorityServer server{&engine, UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0},
-                            UdpServerConfig{4}};
+  obs::FlightRecorderConfig trace_config;
+  trace_config.sample_every = 1;
+  obs::FlightRecorder recorder{trace_config};
+  UdpServerConfig config{4};
+  config.recorder = &recorder;
+  UdpAuthorityServer server{&engine, UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}, config};
   server.start();
 
   constexpr int kClients = 8;
@@ -333,16 +336,18 @@ TEST(UdpConcurrency, QueryLogStaysValidNdjsonUnderFourWorkerLoad) {
   server.stop();
 
   EXPECT_EQ(answered.load(std::memory_order_relaxed), kClients * kQueriesPerClient);
-  const std::vector<obs::QueryLogRecord> drained = query_log.drain();
+  const std::vector<obs::TraceRecord> drained = recorder.drain();
   ASSERT_EQ(drained.size(), static_cast<std::size_t>(kClients * kQueriesPerClient));
+  EXPECT_EQ(recorder.overwritten(), 0U);
   EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end(),
-                             [](const obs::QueryLogRecord& a, const obs::QueryLogRecord& b) {
-                               return a.ts_us < b.ts_us;
+                             [](const obs::TraceRecord& a, const obs::TraceRecord& b) {
+                               return a.seq < b.seq;
                              }));
-  for (const obs::QueryLogRecord& record : drained) {
-    const std::string line = obs::QueryLog::to_ndjson(record);
+  for (const obs::TraceRecord& record : drained) {
+    const std::string line = obs::FlightRecorder::to_ndjson(record);
     const auto fields = test::parse_ndjson_line(line);
     ASSERT_TRUE(fields.has_value()) << line;
+    EXPECT_EQ(fields->at("client"), "127.0.0.1");
     EXPECT_EQ(fields->at("source"), "dynamic");
     EXPECT_EQ(fields->at("rcode"), "NOERROR");
     EXPECT_EQ(fields->at("qtype"), "A");
