@@ -68,8 +68,9 @@ TtlOutcome run_with_ttl(std::uint32_t ttl) {
     }
   }
   outcome.stale_seconds = last_stale >= kFailAt ? last_stale - kFailAt + 1 : 0;
-  outcome.upstream_per_hour =
-      static_cast<double>(resolver.stats().upstream_queries) * 3600.0 / kHorizon;
+  const std::uint64_t upstream =
+      resolver.registry().counter_total("eum_resolver_upstream_queries_total");
+  outcome.upstream_per_hour = static_cast<double>(upstream) * 3600.0 / kHorizon;
   return outcome;
 }
 

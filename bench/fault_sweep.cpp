@@ -122,10 +122,11 @@ PointResult run_point(double loss, int attempts) {
     latencies_us.push_back(static_cast<double>(elapsed.count()) / 1000.0);
     if (response.header.rcode == Rcode::no_error) ++result.successes;
   }
-  const dnsserver::ResolverStats stats = resolver.stats();
-  result.retries = stats.retries;
-  result.upstream_failures = stats.upstream_failures;
-  result.injected_drops = injector.stats().drops;
+  result.retries = resolver.registry().counter_total("eum_resolver_retries_total");
+  result.upstream_failures =
+      resolver.registry().counter_total("eum_resolver_upstream_failures_total");
+  result.injected_drops =
+      injector.registry().counter_total("eum_fault_injected_total", {{"fault", "drop"}});
   result.p50_us = percentile(latencies_us, 0.50);
   result.p90_us = percentile(latencies_us, 0.90);
   result.p99_us = percentile(latencies_us, 0.99);

@@ -92,7 +92,7 @@ struct Stack {
                                                   control::MapMakerConfig{});
 
     s.engine = std::make_unique<dnsserver::AuthoritativeServer>();
-    s.engine->set_latency_tracking(false);
+    s.engine->set_latency_sampling(0);
     // Load-generator flows bind ephemeral loopback ports, so the peer
     // address the server sees is never a world LDNS; patch unknown
     // resolvers to a fixed fallback (as run_churn does). The diversity
@@ -130,7 +130,7 @@ void write_bench_json(const load::TrafficModel& model,
                       double max_qps_under_slo,
                       const load::ClosedLoopReport& closed,
                       const load::LoadReport& open_matched,
-                      const dnsserver::UdpServerStats& stats, const char* path) {
+                      std::uint64_t kernel_drops, const char* path) {
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::perror("loadgen: fopen bench artifact");
@@ -168,7 +168,7 @@ void write_bench_json(const load::TrafficModel& model,
   }
   std::fprintf(out, "  ],\n  \"max_qps_under_slo\": %.0f,\n", max_qps_under_slo);
   std::fprintf(out, "  \"kernel_drops\": %llu,\n",
-               static_cast<unsigned long long>(stats.kernel_drops));
+               static_cast<unsigned long long>(kernel_drops));
   const double closed_p999 = closed.latency_us.percentile(99.9);
   const double open_p999 = open_matched.latency_us.percentile(99.9);
   std::fprintf(out,
@@ -281,12 +281,13 @@ int main() {
             << stats::num(open_p999, 0) << " us (drops charged: " << open_matched.dropped
             << "), delta " << stats::num(open_p999 - closed_p999, 0) << " us\n";
 
-  const dnsserver::UdpServerStats stats = stack.server->stats();
+  const std::uint64_t kernel_drops =
+      stack.server->registry().counter_total("eum_udp_kernel_drops_total");
   std::cout << "kernel receive-queue drops over the whole run (SO_RXQ_OVFL): "
-            << stats.kernel_drops << '\n';
+            << kernel_drops << '\n';
 
   const char* out_path = std::getenv("EUM_BENCH_OUT");
-  write_bench_json(model, curve, slo_us, max_qps_under_slo, closed, open_matched, stats,
+  write_bench_json(model, curve, slo_us, max_qps_under_slo, closed, open_matched, kernel_drops,
                    out_path != nullptr ? out_path : "BENCH_loadgen.json");
   stack.server->stop();
 

@@ -204,7 +204,7 @@ void BM_AuthHandleInstrumented(benchmark::State& state) {
   }()};
   obs::QueryTracer tracer{&recorder, 0};
   const obs::TracerScope trace_scope{&tracer};
-  authority.set_latency_tracking(true);
+  authority.set_latency_sampling(dnsserver::AuthoritativeServer::kDefaultLatencySampleEvery);
   const dns::Message query = obs_bench_query();
   const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
   for (auto _ : state) {
@@ -215,18 +215,18 @@ void BM_AuthHandleInstrumented(benchmark::State& state) {
 }
 BENCHMARK(BM_AuthHandleInstrumented);
 
-/// Same engine with latency tracking and tracing off: the clock reads,
-/// the sampling tick, and the histogram record are skipped entirely
-/// (counters stay on — they are single relaxed atomics).
+/// Same engine with latency timing and tracing off: the clock reads and
+/// the histogram record are skipped entirely (counters stay on — they
+/// are single relaxed atomics).
 void BM_AuthHandleUninstrumented(benchmark::State& state) {
   dnsserver::AuthoritativeServer& authority = obs_bench_authority();
-  authority.set_latency_tracking(false);
+  authority.set_latency_sampling(0);
   const dns::Message query = obs_bench_query();
   const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(authority.handle(query, resolver));
   }
-  authority.set_latency_tracking(true);
+  authority.set_latency_sampling(dnsserver::AuthoritativeServer::kDefaultLatencySampleEvery);
 }
 BENCHMARK(BM_AuthHandleUninstrumented);
 

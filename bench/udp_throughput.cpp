@@ -49,7 +49,10 @@ struct RunResult {
   std::uint64_t attempted = 0;  ///< queries the clients sent
   std::uint64_t answered = 0;   ///< queries actually answered in time
   double seconds = 0.0;
-  dnsserver::UdpServerStats stats;
+  /// How evenly the kernel spread load across the REUSEPORT sockets: the
+  /// busiest worker's share of answered datagrams (1/workers is a
+  /// perfect spread).
+  double busiest_share = 0.0;
   obs::HistogramSnapshot latency;  ///< eum_udp_serve_latency_us, this run
   /// Achieved (answered) rate — attempted-but-unanswered queries are
   /// reported separately, never folded into the headline number.
@@ -103,10 +106,18 @@ RunResult run_config(std::size_t workers) {
   result.attempted = attempted.load(std::memory_order_relaxed);
   result.answered = answered.load(std::memory_order_relaxed);
   result.seconds = std::chrono::duration<double>(elapsed).count();
-  result.stats = server.stats();
-  // Each run has its own engine, hence its own registry: the serve
-  // latency histogram covers exactly this configuration's window.
-  result.latency = server.registry().histogram("eum_udp_serve_latency_us").snapshot();
+  // Each run has its own engine, hence its own registry: the counters
+  // and the serve latency histogram cover exactly this configuration.
+  obs::MetricsRegistry& registry = server.registry();
+  std::uint64_t busiest = 0;
+  for (std::size_t w = 0; w < workers; ++w) {
+    busiest = std::max(busiest, registry.counter_total("eum_udp_queries_total",
+                                                       {{"worker", std::to_string(w)}}));
+  }
+  const std::uint64_t served = registry.counter_total("eum_udp_queries_total");
+  result.busiest_share =
+      served == 0 ? 0.0 : static_cast<double>(busiest) / static_cast<double>(served);
+  result.latency = registry.histogram("eum_udp_serve_latency_us").snapshot();
   server.stop();
   return result;
 }
@@ -137,7 +148,7 @@ struct CacheRun {
 CacheRun run_cache_config(std::size_t workers, bool cache_on,
                           std::uint32_t trace_sample = 0) {
   dnsserver::AuthoritativeServer engine;
-  engine.set_latency_tracking(false);  // measure serving, not instrumentation
+  engine.set_latency_sampling(0);  // measure serving, not instrumentation
   engine.add_dynamic_domain(
       dns::DnsName::from_text("g.cdn.example"),
       [](const dnsserver::DynamicQuery&) -> std::optional<dnsserver::DynamicAnswer> {
@@ -209,7 +220,10 @@ CacheRun run_cache_config(std::size_t workers, bool cache_on,
   run.trace_committed = recorder.committed();
   run.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  run.hit_ratio = server.stats().cache_hit_ratio();
+  const std::uint64_t hits = server.registry().counter_total("eum_udp_cache_hits_total");
+  const std::uint64_t probed =
+      hits + server.registry().counter_total("eum_udp_cache_misses_total");
+  run.hit_ratio = probed == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(probed);
   run.latency = server.registry().histogram("eum_udp_serve_latency_us").snapshot();
   server.stop();
   return run;
@@ -294,7 +308,7 @@ struct ChurnReport {
 /// clients, serve-latency percentiles from the shared registry.
 ChurnPhase churn_phase(dnsserver::UdpAuthorityServer& server, const topo::World& world,
                        std::chrono::milliseconds window) {
-  server.reset_stats();  // clean per-phase latency histogram
+  server.registry().reset();  // clean per-phase latency histogram
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> answered{0};
   std::atomic<std::uint64_t> timeouts{0};
@@ -488,20 +502,13 @@ int main() {
   }
 
   stats::Table table{{"workers", "attempted", "answered", "achieved_qps", "speedup",
-                      "per_worker_share", "p50_us", "p99_us"}};
+                      "busiest_share", "p50_us", "p99_us"}};
   for (const RunResult& result : results) {
-    // How evenly the kernel spread load across the REUSEPORT sockets:
-    // max worker share of total (1/workers is a perfect spread).
-    std::uint64_t busiest = 0;
-    for (const std::uint64_t w : result.stats.per_worker) busiest = std::max(busiest, w);
-    const double share = result.stats.queries == 0
-                             ? 0.0
-                             : static_cast<double>(busiest) /
-                                   static_cast<double>(result.stats.queries);
     table.add_row({std::to_string(result.workers), std::to_string(result.attempted),
                    std::to_string(result.answered), stats::num(result.qps(), 0),
                    stats::num(result.qps() / results.front().qps(), 2),
-                   stats::num(share, 2), stats::num(result.latency.percentile(50), 0),
+                   stats::num(result.busiest_share, 2),
+                   stats::num(result.latency.percentile(50), 0),
                    stats::num(result.latency.percentile(99), 0)});
   }
   std::cout << "UDP front-end throughput, " << kClientThreads

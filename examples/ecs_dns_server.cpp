@@ -22,8 +22,8 @@
 // --admin-port=N opens the operator introspection channel on
 // 127.0.0.1:N (0 = ephemeral; the bound port is printed). It speaks a
 // line protocol — try `printf 'help\n' | nc 127.0.0.1 <port>` — with
-// `stats`, `metrics`, `traces [n]`, `cache.stats`, `snapshot.info`,
-// `health`, and `explain <client-ip> [qname] [resolver-ip]`, which
+// `stats`, `metrics`, `traces [n]`, `snapshot.info`, `health`, and
+// `explain <client-ip> [qname] [resolver-ip]`, which
 // replays the live mapping decision (policy, roll-out cohort verdict,
 // ECS scope, candidate cluster scores, chosen servers) against the
 // currently published map snapshot.
@@ -261,10 +261,6 @@ int main(int argc, char** argv) {
   admin_config.registry = &registry;
   admin_config.recorder = &recorder;
   obs::AdminServer admin{admin_config};
-  admin.register_command("cache.stats", "UDP front-end counters incl. wire answer cache",
-                         [&server](const std::vector<std::string>&) {
-                           return dnsserver::udp_server_stats_table(server.stats()).render();
-                         });
   admin.register_command("snapshot.info",
                          "published map identity, rebuild reasons, build provenance",
                          [&maker](const std::vector<std::string>&) {
@@ -272,16 +268,16 @@ int main(int argc, char** argv) {
                          });
   admin.register_command(
       "health", "one-line liveness summary",
-      [&server, &maker](const std::vector<std::string>&) {
-        const dnsserver::UdpServerStats stats = server.stats();
+      [&registry, &maker](const std::vector<std::string>&) {
+        const auto udp = [&registry](const char* name) {
+          return static_cast<unsigned long long>(registry.counter_total(name));
+        };
         char line[192];
         std::snprintf(line, sizeof line,
                       "ok queries=%llu send_errors=%llu kernel_drops=%llu "
                       "worker_exceptions=%llu map_version=%llu",
-                      static_cast<unsigned long long>(stats.queries),
-                      static_cast<unsigned long long>(stats.send_errors),
-                      static_cast<unsigned long long>(stats.kernel_drops),
-                      static_cast<unsigned long long>(stats.worker_exceptions),
+                      udp("eum_udp_queries_total"), udp("eum_udp_send_errors_total"),
+                      udp("eum_udp_kernel_drops_total"), udp("eum_udp_worker_exceptions_total"),
                       static_cast<unsigned long long>(maker.version()));
         return std::string{line};
       });
@@ -366,7 +362,6 @@ int main(int argc, char** argv) {
                             static_cast<std::uint32_t>(workers)};
     const obs::TracerScope trace_scope{&tracer};
     const auto qname = dns::DnsName::from_text("www.g.cdn.example");
-    std::uint64_t hits = 0;
     for (int round = 0; round < 3; ++round) {
       for (std::size_t b = 100; b < 108; ++b) {
         const net::IpAddr client{net::IpV4Addr{
@@ -379,23 +374,22 @@ int main(int argc, char** argv) {
         (void)resolver.resolve(query, client);
         tracer.finish();
       }
-      hits = resolver.stats().cache_hits;
     }
+    const auto count = [&registry](const char* name, const obs::Labels& match = {}) {
+      return static_cast<unsigned long long>(registry.counter_total(name, match));
+    };
     std::printf("resolver demo    -> %llu client queries, %llu scoped-cache hits\n",
-                static_cast<unsigned long long>(resolver.stats().client_queries),
-                static_cast<unsigned long long>(hits));
+                count("eum_resolver_client_queries_total"), count("eum_cache_hits_total"));
     if (faults.active()) {
-      const dnsserver::ResolverStats rs = resolver.stats();
-      const dnsserver::FaultStats fs = injector.stats();
+      const auto injected = [&count](const char* fault) {
+        return count("eum_fault_injected_total", {{"fault", fault}});
+      };
       std::printf(
           "fault injection  -> %llu dropped, %llu servfails, %llu delayed; resolver "
           "retried %llu, served stale %llu, failed %llu\n",
-          static_cast<unsigned long long>(fs.drops),
-          static_cast<unsigned long long>(fs.servfails),
-          static_cast<unsigned long long>(fs.delays),
-          static_cast<unsigned long long>(rs.retries),
-          static_cast<unsigned long long>(rs.stale_served),
-          static_cast<unsigned long long>(rs.upstream_failures));
+          injected("drop"), injected("servfail"), injected("delay"),
+          count("eum_resolver_retries_total"), count("eum_resolver_stale_served_total"),
+          count("eum_resolver_upstream_failures_total"));
     }
   }
 
@@ -425,7 +419,7 @@ int main(int argc, char** argv) {
                     static_cast<std::size_t>(rollout.config().cohorts));
       }
     }
-    const std::uint64_t seen = server.stats().queries;
+    const std::uint64_t seen = registry.counter_total("eum_udp_queries_total");
     idle_polls = seen == last_seen ? idle_polls + 1 : 0;
     last_seen = seen;
     if (g_dump_requested != 0 || (metrics && ++polls_since_dump >= 200)) {
@@ -439,13 +433,23 @@ int main(int argc, char** argv) {
   maker.stop();
   server.stop();
 
-  const dnsserver::UdpServerStats final_stats = server.stats();
+  // Datagrams answered over UDP, cache hits included; the resolver
+  // demo's in-process upstream queries never arrive here.
+  const std::uint64_t hits = registry.counter_total("eum_udp_cache_hits_total");
+  const std::uint64_t probed = hits + registry.counter_total("eum_udp_cache_misses_total");
+  // The per-worker counter table: every eum_udp_* counter series.
+  obs::MetricsSnapshot udp = registry.snapshot();
+  std::erase_if(udp.counters, [](const obs::MetricsSnapshot::CounterSample& sample) {
+    return !sample.name.starts_with("eum_udp_");
+  });
+  udp.gauges.clear();
+  udp.histograms.clear();
   std::printf("server exiting; %llu queries handled (map version %llu, answer-cache "
               "hit ratio %.3f)\n\n%s\n",
-              static_cast<unsigned long long>(engine.stats().queries),
+              static_cast<unsigned long long>(registry.counter_total("eum_udp_queries_total")),
               static_cast<unsigned long long>(maker.version()),
-              final_stats.cache_hit_ratio(),
-              dnsserver::udp_server_stats_table(final_stats).render().c_str());
+              probed == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(probed),
+              obs::render_table(udp).render().c_str());
   if (metrics) {
     maker.refresh_gauges();
     dump_observability(registry, recorder);

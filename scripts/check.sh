@@ -2,9 +2,11 @@
 # One-command verification, in gate order:
 #   1. invariant lint   — scripts/lint_invariants.py (mechanical repo rules)
 #   2. bench artifact   — scripts/check_bench_artifact.py (the committed
-#                         BENCH_udp_throughput.json and BENCH_loadgen.json
+#                         BENCH_udp_throughput.json, BENCH_loadgen.json,
+#                         BENCH_mapmaker.json and AUDIT_memory_orders.json
 #                         satisfy their schemas: closed-loop labeling,
-#                         open-loop curve shape + SLO gate)
+#                         open-loop curve shape + SLO gate, rebuild-scale
+#                         arms, memory-order audit verdicts)
 #   3. tier-1           — configure + build + ctest (includes the fuzz
 #                         corpus replays and the linter self-test)
 #   4. mc               — scripts/mc_check.sh: exhaustive model check of

@@ -44,6 +44,15 @@ cas-orders        compare_exchange_{weak,strong} with a single (combined)
                   (AUDIT_memory_orders.json) cannot see: it audits the
                   success and failure orders as separate sites. Spell out
                   both.
+metric-name       A string-literal metric name registered in src/ through
+                  .counter( / .gauge( / .histogram( (or the -> forms) that
+                  breaks DESIGN.md's naming scheme: it must match
+                  ^eum_[a-z0-9_]+$, counters must end in _total, gauges and
+                  histograms must not. Tests and tools read metrics by these
+                  exported names (MetricsRegistry::counter_total), so the
+                  scheme is the read API. Checked on raw lines, because the
+                  code view blanks literals; the name may sit on the line
+                  after the call. Non-literal names are not checked.
 tsan-suppression  Unjustified or stale entries in scripts/
                   tsan_suppressions.txt. Every suppression must carry a
                   `# needs: <regex>` annotation in the comment block above
@@ -140,6 +149,12 @@ ATOMIC_CALL = re.compile(
 )
 
 LINE_COMMENT = re.compile(r"//[^\n]*")
+
+METRIC_CALL = re.compile(r"(?:\.|->)(counter|gauge|histogram)\s*\(")
+METRIC_NAME = re.compile(r"^eum_[a-z0-9_]+$")
+# A string literal as the first argument; \s spans the newline when the
+# name sits on the line after the call.
+LITERAL_ARG = re.compile(r'\s*"((?:[^"\\\n]|\\.)*)"')
 
 
 class Finding:
@@ -374,6 +389,36 @@ def check_iostream(rel: str, lines: list[str]) -> list[Finding]:
     return findings
 
 
+def check_metric_names(rel: str, lines: list[str], raw: str) -> list[Finding]:
+    """Call sites come from the code view (so commented-out calls do not
+    count); the name is read from the raw text at the same offset."""
+    if not rel.startswith("src/"):
+        return []
+    raw_lines = raw.split("\n")
+    starts = [0]
+    for raw_line in raw_lines:
+        starts.append(starts[-1] + len(raw_line) + 1)
+    findings = []
+    for idx, line in enumerate(lines):
+        for m in METRIC_CALL.finditer(line):
+            literal = LITERAL_ARG.match(raw, starts[idx] + m.end())
+            if literal is None:
+                continue  # the name is not a literal
+            kind, name = m.group(1), literal.group(1)
+            if not METRIC_NAME.match(name):
+                why = "must match ^eum_[a-z0-9_]+$"
+            elif kind == "counter" and not name.endswith("_total"):
+                why = "counter names end in _total"
+            elif kind != "counter" and name.endswith("_total"):
+                why = f"{kind} names do not end in _total"
+            else:
+                continue
+            findings.append(
+                Finding(rel, idx + 1, "metric-name", f'metric "{name}": {why}', raw_lines[idx])
+            )
+    return findings
+
+
 def check_tsan_suppressions(root: Path, files: list[Path]) -> list[Finding]:
     """Every `type:pattern` entry in scripts/tsan_suppressions.txt must be
     preceded by a `# needs: <regex>` annotation whose regex still matches
@@ -455,6 +500,7 @@ def lint_file(root: Path, path: Path) -> list[Finding]:
     findings += check_wall_clock(rel, lines)
     findings += check_serve_path(rel, lines)
     findings += check_iostream(rel, lines)
+    findings += check_metric_names(rel, lines, text)
     return findings
 
 

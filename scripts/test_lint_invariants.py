@@ -352,6 +352,75 @@ def main() -> int:
         expect_rule=None,
     )
 
+    # --- metric-name: src/ registrations follow eum_<module>_<name> ---
+    case(
+        "counter without _total fires",
+        "src/obs/thing.cpp",
+        'void f(MetricsRegistry& r) { (void)r.counter("eum_udp_queries"); }\n',
+        expect_rule="metric-name",
+    )
+    case(
+        "gauge ending in _total fires",
+        "src/obs/thing.cpp",
+        'void f(MetricsRegistry* r) { (void)r->gauge("eum_cache_entries_total"); }\n',
+        expect_rule="metric-name",
+    )
+    case(
+        "histogram ending in _total fires",
+        "src/obs/thing.cpp",
+        'void f(MetricsRegistry& r) { (void)r.histogram("eum_lat_us_total"); }\n',
+        expect_rule="metric-name",
+    )
+    case(
+        "name without the eum_ prefix fires",
+        "src/obs/thing.cpp",
+        'void f(MetricsRegistry& r) { (void)r.counter("udp_queries_total"); }\n',
+        expect_rule="metric-name",
+    )
+    case(
+        "upper-case name fires",
+        "src/obs/thing.cpp",
+        'void f(MetricsRegistry& r) { (void)r.gauge("eum_Cache_entries"); }\n',
+        expect_rule="metric-name",
+    )
+    case(
+        "bad name on the line after the call fires",
+        "src/dnsserver/thing.cpp",
+        "void f(MetricsRegistry* r) {\n"
+        "  (void)r->counter(\n"
+        '      "eum_udp_kernel_drops", "help", labels);\n'
+        "}\n",
+        expect_rule="metric-name",
+    )
+    case(
+        "well-formed names are clean, next-line name included",
+        "src/dnsserver/thing.cpp",
+        "void f(MetricsRegistry* r, MetricsRegistry& s) {\n"
+        '  (void)r->counter("eum_udp_queries_total", "help", labels);\n'
+        "  (void)r->counter(\n"
+        '      "eum_udp_kernel_drops_total", "help", labels);\n'
+        '  (void)s.gauge("eum_cache_entries");\n'
+        '  (void)s.histogram("eum_udp_serve_latency_us");\n'
+        "}\n",
+        expect_rule=None,
+    )
+    case(
+        "non-literal names, counter_total reads and comments are not checked",
+        "src/obs/thing.cpp",
+        "void f(MetricsRegistry& r, std::string_view name) {\n"
+        "  (void)r.counter(name);\n"
+        '  (void)r.counter_total("whatever");\n'
+        '  // r.counter("not_a_metric");\n'
+        "}\n",
+        expect_rule=None,
+    )
+    case(
+        "names outside src/ are not checked",
+        "tests/thing_test.cpp",
+        'void f(MetricsRegistry& r) { (void)r.counter("test_metric"); }\n',
+        expect_rule=None,
+    )
+
     # --- allowlist behaviour ---
     case(
         "allowlist entry suppresses a finding",

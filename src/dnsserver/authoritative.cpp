@@ -33,31 +33,6 @@ AuthoritativeServer::AuthoritativeServer(obs::MetricsRegistry* registry)
 
 void AuthoritativeServer::add_zone(Zone zone) { zones_.push_back(std::move(zone)); }
 
-AuthServerStats AuthoritativeServer::stats() const noexcept {
-  AuthServerStats snapshot;
-  snapshot.queries = queries_->value();
-  snapshot.queries_with_ecs = queries_with_ecs_->value();
-  snapshot.dynamic_answers = dynamic_answers_->value();
-  snapshot.referrals = referrals_->value();
-  snapshot.static_answers = static_answers_->value();
-  snapshot.negative_answers = negative_answers_->value();
-  snapshot.refused = refused_->value();
-  snapshot.form_errors = form_errors_->value();
-  return snapshot;
-}
-
-void AuthoritativeServer::reset_stats() noexcept {
-  queries_->reset();
-  queries_with_ecs_->reset();
-  dynamic_answers_->reset();
-  referrals_->reset();
-  static_answers_->reset();
-  negative_answers_->reset();
-  refused_->reset();
-  form_errors_->reset();
-  handle_latency_->reset();
-}
-
 void AuthoritativeServer::add_dynamic_domain(DnsName suffix, DynamicAnswerFn handler) {
   dynamic_domains_.emplace_back(std::move(suffix), std::move(handler));
 }
@@ -101,7 +76,7 @@ void AuthoritativeServer::handle_into(const Message& query, const net::IpAddr& s
   // tick is the queries counter handle_inner() bumps anyway; concurrent
   // handlers may occasionally double- or zero-sample a tick, which
   // sampling tolerates by design.
-  const bool timing = latency_tracking_ && (queries_->value() & latency_sample_mask_) == 0;
+  const bool timing = (queries_->value() & latency_sample_mask_) == latency_sample_target_;
   const auto start =
       timing ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   obs::AnswerSource answer_source = obs::AnswerSource::static_answer;

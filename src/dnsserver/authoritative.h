@@ -9,9 +9,8 @@
 //
 // Telemetry lives in an obs::MetricsRegistry (eum_authority_* counters
 // plus the eum_authority_handle_latency_us histogram); pass one in to
-// share it across components — the default is a private registry. The
-// AuthServerStats struct remains as a thin snapshot view over the
-// registry so existing callers keep working.
+// share it across components — the default is a private registry. Read
+// the counters with registry().counter_total("eum_authority_...").
 #pragma once
 
 #include <cstdint>
@@ -66,19 +65,6 @@ struct DynamicAnswer {
 
 using DynamicAnswerFn = std::function<std::optional<DynamicAnswer>(const DynamicQuery&)>;
 
-/// Query counter snapshot (feeds the Figure 23 analysis). A thin view
-/// over the engine's registry counters.
-struct AuthServerStats {
-  std::uint64_t queries = 0;
-  std::uint64_t queries_with_ecs = 0;
-  std::uint64_t dynamic_answers = 0;
-  std::uint64_t referrals = 0;
-  std::uint64_t static_answers = 0;
-  std::uint64_t negative_answers = 0;
-  std::uint64_t refused = 0;
-  std::uint64_t form_errors = 0;
-};
-
 class AuthoritativeServer {
  public:
   /// `registry` is borrowed and must outlive the server; nullptr gives
@@ -96,24 +82,22 @@ class AuthoritativeServer {
   /// server accepted ECS before end-user mapping was enabled per domain).
   void set_ecs_enabled(bool enabled) noexcept { ecs_enabled_ = enabled; }
 
-  /// Record per-query serving latency into the handle-latency histogram
-  /// (on by default). The microbench measures the instrumented vs.
-  /// uninstrumented delta; counters stay on either way — they are single
-  /// relaxed atomics.
-  void set_latency_tracking(bool enabled) noexcept { latency_tracking_ = enabled; }
-
-  /// Time one in every `every` queries for the latency histogram (the
-  /// first query is always timed). handle() itself is only a few hundred
-  /// nanoseconds, so reading the clock twice per query would dominate the
-  /// instrumentation cost; sampling keeps the steady-state overhead below
-  /// a branch and one relaxed load (the tick is the queries counter the
-  /// engine already bumps) while the percentiles stay faithful at
-  /// serving volume. Rounded up to a power of two. Flight-recorder
+  /// Time one in every `every` queries for the handle-latency histogram
+  /// (the first query is always timed); 0 turns timing off. handle()
+  /// itself is only a few hundred nanoseconds, so reading the clock
+  /// twice per query would dominate the instrumentation cost; sampling
+  /// keeps the steady-state overhead below a branch and one relaxed load
+  /// (the tick is the queries counter the engine already bumps) while the
+  /// percentiles stay faithful at serving volume. Rounded up to a power
+  /// of two. Counters count every query either way, and flight-recorder
   /// records carry the tracer's own latency, unaffected by this setting.
   void set_latency_sampling(std::uint32_t every) noexcept {
     std::uint32_t pow2 = 1;
     while (pow2 < every && pow2 < (1u << 30)) pow2 <<= 1;
-    latency_sample_mask_ = pow2 - 1;
+    // A query is timed when its masked tick equals the target; timing
+    // off is mask 0 with target 1, which no tick reaches.
+    latency_sample_mask_ = every == 0 ? 0 : pow2 - 1;
+    latency_sample_target_ = every == 0 ? 1 : 0;
   }
 
   static constexpr std::uint32_t kDefaultLatencySampleEvery = 16;
@@ -140,13 +124,6 @@ class AuthoritativeServer {
   void handle_into(const dns::Message& query, const net::IpAddr& source, dns::Message& response,
                    const net::IpAddr& server_address = net::IpAddr{});
 
-  [[nodiscard]] AuthServerStats stats() const noexcept;
-
-  /// Reset contract (shared with the resolver and UDP front end): zero
-  /// every monotonic metric this component's stats() view reports —
-  /// counters and the handle-latency histogram — and nothing else.
-  void reset_stats() noexcept;
-
  private:
   void handle_inner(const dns::Message& query, const net::IpAddr& source,
                     const net::IpAddr& server_address, dns::Message& response,
@@ -158,7 +135,6 @@ class AuthoritativeServer {
   std::vector<Zone> zones_;
   std::vector<std::pair<dns::DnsName, DynamicAnswerFn>> dynamic_domains_;
   bool ecs_enabled_ = true;
-  bool latency_tracking_ = true;
 
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;  ///< when none injected
   obs::MetricsRegistry* registry_;
@@ -172,6 +148,7 @@ class AuthoritativeServer {
   obs::Counter* form_errors_;
   obs::LatencyHistogram* handle_latency_;
   std::uint32_t latency_sample_mask_ = kDefaultLatencySampleEvery - 1;
+  std::uint32_t latency_sample_target_ = 0;
 };
 
 }  // namespace eum::dnsserver

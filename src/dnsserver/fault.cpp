@@ -177,26 +177,4 @@ Upstream::ForwardToResult FaultInjector::try_forward_to(const net::IpAddr& serve
   return result;
 }
 
-FaultStats FaultInjector::stats() const {
-  FaultStats stats;
-  stats.drops = drops_->value();
-  stats.servfails = servfails_->value();
-  stats.truncations = truncations_->value();
-  stats.duplicates = duplicates_->value();
-  stats.corruptions = corruptions_->value();
-  stats.delays = delays_->value();
-  stats.forwards = forwards_->value();
-  return stats;
-}
-
-void FaultInjector::reset_stats() {
-  drops_->reset();
-  servfails_->reset();
-  truncations_->reset();
-  duplicates_->reset();
-  corruptions_->reset();
-  delays_->reset();
-  forwards_->reset();
-}
-
 }  // namespace eum::dnsserver

@@ -70,17 +70,6 @@ struct FaultInjectorConfig {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// Injected-fault counters — a thin view over the registry counters.
-struct FaultStats {
-  std::uint64_t drops = 0;
-  std::uint64_t servfails = 0;
-  std::uint64_t truncations = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t corruptions = 0;
-  std::uint64_t delays = 0;
-  std::uint64_t forwards = 0;  ///< queries the inner upstream actually saw
-};
-
 class FaultInjector : public Upstream {
  public:
   /// `inner` is borrowed and must outlive the injector.
@@ -99,10 +88,10 @@ class FaultInjector : public Upstream {
                                                const dns::Message& query,
                                                const net::IpAddr& source) override;
 
-  [[nodiscard]] FaultStats stats() const;
-
-  /// Reset contract: zero the injected-fault counters.
-  void reset_stats();
+  /// The registry this injector records into (its own unless one was
+  /// injected): eum_fault_injected_total{fault="drop"|...} and
+  /// eum_fault_forwarded_total.
+  [[nodiscard]] obs::MetricsRegistry& registry() const noexcept { return *registry_; }
 
  private:
   /// Outcome of one fault draw, taken under the mutex so concurrent

@@ -43,23 +43,6 @@ using dns::Rcode;
 using dns::RecordType;
 using dns::ResourceRecord;
 
-stats::Table resolver_stats_table(const ResolverStats& stats) {
-  stats::Table table{"counter", "value"};
-  table.add_row("client_queries", stats.client_queries);
-  table.add_row("cache_hits", stats.cache_hits);
-  table.add_row("cache_misses", stats.cache_misses);
-  table.add_row("upstream_queries", stats.upstream_queries);
-  table.add_row("referrals_followed", stats.referrals_followed);
-  table.add_row("retries", stats.retries);
-  table.add_row("upstream_failures", stats.upstream_failures);
-  table.add_row("stale_served", stats.stale_served);
-  table.add_row("cache_evictions", stats.cache_evictions);
-  table.add_row("cache_expirations", stats.cache_expirations);
-  table.add_row("scoped_hits", stats.scoped_hits);
-  table.add_row("mean_scope_depth", stats.mean_scope_depth(), 2);
-  return table;
-}
-
 RecursiveResolver::RecursiveResolver(ResolverConfig config, const util::SimClock* clock,
                                      Upstream* upstream, net::IpAddr own_address)
     : config_(config),
@@ -102,37 +85,6 @@ RecursiveResolver::RecursiveResolver(ResolverConfig config, const util::SimClock
   if (config_.serve_stale_window < 0) {
     throw std::invalid_argument{"RecursiveResolver: serve_stale_window must be >= 0"};
   }
-}
-
-ResolverStats RecursiveResolver::stats() const noexcept {
-  ResolverStats merged;
-  merged.client_queries = client_queries_->value();
-  merged.upstream_queries = upstream_queries_->value();
-  merged.referrals_followed = referrals_followed_->value();
-  merged.retries = retries_->value();
-  merged.upstream_failures = upstream_failures_->value();
-  merged.stale_served = stale_served_->value();
-  const ScopedCacheStats cache = cache_.stats();
-  merged.cache_hits = cache.hits;
-  merged.cache_misses = cache.misses;
-  merged.cache_evictions = cache.evictions;
-  merged.cache_expirations = cache.expirations;
-  merged.scoped_hits = cache.scoped_hits;
-  merged.scope_depth_total = cache.scope_depth_total;
-  return merged;
-}
-
-void RecursiveResolver::reset_stats() noexcept {
-  client_queries_->reset();
-  upstream_queries_->reset();
-  referrals_followed_->reset();
-  retries_->reset();
-  upstream_failures_->reset();
-  stale_served_->reset();
-  resolve_latency_->reset();
-  retry_latency_->reset();
-  cache_.reset_stats();
-  // SRTT gauges are live state, like cache-entry gauges: they survive.
 }
 
 double RecursiveResolver::srtt_us(const net::IpAddr& server) const {

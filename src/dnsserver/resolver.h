@@ -27,7 +27,6 @@
 #include "dnsserver/scoped_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stats/table.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
 
@@ -112,32 +111,6 @@ struct ResolverConfig {
   std::uint64_t retry_seed = 0x5EED4E7;
 };
 
-/// Counter snapshot — a thin view over the resolver's registry counters
-/// merged with the cache's.
-struct ResolverStats {
-  std::uint64_t client_queries = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t upstream_queries = 0;
-  std::uint64_t referrals_followed = 0;
-  std::uint64_t retries = 0;             ///< upstream attempts beyond the first
-  std::uint64_t upstream_failures = 0;   ///< attempts lost/unusable
-  std::uint64_t stale_served = 0;        ///< RFC 8767 answers from expired entries
-  std::uint64_t cache_evictions = 0;     ///< LRU pressure evictions
-  std::uint64_t cache_expirations = 0;   ///< TTL-expired entries reaped
-  std::uint64_t scoped_hits = 0;         ///< hits served by a scoped entry
-  std::uint64_t scope_depth_total = 0;   ///< sum of matched scope lengths
-  /// Mean matched scope length over scoped hits (0 when none).
-  [[nodiscard]] double mean_scope_depth() const noexcept {
-    return scoped_hits == 0 ? 0.0
-                            : static_cast<double>(scope_depth_total) /
-                                  static_cast<double>(scoped_hits);
-  }
-};
-
-/// Render resolver counters as a two-column table for benches/examples.
-[[nodiscard]] stats::Table resolver_stats_table(const ResolverStats& stats);
-
 class RecursiveResolver {
  public:
   /// `clock` and `upstream` are borrowed and must outlive the resolver.
@@ -150,16 +123,8 @@ class RecursiveResolver {
   [[nodiscard]] dns::Message resolve(const dns::Message& client_query,
                                      const net::IpAddr& client_addr);
 
-  /// Counter snapshot (resolver counters merged with the cache's own).
-  [[nodiscard]] ResolverStats stats() const noexcept;
-
-  /// Reset contract (shared with the authority and UDP front end): zero
-  /// every monotonic metric stats() reports — the resolver's counters,
-  /// its resolve-latency histogram, AND the cache's merged counters —
-  /// in one call. Live state (cached entries, entry gauges) survives.
-  void reset_stats() noexcept;
-
-  /// The registry this resolver (and its cache) records into.
+  /// The registry this resolver (and its cache) records into: the
+  /// eum_resolver_* and eum_cache_* families.
   [[nodiscard]] obs::MetricsRegistry& registry() noexcept { return *registry_; }
 
   [[nodiscard]] std::size_t cache_size() const noexcept { return cache_.size(); }

@@ -195,38 +195,6 @@ std::size_t ScopedEcsCache::key_count() const {
   return total;
 }
 
-ScopedCacheStats ScopedEcsCache::stats() const {
-  // Counters are atomics: summing needs no shard locks.
-  ScopedCacheStats total;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    const ShardMetrics& m = shards_[i].metrics;
-    total.hits += m.hits->value();
-    total.misses += m.misses->value();
-    total.insertions += m.insertions->value();
-    total.replacements += m.replacements->value();
-    total.evictions += m.evictions->value();
-    total.expirations += m.expirations->value();
-    total.scoped_hits += m.scoped_hits->value();
-    total.scope_depth_total += m.scope_depth_total->value();
-  }
-  return total;
-}
-
-void ScopedEcsCache::reset_stats() {
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    const ShardMetrics& m = shards_[i].metrics;
-    m.hits->reset();
-    m.misses->reset();
-    m.insertions->reset();
-    m.replacements->reset();
-    m.evictions->reset();
-    m.expirations->reset();
-    m.scoped_hits->reset();
-    m.scope_depth_total->reset();
-    // entries_gauge deliberately untouched: entries are still cached.
-  }
-}
-
 void ScopedEcsCache::clear() {
   for (std::size_t i = 0; i < shard_count_; ++i) {
     const std::scoped_lock lock{shards_[i].mutex};

@@ -39,33 +39,14 @@ struct ScopedCacheConfig {
   /// Registry the cache records into (borrowed; must outlive the cache).
   /// nullptr gives the cache a private registry. Counters are registered
   /// per shard (eum_cache_*{shard="N"}) so each shard bumps its own
-  /// cache line and a hot shard stays attributable; the ScopedCacheStats
-  /// view sums them.
+  /// cache line and a hot shard stays attributable;
+  /// MetricsRegistry::counter_total sums them.
   obs::MetricsRegistry* registry = nullptr;
   /// RFC 8767 serve-stale retention window, seconds. Expired entries are
   /// kept (invisible to lookup(), reachable via lookup_stale()) until
   /// `expires + stale_window`, after which they are reaped as before.
   /// 0 disables retention: expired entries are reaped on sight.
   std::int64_t stale_window = 0;
-};
-
-/// Monotonic counters, aggregated over all shards — a thin snapshot view
-/// over the per-shard registry counters.
-struct ScopedCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t replacements = 0;      ///< same-scope overwrite (refresh)
-  std::uint64_t evictions = 0;         ///< LRU pressure evictions
-  std::uint64_t expirations = 0;       ///< TTL-expired entries reaped
-  std::uint64_t scoped_hits = 0;       ///< hits on a non-global entry
-  std::uint64_t scope_depth_total = 0; ///< sum of matched scope lengths
-  /// Mean prefix length of scoped hits (0 when there were none).
-  [[nodiscard]] double mean_scope_depth() const noexcept {
-    return scoped_hits == 0 ? 0.0
-                            : static_cast<double>(scope_depth_total) /
-                                  static_cast<double>(scoped_hits);
-  }
 };
 
 class ScopedEcsCache {
@@ -115,12 +96,6 @@ class ScopedEcsCache {
   /// whose last entry expires or is evicted is erased, not left behind
   /// as an empty bucket.
   [[nodiscard]] std::size_t key_count() const;
-
-  [[nodiscard]] ScopedCacheStats stats() const;
-
-  /// Reset contract: zero the monotonic counters; the eum_cache_entries
-  /// gauges are live state and survive (entries are still cached).
-  void reset_stats();
 
   /// Drop every cached entry (counters unaffected; entry gauges go to 0).
   void clear();

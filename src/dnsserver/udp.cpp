@@ -345,29 +345,6 @@ UdpSocket::SendBatchResult UdpSocket::send_batch(UdpBatch& batch) noexcept {
   return result;
 }
 
-stats::Table udp_server_stats_table(const UdpServerStats& stats) {
-  stats::Table table{"counter", "value"};
-  table.add_row("queries", stats.queries);
-  table.add_row("truncated", stats.truncated);
-  table.add_row("wire_errors", stats.wire_errors);
-  table.add_row("send_errors", stats.send_errors);
-  table.add_row("kernel_drops", stats.kernel_drops);
-  table.add_row("cache_hits", stats.cache_hits);
-  table.add_row("cache_misses", stats.cache_misses);
-  table.add_row("worker_exceptions", stats.worker_exceptions);
-  for (std::size_t w = 0; w < stats.per_worker.size(); ++w) {
-    const std::string prefix = "worker_" + std::to_string(w) + "_";
-    table.add_row(prefix + "queries", stats.per_worker[w]);
-    if (w < stats.per_worker_truncated.size()) {
-      table.add_row(prefix + "truncated", stats.per_worker_truncated[w]);
-    }
-    if (w < stats.per_worker_wire_errors.size()) {
-      table.add_row(prefix + "wire_errors", stats.per_worker_wire_errors[w]);
-    }
-  }
-  return table;
-}
-
 UdpAuthorityServer::UdpAuthorityServer(AuthoritativeServer* engine, const UdpEndpoint& bind,
                                        UdpServerConfig config)
     : engine_(engine), config_(config), registry_(config.registry) {
@@ -670,46 +647,12 @@ void UdpAuthorityServer::serve_until(const std::atomic<bool>& stop) {
 
 UdpServerStats UdpAuthorityServer::stats() const {
   UdpServerStats snapshot;
-  snapshot.per_worker.resize(worker_metrics_.size());
-  snapshot.per_worker_truncated.resize(worker_metrics_.size());
-  snapshot.per_worker_wire_errors.resize(worker_metrics_.size());
-  snapshot.per_worker_send_errors.resize(worker_metrics_.size());
-  snapshot.per_worker_kernel_drops.resize(worker_metrics_.size());
-  snapshot.per_worker_cache_hits.resize(worker_metrics_.size());
-  snapshot.per_worker_cache_misses.resize(worker_metrics_.size());
-  for (std::size_t w = 0; w < worker_metrics_.size(); ++w) {
-    snapshot.per_worker[w] = worker_metrics_[w].queries->value();
-    snapshot.per_worker_truncated[w] = worker_metrics_[w].truncated->value();
-    snapshot.per_worker_wire_errors[w] = worker_metrics_[w].wire_errors->value();
-    snapshot.per_worker_send_errors[w] = worker_metrics_[w].send_errors->value();
-    snapshot.per_worker_kernel_drops[w] = worker_metrics_[w].kernel_drops->value();
-    snapshot.per_worker_cache_hits[w] = worker_metrics_[w].cache_hits->value();
-    snapshot.per_worker_cache_misses[w] = worker_metrics_[w].cache_misses->value();
-    snapshot.queries += snapshot.per_worker[w];
-    snapshot.truncated += snapshot.per_worker_truncated[w];
-    snapshot.wire_errors += snapshot.per_worker_wire_errors[w];
-    snapshot.send_errors += snapshot.per_worker_send_errors[w];
-    snapshot.kernel_drops += snapshot.per_worker_kernel_drops[w];
-    snapshot.cache_hits += snapshot.per_worker_cache_hits[w];
-    snapshot.cache_misses += snapshot.per_worker_cache_misses[w];
-    snapshot.worker_exceptions += worker_metrics_[w].worker_exceptions->value();
+  for (const WorkerMetrics& metrics : worker_metrics_) {
+    snapshot.queries += metrics.queries->value();
+    snapshot.cache_hits += metrics.cache_hits->value();
+    snapshot.cache_misses += metrics.cache_misses->value();
   }
   return snapshot;
-}
-
-void UdpAuthorityServer::reset_stats() {
-  for (const WorkerMetrics& metrics : worker_metrics_) {
-    metrics.queries->reset();
-    metrics.truncated->reset();
-    metrics.wire_errors->reset();
-    metrics.send_errors->reset();
-    metrics.kernel_drops->reset();
-    metrics.cache_hits->reset();
-    metrics.cache_misses->reset();
-    metrics.worker_exceptions->reset();
-  }
-  serve_latency_->reset();
-  rx_batch_size_->reset();
 }
 
 UdpDnsClient::UdpDnsClient() : socket_(UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}) {}

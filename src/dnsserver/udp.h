@@ -36,7 +36,6 @@
 #include "dnsserver/resolver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stats/table.h"
 
 namespace eum::dnsserver {
 
@@ -210,36 +209,16 @@ struct UdpServerConfig {
   obs::FlightRecorder* recorder = nullptr;
 };
 
-/// Counter snapshot for the UDP front end — a thin view over the
-/// per-worker registry counters. Every counter is kept per worker
-/// (eum_udp_*{worker="N"}) so worker bumps never contend; the aggregate
-/// fields here are sums over the workers.
+/// The three front-end counters the serving benchmark (perfbench/) reads
+/// through UdpAuthorityServer::stats(). Everything else reads the
+/// registry: every counter is kept per worker (eum_udp_*{worker="N"}) so
+/// worker bumps never contend, and MetricsRegistry::counter_total sums
+/// them.
 struct UdpServerStats {
-  std::uint64_t queries = 0;            ///< datagrams answered
-  std::uint64_t truncated = 0;          ///< TC=1 responses sent
-  std::uint64_t wire_errors = 0;        ///< unparseable datagrams
-  std::uint64_t send_errors = 0;        ///< datagrams the kernel refused to send
-  std::uint64_t kernel_drops = 0;       ///< receive-queue overflow drops (SO_RXQ_OVFL)
-  std::uint64_t cache_hits = 0;         ///< answers served from the wire cache
-  std::uint64_t cache_misses = 0;       ///< cacheable queries that took the slow path
-  std::uint64_t worker_exceptions = 0;  ///< exceptions the worker barrier absorbed
-  std::vector<std::uint64_t> per_worker;             ///< queries per worker
-  std::vector<std::uint64_t> per_worker_truncated;   ///< TC=1 per worker
-  std::vector<std::uint64_t> per_worker_wire_errors; ///< wire errors per worker
-  std::vector<std::uint64_t> per_worker_send_errors; ///< send errors per worker
-  std::vector<std::uint64_t> per_worker_kernel_drops;///< kernel drops per worker
-  std::vector<std::uint64_t> per_worker_cache_hits;  ///< cache hits per worker
-  std::vector<std::uint64_t> per_worker_cache_misses;///< cache misses per worker
-
-  /// Hits over probed lookups (hits + misses); 0 when the cache is off.
-  [[nodiscard]] double cache_hit_ratio() const noexcept {
-    const std::uint64_t probed = cache_hits + cache_misses;
-    return probed == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(probed);
-  }
+  std::uint64_t queries = 0;       ///< datagrams answered (eum_udp_queries_total)
+  std::uint64_t cache_hits = 0;    ///< wire answer-cache hits (eum_udp_cache_hits_total)
+  std::uint64_t cache_misses = 0;  ///< cacheable slow-path queries (eum_udp_cache_misses_total)
 };
-
-/// Render UDP server counters as a two-column table for benches/examples.
-[[nodiscard]] stats::Table udp_server_stats_table(const UdpServerStats& stats);
 
 /// Serves an AuthoritativeServer over UDP with a pool of SO_REUSEPORT
 /// worker threads. `serve_once`/`serve_until` remain for single-threaded
@@ -278,12 +257,9 @@ class UdpAuthorityServer {
   /// datagrams).
   void serve_until(const std::atomic<bool>& stop);
 
+  /// This server's workers' sums of the three counters above. Kept for
+  /// perfbench, which reads exactly these; other readers use registry().
   [[nodiscard]] UdpServerStats stats() const;
-
-  /// Reset contract (shared with the engine and resolver): zero the UDP
-  /// front end's own counters and serve-latency histogram. The wrapped
-  /// engine's metrics are its own — call engine->reset_stats() for those.
-  void reset_stats();
 
   /// The registry the front end records into (the engine's unless one
   /// was injected via UdpServerConfig).

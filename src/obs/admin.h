@@ -8,9 +8,9 @@
 //
 // The server owns nothing it reports on: built-in commands render the
 // shared MetricsRegistry and drain the FlightRecorder, and the hosting
-// binary registers domain commands (cache.stats, snapshot.info, health,
-// explain ...) as closures. dispatch() is exposed directly so tests can
-// drive every command without a socket.
+// binary registers domain commands (snapshot.info, health, explain ...)
+// as closures. dispatch() is exposed directly so tests can drive every
+// command without a socket.
 //
 // This is the cold path — handlers run on the admin thread and may
 // allocate and lock freely; the only contact with the serve path is

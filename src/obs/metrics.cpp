@@ -219,12 +219,34 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
+std::uint64_t MetricsRegistry::counter_total(std::string_view name, const Labels& match) const {
+  const std::scoped_lock lock{mutex_};
+  std::uint64_t total = 0;
+  bool matched = false;
+  // Keys sort by name first, so one name's series are contiguous.
+  for (auto it = counters_.lower_bound(Key{std::string{name}, {}});
+       it != counters_.end() && it->first.first == name; ++it) {
+    const Labels& labels = it->second.labels;
+    const bool has_all = std::all_of(match.begin(), match.end(), [&](const auto& pair) {
+      return std::find(labels.begin(), labels.end(), pair) != labels.end();
+    });
+    if (!has_all) continue;
+    total += it->second.metric->value();
+    matched = true;
+  }
+  if (!matched) {
+    throw std::out_of_range{"MetricsRegistry: no counter series " +
+                            full_name(std::string{name}, match)};
+  }
+  return total;
+}
+
 void MetricsRegistry::reset() {
   const std::scoped_lock lock{mutex_};
   for (auto& [key, entry] : counters_) entry.metric->reset();
   for (auto& [key, entry] : histograms_) entry.metric->reset();
   // Gauges mirror live state (cache occupancy, queue depth) and are
-  // deliberately NOT cleared — see the reset contract in the header.
+  // deliberately NOT cleared — see reset() in the header.
 }
 
 // ---------- Exposition ----------

@@ -54,8 +54,7 @@ class Counter {
 };
 
 /// Instantaneous value (cache occupancy, queue depth). Unlike counters,
-/// gauges mirror live state, so the registry-wide reset contract leaves
-/// them alone (see MetricsRegistry::reset).
+/// gauges mirror live state, so MetricsRegistry::reset leaves them alone.
 class Gauge {
  public:
   void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
@@ -212,10 +211,16 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// The registry-wide reset contract (shared by every component's
-  /// reset_stats()): monotonic state is zeroed — counters to 0,
+  /// Sum of every counter series named `name` whose labels include each
+  /// pair of `match` (`{{"worker", "0"}}` picks one worker; empty sums
+  /// them all). Registers nothing; throws std::out_of_range when no
+  /// series matches, so a mistyped name fails instead of reading 0.
+  [[nodiscard]] std::uint64_t counter_total(std::string_view name,
+                                            const Labels& match = {}) const;
+
+  /// The one reset: monotonic state is zeroed — counters to 0,
   /// histograms emptied — while gauges are left untouched, because they
-  /// mirror live state (a cache's entry count survives a stats reset).
+  /// mirror live state (a cache's entry count survives a reset).
   void reset();
 
   // Convenience single-call exposition.

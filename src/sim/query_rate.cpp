@@ -184,11 +184,8 @@ QueryRateResult run_query_rate_study(const topo::World& world, cdn::MappingSyste
               net::IpV4Addr{block.prefix.address().v4().value() + 1}};
           (void)resolver.resolve(query, client);
         }
-        if (post) {
-          stats.upstream_post = resolver.stats().upstream_queries;
-        } else {
-          stats.upstream_pre = resolver.stats().upstream_queries;
-        }
+        (post ? stats.upstream_post : stats.upstream_pre) =
+            resolver.registry().counter_total("eum_resolver_upstream_queries_total");
       }
       if (stats.is_public) {
         result.public_pre_qps += static_cast<double>(stats.upstream_pre) / config.horizon_seconds;

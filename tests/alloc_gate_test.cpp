@@ -123,9 +123,12 @@ TEST(AllocationGate, CacheMissServesWithoutAllocating) {
   constexpr std::size_t kQueries = 60;
   const std::vector<std::vector<std::uint8_t>> queries = distinct_queries(kQueries);
   std::vector<std::uint64_t> allocations(kQueries, 0);
+  obs::MetricsRegistry& registry = engine.registry();
+  const auto count = [&registry](const char* name) { return registry.counter_total(name); };
   for (int pass = 0; pass < 2; ++pass) {
-    const dnsserver::UdpServerStats before = server.stats();
-    const std::uint64_t answers_before = engine.stats().dynamic_answers;
+    const std::uint64_t misses_before = count("eum_udp_cache_misses_total");
+    const std::uint64_t hits_before = count("eum_udp_cache_hits_total");
+    const std::uint64_t answers_before = count("eum_authority_dynamic_answers_total");
     for (std::size_t i = 0; i < kQueries; ++i) {
       client.send_to(queries[i], server.endpoint());
       const std::uint64_t start = t_allocations;
@@ -139,12 +142,11 @@ TEST(AllocationGate, CacheMissServesWithoutAllocating) {
       EXPECT_EQ(answer.header.rcode, dns::Rcode::no_error) << "query " << i;
       EXPECT_FALSE(answer.answers.empty()) << "query " << i;
     }
-    const dnsserver::UdpServerStats after = server.stats();
     // Every query of both passes missed the cache and took a mapping
     // decision.
-    EXPECT_EQ(after.cache_misses - before.cache_misses, kQueries);
-    EXPECT_EQ(after.cache_hits, before.cache_hits);
-    EXPECT_EQ(engine.stats().dynamic_answers - answers_before, kQueries);
+    EXPECT_EQ(count("eum_udp_cache_misses_total") - misses_before, kQueries);
+    EXPECT_EQ(count("eum_udp_cache_hits_total"), hits_before);
+    EXPECT_EQ(count("eum_authority_dynamic_answers_total") - answers_before, kQueries);
     map_version.fetch_add(1, std::memory_order_release);  // the next pass misses again
   }
   for (std::size_t i = 0; i < kQueries; ++i) {

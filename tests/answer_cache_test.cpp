@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -136,6 +137,11 @@ class AnswerCacheFixture : public ::testing::Test {
     return dns_client.query(query, server_->endpoint(), 2000ms);
   }
 
+  /// A front-end counter, summed over the workers.
+  [[nodiscard]] std::uint64_t udp_count(std::string_view name) const {
+    return server_->registry().counter_total(name);
+  }
+
   AuthoritativeServer engine_;
   std::atomic<std::uint64_t> version_cell_{1};
   std::atomic<std::uint64_t> handler_calls_{0};
@@ -150,10 +156,9 @@ TEST_F(AnswerCacheFixture, RepeatQueryHitsAndPatchesId) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->header.id, 0x2222);  // id patched into the cached wire
   EXPECT_EQ(second->answer_addresses(), first->answer_addresses());
-  const UdpServerStats stats = server_->stats();
-  EXPECT_EQ(stats.cache_hits, 1U);
-  EXPECT_EQ(stats.cache_misses, 1U);
-  EXPECT_EQ(stats.queries, 2U);
+  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
+  EXPECT_EQ(udp_count("eum_udp_cache_misses_total"), 1U);
+  EXPECT_EQ(udp_count("eum_udp_queries_total"), 2U);
   // The repeat never reached the engine.
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 1U);
 }
@@ -182,10 +187,8 @@ TEST_F(AnswerCacheFixture, EcsSameScopeHitsDifferentScopeMisses) {
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 2U);
   EXPECT_NE(c->answer_addresses(), a->answer_addresses());
 
-  const UdpServerStats stats = server_->stats();
-  EXPECT_EQ(stats.cache_hits, 1U);
-  EXPECT_EQ(stats.cache_misses, 2U);
-  EXPECT_NEAR(stats.cache_hit_ratio(), 1.0 / 3.0, 1e-9);
+  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
+  EXPECT_EQ(udp_count("eum_udp_cache_misses_total"), 2U);
 }
 
 TEST_F(AnswerCacheFixture, ClampedPayloadLimitsShareOneEntry) {
@@ -202,28 +205,26 @@ TEST_F(AnswerCacheFixture, ClampedPayloadLimitsShareOneEntry) {
                                        RecordType::A, ecs);
   second.edns->udp_payload_size = 300;
   ASSERT_TRUE(client.query(second, server_->endpoint(), 2000ms).has_value());
-  const UdpServerStats stats = server_->stats();
-  EXPECT_EQ(stats.cache_hits, 1U);
-  EXPECT_EQ(stats.cache_misses, 1U);
+  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
+  EXPECT_EQ(udp_count("eum_udp_cache_misses_total"), 1U);
 }
 
 TEST_F(AnswerCacheFixture, VersionBumpInvalidatesEveryEntry) {
   ASSERT_TRUE(ask(1, "198.51.100.42", 24).has_value());
   ASSERT_TRUE(ask(2, "198.51.100.42", 24).has_value());
-  EXPECT_EQ(server_->stats().cache_hits, 1U);
+  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 1U);
 
   version_cell_.store(2, std::memory_order_release);  // "snapshot republished"
   ASSERT_TRUE(ask(3, "198.51.100.42", 24).has_value());
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 2U);  // cache entry no longer matches
-  const UdpServerStats stats = server_->stats();
-  EXPECT_EQ(stats.cache_hits, 1U);
-  EXPECT_EQ(stats.cache_misses, 2U);
+  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
+  EXPECT_EQ(udp_count("eum_udp_cache_misses_total"), 2U);
 
   // And the new version caches normally again.
   ASSERT_TRUE(ask(4, "198.51.100.42", 24).has_value());
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 2U);
-  EXPECT_EQ(server_->stats().cache_hits, 2U);
+  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 2U);
 }
 
 // --- snapshot-republish race (the TSan-gated concurrency suite) --------
@@ -320,8 +321,8 @@ TEST(SnapshotRepublishRace, NoStaleVersionAnswerEscapes) {
       EXPECT_EQ(version_of(*response), final_version);
     }
   }
-  const UdpServerStats stats = server.stats();
-  EXPECT_GT(stats.cache_hits, 0U);  // the race actually exercised the cache
+  // The race actually exercised the cache.
+  EXPECT_GT(server.registry().counter_total("eum_udp_cache_hits_total"), 0U);
   server.stop();
 }
 

@@ -54,7 +54,7 @@ TEST(Authoritative, StaticZoneAnswer) {
   EXPECT_TRUE(response.header.authoritative);
   EXPECT_EQ(response.header.rcode, Rcode::no_error);
   ASSERT_EQ(response.answers.size(), 1U);
-  EXPECT_EQ(server.stats().static_answers, 1U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_static_answers_total"), 1U);
 }
 
 TEST(Authoritative, StaticNxDomainCarriesSoa) {
@@ -65,7 +65,7 @@ TEST(Authoritative, StaticNxDomainCarriesSoa) {
   EXPECT_EQ(response.header.rcode, Rcode::nx_domain);
   ASSERT_EQ(response.authorities.size(), 1U);
   EXPECT_EQ(response.authorities[0].type, RecordType::SOA);
-  EXPECT_EQ(server.stats().negative_answers, 1U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_negative_answers_total"), 1U);
 }
 
 TEST(Authoritative, RefusedOutsideAuthority) {
@@ -74,7 +74,7 @@ TEST(Authoritative, RefusedOutsideAuthority) {
   const Message response = server.handle(query, v4("9.9.9.9"));
   EXPECT_EQ(response.header.rcode, Rcode::refused);
   EXPECT_FALSE(response.header.authoritative);
-  EXPECT_EQ(server.stats().refused, 1U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_refused_total"), 1U);
 }
 
 TEST(Authoritative, DynamicAnswerWithoutEcs) {
@@ -85,8 +85,8 @@ TEST(Authoritative, DynamicAnswerWithoutEcs) {
   ASSERT_EQ(response.answers.size(), 2U);
   EXPECT_EQ(response.answer_addresses()[0], v4("203.0.9.1"));
   EXPECT_EQ(response.answers[0].ttl, 20U);
-  EXPECT_EQ(server.stats().dynamic_answers, 1U);
-  EXPECT_EQ(server.stats().queries_with_ecs, 0U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_dynamic_answers_total"), 1U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_queries_with_ecs_total"), 0U);
 }
 
 TEST(Authoritative, DynamicAnswerWithEcsEchoesScopedOption) {
@@ -102,7 +102,7 @@ TEST(Authoritative, DynamicAnswerWithEcsEchoesScopedOption) {
   EXPECT_EQ(echoed->source_prefix_len(), 24);
   EXPECT_EQ(echoed->scope_prefix_len(), 24);
   EXPECT_EQ(echoed->address(), v4("198.51.100.0"));
-  EXPECT_EQ(server.stats().queries_with_ecs, 1U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_queries_with_ecs_total"), 1U);
 }
 
 TEST(Authoritative, ScopeNeverExceedsSource) {
@@ -161,7 +161,7 @@ TEST(Authoritative, FormErrOnNonZeroScopeInQuery) {
                           bad_ecs);
   const Message response = server.handle(query, v4("200.0.0.1"));
   EXPECT_EQ(response.header.rcode, Rcode::form_err);
-  EXPECT_EQ(server.stats().form_errors, 1U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_form_errors_total"), 1U);
 }
 
 TEST(Authoritative, FormErrOnResponseOrMultiQuestion) {
@@ -203,9 +203,9 @@ TEST(Authoritative, StatsAccumulateAndReset) {
       Message::make_query(15, DnsName::from_text("www.static.example"), RecordType::A);
   (void)server.handle(query, v4("9.9.9.9"));
   (void)server.handle(query, v4("9.9.9.9"));
-  EXPECT_EQ(server.stats().queries, 2U);
-  server.reset_stats();
-  EXPECT_EQ(server.stats().queries, 0U);
+  EXPECT_EQ(server.registry().counter_total("eum_authority_queries_total"), 2U);
+  server.registry().reset();
+  EXPECT_EQ(server.registry().counter_total("eum_authority_queries_total"), 0U);
 }
 
 }  // namespace

@@ -22,6 +22,15 @@ using dns::RecordType;
 
 net::IpAddr v4(const char* text) { return *net::IpAddr::parse(text); }
 
+/// The injector's eum_fault_injected_total series for one fault kind.
+std::uint64_t injected(const FaultInjector& injector, const char* fault) {
+  return injector.registry().counter_total("eum_fault_injected_total", {{"fault", fault}});
+}
+
+std::uint64_t forwarded(const FaultInjector& injector) {
+  return injector.registry().counter_total("eum_fault_forwarded_total");
+}
+
 class FaultInjectorFixture : public ::testing::Test {
  protected:
   FaultInjectorFixture() {
@@ -52,8 +61,8 @@ TEST_F(FaultInjectorFixture, PassesThroughWithoutFaults) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::no_error);
   EXPECT_EQ(response->header.id, 1);
-  EXPECT_EQ(injector.stats().forwards, 1U);
-  EXPECT_EQ(injector.stats().drops, 0U);
+  EXPECT_EQ(forwarded(injector), 1U);
+  EXPECT_EQ(injected(injector, "drop"), 0U);
 }
 
 TEST_F(FaultInjectorFixture, DropNeverReachesInnerUpstream) {
@@ -63,8 +72,8 @@ TEST_F(FaultInjectorFixture, DropNeverReachesInnerUpstream) {
   for (std::uint16_t i = 0; i < 10; ++i) {
     EXPECT_FALSE(injector.try_forward(query(i), resolver_addr_).has_value());
   }
-  EXPECT_EQ(injector.stats().drops, 10U);
-  EXPECT_EQ(injector.stats().forwards, 0U);
+  EXPECT_EQ(injected(injector, "drop"), 10U);
+  EXPECT_EQ(forwarded(injector), 0U);
   EXPECT_EQ(directory_.forwarded(), 0U);  // the query vanished before the wire
 }
 
@@ -77,7 +86,7 @@ TEST_F(FaultInjectorFixture, ServfailSynthesizedWithoutInnerCall) {
   EXPECT_EQ(response->header.rcode, Rcode::serv_fail);
   EXPECT_TRUE(response->header.is_response);
   EXPECT_EQ(response->header.id, 7);
-  EXPECT_EQ(injector.stats().servfails, 1U);
+  EXPECT_EQ(injected(injector, "servfail"), 1U);
   EXPECT_EQ(directory_.forwarded(), 0U);  // overloaded authority never answered
 }
 
@@ -91,8 +100,8 @@ TEST_F(FaultInjectorFixture, TruncateStripsSectionsAndSetsTc) {
   EXPECT_TRUE(response->answers.empty());
   EXPECT_TRUE(response->authorities.empty());
   EXPECT_TRUE(response->additionals.empty());
-  EXPECT_EQ(injector.stats().truncations, 1U);
-  EXPECT_EQ(injector.stats().forwards, 1U);
+  EXPECT_EQ(injected(injector, "truncate"), 1U);
+  EXPECT_EQ(forwarded(injector), 1U);
 }
 
 TEST_F(FaultInjectorFixture, DuplicateDoublesAuthorityLoadSingleDelivery) {
@@ -104,8 +113,8 @@ TEST_F(FaultInjectorFixture, DuplicateDoublesAuthorityLoadSingleDelivery) {
     ASSERT_TRUE(response.has_value());  // exactly one response delivered
     EXPECT_EQ(response->header.id, i);
   }
-  EXPECT_EQ(injector.stats().duplicates, 5U);
-  EXPECT_EQ(injector.stats().forwards, 10U);
+  EXPECT_EQ(injected(injector, "duplicate"), 5U);
+  EXPECT_EQ(forwarded(injector), 10U);
   EXPECT_EQ(directory_.forwarded(), 10U);  // the authority handled every copy
 }
 
@@ -143,7 +152,7 @@ TEST_F(FaultInjectorFixture, CorruptCountsEveryMangledResponse) {
   for (std::uint16_t i = 0; i < 20; ++i) {
     (void)injector.try_forward(query(i), resolver_addr_);
   }
-  EXPECT_EQ(injector.stats().corruptions, 20U);
+  EXPECT_EQ(injected(injector, "corrupt"), 20U);
 }
 
 TEST_F(FaultInjectorFixture, DelayHoldsTheResponse) {
@@ -155,7 +164,7 @@ TEST_F(FaultInjectorFixture, DelayHoldsTheResponse) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(response.has_value());
   EXPECT_GE(elapsed, 20ms);
-  EXPECT_EQ(injector.stats().delays, 1U);
+  EXPECT_EQ(injected(injector, "delay"), 1U);
 }
 
 TEST_F(FaultInjectorFixture, PerAuthorityOverrideScopesTheFault) {
@@ -190,10 +199,10 @@ TEST_F(FaultInjectorFixture, ResetStatsZeroesCounters) {
   spec.drop = 1.0;
   FaultInjector injector{&directory_, {spec}};
   (void)injector.try_forward(query(1), resolver_addr_);
-  EXPECT_EQ(injector.stats().drops, 1U);
-  injector.reset_stats();
-  EXPECT_EQ(injector.stats().drops, 0U);
-  EXPECT_EQ(injector.stats().forwards, 0U);
+  EXPECT_EQ(injected(injector, "drop"), 1U);
+  injector.registry().reset();
+  EXPECT_EQ(injected(injector, "drop"), 0U);
+  EXPECT_EQ(forwarded(injector), 0U);
 }
 
 TEST_F(FaultInjectorFixture, RejectsInvalidSpecs) {

@@ -126,13 +126,16 @@ TEST_F(PipelineFixture, ScopedAnswersCachePerBlockAtTheResolver) {
     dnsserver::StubClient stub{&resolver, client};
     return stub.lookup(DnsName::from_text("e9.g.cdn.example"));
   };
+  const auto upstream = [&resolver] {
+    return resolver.registry().counter_total("eum_resolver_upstream_queries_total");
+  };
   (void)query_from(*its_blocks[0], 5);
-  const auto upstream_after_first = resolver.stats().upstream_queries;
+  const auto upstream_after_first = upstream();
   (void)query_from(*its_blocks[1], 5);
-  EXPECT_GT(resolver.stats().upstream_queries, upstream_after_first);
-  const auto upstream_after_second = resolver.stats().upstream_queries;
+  EXPECT_GT(upstream(), upstream_after_first);
+  const auto upstream_after_second = upstream();
   (void)query_from(*its_blocks[0], 77);  // same /24 as the first client
-  EXPECT_EQ(resolver.stats().upstream_queries, upstream_after_second);
+  EXPECT_EQ(upstream(), upstream_after_second);
 }
 
 TEST_F(PipelineFixture, ClusterFailureReroutesClients) {

@@ -1,18 +1,24 @@
 // Observability layer: metrics registry and log-bucket latency
-// histograms — plus the cross-component reset contract regression tests.
-// The per-query record (the flight recorder) is tested in trace_test.cpp.
+// histograms, counter_total (the one reader every test and tool uses)
+// and the registry reset seen through the serving components. The
+// per-query record (the flight recorder) is tested in trace_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dnsserver/authoritative.h"
+#include "dnsserver/fault.h"
 #include "dnsserver/resolver.h"
 #include "dnsserver/transport.h"
+#include "dnsserver/udp.h"
 #include "obs/metrics.h"
 
 namespace eum {
@@ -340,7 +346,7 @@ TEST(MetricsRegistry, JsonExpositionParses) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-// ---------- Cross-component reset contract ----------
+// ---------- counter_total over the serving components ----------
 
 dns::Message cdn_query(std::uint16_t id) {
   const auto ecs = dns::ClientSubnetOption::for_query(*net::IpAddr::parse("10.2.3.4"), 24);
@@ -348,8 +354,8 @@ dns::Message cdn_query(std::uint16_t id) {
                                   dns::RecordType::A, ecs);
 }
 
-dnsserver::AuthoritativeServer make_cdn_engine(obs::MetricsRegistry* registry = nullptr) {
-  dnsserver::AuthoritativeServer engine{registry};
+dnsserver::AuthoritativeServer make_cdn_engine() {
+  dnsserver::AuthoritativeServer engine;
   engine.add_dynamic_domain(
       dns::DnsName::from_text("g.cdn.example"),
       [](const dnsserver::DynamicQuery&) -> std::optional<dnsserver::DynamicAnswer> {
@@ -364,6 +370,120 @@ dnsserver::AuthoritativeServer make_cdn_engine(obs::MetricsRegistry* registry = 
   return engine;
 }
 
+TEST(MetricsRegistry, CounterTotalSumsFourWorkersQueries) {
+  using namespace std::chrono_literals;
+  dnsserver::AuthoritativeServer engine = make_cdn_engine();
+  dnsserver::UdpAuthorityServer server{
+      &engine, dnsserver::UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0},
+      dnsserver::UdpServerConfig{4}};
+  server.start();
+  // Eight client sockets, so SO_REUSEPORT spreads the flows over workers.
+  std::uint64_t answered = 0;
+  for (std::uint16_t c = 0; c < 8; ++c) {
+    dnsserver::UdpDnsClient client;
+    for (std::uint16_t q = 0; q < 5; ++q) {
+      if (client.query(cdn_query(static_cast<std::uint16_t>(c * 5 + q)), server.endpoint(),
+                       2000ms)) {
+        ++answered;
+      }
+    }
+  }
+  server.stop();  // joins the workers: every bump has landed
+  const MetricsRegistry& registry = server.registry();
+  EXPECT_EQ(answered, 40u);
+  EXPECT_EQ(registry.counter_total("eum_udp_queries_total"), answered);
+  std::uint64_t by_worker = 0;
+  for (int w = 0; w < 4; ++w) {
+    by_worker += registry.counter_total("eum_udp_queries_total", {{"worker", std::to_string(w)}});
+  }
+  EXPECT_EQ(by_worker, answered);
+}
+
+TEST(MetricsRegistry, CounterTotalMatchPicksOneFaultKind) {
+  dnsserver::AuthoritativeServer engine = make_cdn_engine();
+  dnsserver::AuthorityDirectory directory;
+  directory.add_authority(dns::DnsName::from_text("g.cdn.example"), &engine);
+  dnsserver::FaultInjectorConfig config;
+  config.faults.drop = 0.3;
+  config.faults.servfail = 0.3;
+  dnsserver::FaultInjector injector{&directory, config};
+  const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
+  std::uint64_t lost = 0;
+  std::uint64_t servfails = 0;
+  for (std::uint16_t i = 0; i < 200; ++i) {
+    const auto response = injector.try_forward(cdn_query(i), resolver);
+    if (!response) {
+      ++lost;
+    } else if (response->header.rcode == dns::Rcode::serv_fail) {
+      ++servfails;
+    }
+  }
+  const MetricsRegistry& registry = injector.registry();
+  EXPECT_GT(lost, 0u);
+  EXPECT_GT(servfails, 0u);
+  EXPECT_EQ(registry.counter_total("eum_fault_injected_total", {{"fault", "drop"}}), lost);
+  EXPECT_EQ(registry.counter_total("eum_fault_injected_total", {{"fault", "servfail"}}),
+            servfails);
+  EXPECT_EQ(registry.counter_total("eum_fault_injected_total"), lost + servfails);
+}
+
+TEST(MetricsRegistry, CounterTotalIsZeroForAnUnbumpedCounter) {
+  dnsserver::AuthoritativeServer engine = make_cdn_engine();
+  (void)engine.handle(cdn_query(1), net::IpAddr{net::IpV4Addr{192, 0, 2, 53}});
+  EXPECT_EQ(engine.registry().counter_total("eum_authority_queries_total"), 1u);
+  EXPECT_EQ(engine.registry().counter_total("eum_authority_form_errors_total"), 0u);
+  MetricsRegistry registry;
+  (void)registry.counter("eum_q_total", "", {{"worker", "0"}});
+  EXPECT_EQ(registry.counter_total("eum_q_total", {{"worker", "0"}}), 0u);
+}
+
+TEST(MetricsRegistry, CounterTotalThrowsWhenNoSeriesMatches) {
+  MetricsRegistry registry;
+  registry.counter("eum_q_total", "", {{"worker", "0"}}).add(3);
+  registry.gauge("eum_entries").set(1);
+  EXPECT_EQ(registry.counter_total("eum_q_total"), 3u);
+  EXPECT_THROW((void)registry.counter_total("eum_q_totl"), std::out_of_range);
+  EXPECT_THROW((void)registry.counter_total("eum_q_total", {{"worker", "1"}}),
+               std::out_of_range);
+  EXPECT_THROW((void)registry.counter_total("eum_q_total", {{"shard", "0"}}),
+               std::out_of_range);
+  EXPECT_THROW((void)registry.counter_total("eum_entries"), std::out_of_range);  // a gauge
+  // Reading registers nothing.
+  EXPECT_EQ(registry.snapshot().counters.size(), 1u);
+}
+
+TEST(MetricsRegistry, CounterTotalReadsBesideFourRecordingThreads) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 20000;
+  MetricsRegistry registry;
+  std::vector<obs::Counter*> counters;
+  for (int t = 0; t < kThreads; ++t) {
+    counters.push_back(&registry.counter("eum_q_total", "", {{"worker", std::to_string(t)}}));
+  }
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([counter = counters[t], &finished] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) counter->add();
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  // Each series only grows, so the sum a reader sees only grows too.
+  std::uint64_t last = 0;
+  bool monotone = true;
+  while (finished.load(std::memory_order_acquire) < kThreads) {
+    const std::uint64_t now = registry.counter_total("eum_q_total");
+    monotone = monotone && now >= last && now <= kThreads * kAdds;
+    last = now;
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(registry.counter_total("eum_q_total"), kThreads * kAdds);
+  EXPECT_EQ(registry.counter_total("eum_q_total", {{"worker", "2"}}), kAdds);
+}
+
+// ---------- Reset contract: one registry reset ----------
+
 TEST(ResetContract, LatencySamplingTimesEveryNthQuery) {
   dnsserver::AuthoritativeServer engine = make_cdn_engine();
   engine.set_latency_sampling(dnsserver::AuthoritativeServer::kDefaultLatencySampleEvery);
@@ -371,26 +491,16 @@ TEST(ResetContract, LatencySamplingTimesEveryNthQuery) {
   for (std::uint16_t i = 0; i < 33; ++i) (void)engine.handle(cdn_query(i), resolver);
   // Queries 0, 16, and 32 hit the 1-in-16 sampling ticks; counters still
   // see every query.
-  EXPECT_EQ(engine.stats().queries, 33u);
-  EXPECT_EQ(
-      engine.registry().histogram("eum_authority_handle_latency_us").snapshot().count, 3u);
-}
+  obs::MetricsRegistry& registry = engine.registry();
+  EXPECT_EQ(registry.counter_total("eum_authority_queries_total"), 33u);
+  EXPECT_EQ(registry.histogram("eum_authority_handle_latency_us").snapshot().count, 3u);
 
-TEST(ResetContract, AuthorityZeroesEverythingItReports) {
-  dnsserver::AuthoritativeServer engine = make_cdn_engine();
-  const net::IpAddr resolver{net::IpV4Addr{192, 0, 2, 53}};
-  for (std::uint16_t i = 0; i < 5; ++i) (void)engine.handle(cdn_query(i), resolver);
-  EXPECT_EQ(engine.stats().queries, 5u);
-  EXPECT_EQ(engine.stats().dynamic_answers, 5u);
-  EXPECT_EQ(
-      engine.registry().histogram("eum_authority_handle_latency_us").snapshot().count, 5u);
-  engine.reset_stats();
-  const dnsserver::AuthServerStats after = engine.stats();
-  EXPECT_EQ(after.queries, 0u);
-  EXPECT_EQ(after.queries_with_ecs, 0u);
-  EXPECT_EQ(after.dynamic_answers, 0u);
-  EXPECT_EQ(
-      engine.registry().histogram("eum_authority_handle_latency_us").snapshot().count, 0u);
+  // 0 turns timing off, the first query included; counting goes on.
+  registry.reset();
+  engine.set_latency_sampling(0);
+  for (std::uint16_t i = 0; i < 33; ++i) (void)engine.handle(cdn_query(i), resolver);
+  EXPECT_EQ(registry.counter_total("eum_authority_queries_total"), 33u);
+  EXPECT_EQ(registry.histogram("eum_authority_handle_latency_us").snapshot().count, 0u);
 }
 
 TEST(ResetContract, ResolverZeroesCountersButKeepsCacheEntries) {
@@ -404,54 +514,35 @@ TEST(ResetContract, ResolverZeroesCountersButKeepsCacheEntries) {
                                         *net::IpAddr::parse("198.51.100.1")};
   const net::IpAddr client = *net::IpAddr::parse("10.2.3.4");
   for (std::uint16_t i = 0; i < 3; ++i) (void)resolver.resolve(cdn_query(i), client);
-  const dnsserver::ResolverStats before = resolver.stats();
-  EXPECT_EQ(before.client_queries, 3u);
-  EXPECT_EQ(before.cache_hits, 2u);
-  EXPECT_EQ(before.upstream_queries, 1u);
+  obs::MetricsRegistry& registry = resolver.registry();
+  const auto count = [&registry](const char* name) { return registry.counter_total(name); };
+  EXPECT_EQ(count("eum_resolver_client_queries_total"), 3u);
+  EXPECT_EQ(count("eum_cache_hits_total"), 2u);
+  EXPECT_EQ(count("eum_resolver_upstream_queries_total"), 1u);
   const std::size_t cached = resolver.cache_size();
   EXPECT_GT(cached, 0u);
+  const auto entries_gauge = [&registry] {
+    std::int64_t total = 0;
+    for (const auto& gauge : registry.snapshot().gauges) {
+      if (gauge.name == "eum_cache_entries") total += gauge.value;
+    }
+    return total;
+  };
+  EXPECT_EQ(entries_gauge(), static_cast<std::int64_t>(cached));
 
-  resolver.reset_stats();
-  const dnsserver::ResolverStats after = resolver.stats();
-  EXPECT_EQ(after.client_queries, 0u);
-  EXPECT_EQ(after.cache_hits, 0u);
-  EXPECT_EQ(after.cache_misses, 0u);
-  EXPECT_EQ(after.upstream_queries, 0u);
-  EXPECT_EQ(after.scoped_hits, 0u);
-  EXPECT_EQ(resolver.registry().histogram("eum_resolver_resolve_latency_us").snapshot().count,
-            0u);
-  // The cache's live entries (and their gauges) survive a stats reset.
+  registry.reset();
+  EXPECT_EQ(count("eum_resolver_client_queries_total"), 0u);
+  EXPECT_EQ(count("eum_cache_hits_total"), 0u);
+  EXPECT_EQ(count("eum_cache_misses_total"), 0u);
+  EXPECT_EQ(count("eum_resolver_upstream_queries_total"), 0u);
+  EXPECT_EQ(count("eum_cache_scoped_hits_total"), 0u);
+  EXPECT_EQ(registry.histogram("eum_resolver_resolve_latency_us").snapshot().count, 0u);
+  // The cache's live entries and their gauges survive a reset.
   EXPECT_EQ(resolver.cache_size(), cached);
+  EXPECT_EQ(entries_gauge(), static_cast<std::int64_t>(cached));
   // ...and the surviving entries still serve hits that count from zero.
   (void)resolver.resolve(cdn_query(9), client);
-  EXPECT_EQ(resolver.stats().cache_hits, 1u);
-}
-
-TEST(ResetContract, SharedRegistryComponentsResetIndependently) {
-  // Engine and resolver on ONE registry: resetting the resolver's stats
-  // must not clear the authority's counters, and vice versa.
-  MetricsRegistry registry;
-  util::SimClock clock;
-  dnsserver::AuthoritativeServer engine = make_cdn_engine(&registry);
-  dnsserver::AuthorityDirectory directory;
-  directory.add_authority(dns::DnsName::from_text("g.cdn.example"), &engine);
-  dnsserver::ResolverConfig config;
-  config.ecs_enabled = true;
-  config.registry = &registry;
-  dnsserver::RecursiveResolver resolver{config, &clock, &directory,
-                                        *net::IpAddr::parse("198.51.100.1")};
-  const net::IpAddr client = *net::IpAddr::parse("10.2.3.4");
-  for (std::uint16_t i = 0; i < 3; ++i) (void)resolver.resolve(cdn_query(i), client);
-  EXPECT_GT(engine.stats().queries, 0u);
-
-  resolver.reset_stats();
-  EXPECT_EQ(resolver.stats().client_queries, 0u);
-  EXPECT_GT(engine.stats().queries, 0u);  // authority untouched
-
-  const std::uint64_t engine_queries = engine.stats().queries;
-  engine.reset_stats();
-  EXPECT_EQ(engine.stats().queries, 0u);
-  EXPECT_NE(engine_queries, 0u);
+  EXPECT_EQ(count("eum_cache_hits_total"), 1u);
 }
 
 }  // namespace

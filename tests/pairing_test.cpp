@@ -53,7 +53,7 @@ TEST(Whoami, Ttl0AnswersAreNotReusedAcrossTime) {
   (void)stub.lookup(dns::DnsName::from_text("whoami.cdn.example"));
   clock.advance(1);
   (void)stub.lookup(dns::DnsName::from_text("whoami.cdn.example"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(resolver.registry().counter_total("eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST(PairingDiscovery, RecoversGroundTruthAssociations) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,16 @@ using dns::Rcode;
 using dns::RecordType;
 
 net::IpAddr v4(const char* text) { return *net::IpAddr::parse(text); }
+
+/// One of the resolver's counters (eum_resolver_* and its cache's eum_cache_*).
+std::uint64_t counter(RecursiveResolver& resolver, std::string_view name) {
+  return resolver.registry().counter_total(name);
+}
+
+/// The injector's eum_fault_injected_total series for one fault kind.
+std::uint64_t injected(const FaultInjector& injector, const char* fault) {
+  return injector.registry().counter_total("eum_fault_injected_total", {{"fault", fault}});
+}
 
 /// Authority answering every A query under g.cdn.example with an address
 /// derived from the ECS block (so the test can see which unit mapped) and
@@ -70,12 +81,12 @@ TEST_F(EcsFixture, ResolvesAndCaches) {
   const Message first = resolver.resolve(client_query(1), v4("1.2.3.4"));
   EXPECT_EQ(first.header.rcode, Rcode::no_error);
   ASSERT_EQ(first.answers.size(), 1U);
-  EXPECT_EQ(resolver.stats().cache_misses, 1U);
+  EXPECT_EQ(counter(resolver, "eum_cache_misses_total"), 1U);
 
   const Message second = resolver.resolve(client_query(2), v4("1.2.3.4"));
   EXPECT_EQ(second.answers, first.answers);
-  EXPECT_EQ(resolver.stats().cache_hits, 1U);
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_cache_hits_total"), 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
   EXPECT_EQ(dynamic_calls_, 1);
 }
 
@@ -83,19 +94,19 @@ TEST_F(EcsFixture, NonEcsCacheSharedAcrossClients) {
   RecursiveResolver resolver = make_resolver(false);
   (void)resolver.resolve(client_query(1), v4("1.2.3.4"));
   (void)resolver.resolve(client_query(2), v4("99.88.77.66"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);  // one entry serves all
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);  // one entry serves all
 }
 
 TEST_F(EcsFixture, EcsCachePartitionsByScopeBlock) {
   RecursiveResolver resolver = make_resolver(true);
   const Message a = resolver.resolve(client_query(1), v4("1.2.3.4"));
   const Message b = resolver.resolve(client_query(2), v4("1.2.4.4"));  // other /24
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
   EXPECT_NE(a.answers, b.answers);
 
   // Same /24 as the first client: cache hit, same answer.
   const Message c = resolver.resolve(client_query(3), v4("1.2.3.200"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
   EXPECT_EQ(c.answers, a.answers);
   EXPECT_EQ(resolver.cache_size(), 2U);
 }
@@ -105,7 +116,7 @@ TEST_F(EcsFixture, ScopeZeroAnswerIsGlobal) {
   RecursiveResolver resolver = make_resolver(true);
   (void)resolver.resolve(client_query(1), v4("1.2.3.4"));
   (void)resolver.resolve(client_query(2), v4("200.100.50.25"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
 }
 
 TEST_F(EcsFixture, BroaderScopeSharesAcrossTwentyFours) {
@@ -114,10 +125,10 @@ TEST_F(EcsFixture, BroaderScopeSharesAcrossTwentyFours) {
   (void)resolver.resolve(client_query(1), v4("1.2.16.4"));
   // 1.2.17.x is in the same /20 as 1.2.16.x.
   (void)resolver.resolve(client_query(2), v4("1.2.17.9"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
   // 1.2.32.x is in a different /20.
   (void)resolver.resolve(client_query(3), v4("1.2.32.9"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST_F(EcsFixture, TtlExpiryForcesRefetch) {
@@ -125,10 +136,10 @@ TEST_F(EcsFixture, TtlExpiryForcesRefetch) {
   (void)resolver.resolve(client_query(1), v4("1.2.3.4"));
   clock_.advance(59);
   (void)resolver.resolve(client_query(2), v4("1.2.3.4"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
   clock_.advance(2);  // past the 60s TTL
   (void)resolver.resolve(client_query(3), v4("1.2.3.4"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST_F(EcsFixture, CachedTtlAges) {
@@ -152,10 +163,10 @@ TEST_F(EcsFixture, NegativeAnswersCachedWithNegativeTtl) {
 
   EXPECT_EQ(resolver.resolve(client_query(1), v4("1.2.3.4")).header.rcode, Rcode::nx_domain);
   EXPECT_EQ(resolver.resolve(client_query(2), v4("1.2.3.4")).header.rcode, Rcode::nx_domain);
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
   clock_.advance(11);
   (void)resolver.resolve(client_query(3), v4("1.2.3.4"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST_F(EcsFixture, NegativeTtlFromSoaMinimum) {
@@ -181,10 +192,10 @@ TEST_F(EcsFixture, NegativeTtlFromSoaMinimum) {
   EXPECT_EQ(query(1).header.rcode, Rcode::nx_domain);
   clock_.advance(4);
   (void)query(2);
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);  // still cached
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);  // still cached
   clock_.advance(2);  // past the 5s SOA minimum, far before negative_ttl
   (void)query(3);
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST_F(EcsFixture, ScopeBroaderThanSourceClampedToSource) {
@@ -195,7 +206,7 @@ TEST_F(EcsFixture, ScopeBroaderThanSourceClampedToSource) {
   (void)resolver.resolve(client_query(1), v4("1.2.3.4"));
   // Another host of the same /24 must hit the (clamped) entry.
   (void)resolver.resolve(client_query(2), v4("1.2.3.77"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
 }
 
 TEST_F(EcsFixture, ForwardedEcsFromClientQueryWins) {
@@ -219,7 +230,7 @@ TEST_F(EcsFixture, ForwardedEcsDoesNotHitConnectionScopedEntry) {
   RecursiveResolver resolver = make_resolver(true);
   // Seed a scoped entry for 1.2.3.0/24 via a direct client.
   (void)resolver.resolve(client_query(1), v4("1.2.3.4"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
 
   // A forwarder whose connection address is inside that /24 relays a
   // query for a client in 50.60.70.0/24.
@@ -231,7 +242,7 @@ TEST_F(EcsFixture, ForwardedEcsDoesNotHitConnectionScopedEntry) {
   // Must be the 50.60.70/24 answer fetched upstream, not the cached
   // 1.2.3/24 one.
   EXPECT_EQ(response.answer_addresses()[0].v4().value(), 0xCB000000U | 70U);
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST_F(EcsFixture, ForwardedEcsHitsItsOwnScopedEntry) {
@@ -248,8 +259,8 @@ TEST_F(EcsFixture, ForwardedEcsHitsItsOwnScopedEntry) {
   const Message a = resolver.resolve(q1, v4("9.9.9.9"));
   const Message b = resolver.resolve(q2, v4("8.8.8.8"));
   EXPECT_EQ(a.answers, b.answers);
-  EXPECT_EQ(resolver.stats().upstream_queries, 1U);
-  EXPECT_EQ(resolver.stats().cache_hits, 1U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 1U);
+  EXPECT_EQ(counter(resolver, "eum_cache_hits_total"), 1U);
 }
 
 TEST_F(EcsFixture, EvictionKeepsRecentEntriesServing) {
@@ -265,17 +276,17 @@ TEST_F(EcsFixture, EvictionKeepsRecentEntriesServing) {
     const net::IpAddr client{net::IpV4Addr{0x01020000U + (i << 8) + 1}};
     (void)resolver.resolve(client_query(static_cast<std::uint16_t>(i + 1)), client);
   }
-  EXPECT_EQ(resolver.stats().upstream_queries, 5U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 5U);
   EXPECT_EQ(resolver.cache_size(), 4U);
-  EXPECT_EQ(resolver.stats().cache_evictions, 1U);
+  EXPECT_EQ(counter(resolver, "eum_cache_evictions_total"), 1U);
   // Blocks 2..5 must still be cached; only block 1 (the coldest) was
   // evicted. The seed flushed everything and re-queried upstream.
   for (std::uint32_t i = 1; i < 5; ++i) {
     const net::IpAddr client{net::IpV4Addr{0x01020000U + (i << 8) + 7}};
     (void)resolver.resolve(client_query(static_cast<std::uint16_t>(10 + i)), client);
   }
-  EXPECT_EQ(resolver.stats().upstream_queries, 5U);
-  EXPECT_EQ(resolver.stats().cache_hits, 4U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 5U);
+  EXPECT_EQ(counter(resolver, "eum_cache_hits_total"), 4U);
 }
 
 TEST_F(EcsFixture, ExpiredEntriesDoNotLeakCacheKeys) {
@@ -299,7 +310,7 @@ TEST_F(EcsFixture, ExpiredEntriesDoNotLeakCacheKeys) {
   // empty slots.
   EXPECT_EQ(resolver.cache().key_count(), 20U);
   EXPECT_EQ(resolver.cache_size(), 20U);
-  EXPECT_EQ(resolver.stats().cache_expirations, 20U);
+  EXPECT_EQ(counter(resolver, "eum_cache_expirations_total"), 20U);
 }
 
 TEST_F(EcsFixture, ScopeDepthStatsTrackMatchedScopes) {
@@ -307,14 +318,8 @@ TEST_F(EcsFixture, ScopeDepthStatsTrackMatchedScopes) {
   (void)resolver.resolve(client_query(1), v4("1.2.3.4"));
   (void)resolver.resolve(client_query(2), v4("1.2.3.9"));   // /24 hit
   (void)resolver.resolve(client_query(3), v4("1.2.3.77"));  // /24 hit
-  const ResolverStats stats = resolver.stats();
-  EXPECT_EQ(stats.scoped_hits, 2U);
-  EXPECT_EQ(stats.scope_depth_total, 48U);
-  EXPECT_NEAR(stats.mean_scope_depth(), 24.0, 1e-9);
-  // The counters render as a table for benches/examples.
-  const std::string rendered = resolver_stats_table(stats).render();
-  EXPECT_NE(rendered.find("scoped_hits"), std::string::npos);
-  EXPECT_NE(rendered.find("mean_scope_depth"), std::string::npos);
+  EXPECT_EQ(counter(resolver, "eum_cache_scoped_hits_total"), 2U);
+  EXPECT_EQ(counter(resolver, "eum_cache_scope_depth_bits_total"), 48U);  // two /24 matches
 }
 
 TEST_F(EcsFixture, RefusedUpstreamPropagates) {
@@ -338,7 +343,7 @@ TEST_F(EcsFixture, FlushCacheDropsEntries) {
   resolver.flush_cache();
   EXPECT_EQ(resolver.cache_size(), 0U);
   (void)resolver.resolve(client_query(2), v4("1.2.3.4"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 TEST_F(EcsFixture, CacheCapacityTriggersEviction) {
@@ -351,7 +356,7 @@ TEST_F(EcsFixture, CacheCapacityTriggersEviction) {
     (void)resolver.resolve(client_query(static_cast<std::uint16_t>(i + 1)), client);
   }
   EXPECT_LE(resolver.cache_size(), 4U);
-  EXPECT_GT(resolver.stats().cache_evictions, 0U);
+  EXPECT_GT(counter(resolver, "eum_cache_evictions_total"), 0U);
 }
 
 TEST_F(EcsFixture, UpstreamQueryHookFires) {
@@ -408,13 +413,13 @@ TEST(ResolverCname, ChasesAcrossAuthorities) {
   EXPECT_EQ(response.header.rcode, Rcode::no_error);
   ASSERT_EQ(response.answers.size(), 2U);  // CNAME + A
   EXPECT_EQ(response.answer_addresses().at(0), *net::IpAddr::parse("203.1.2.3"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 
   // The CNAME and the target are cached independently.
   (void)resolver.resolve(
       Message::make_query(2, DnsName::from_text("www.shop.example"), RecordType::A),
       *net::IpAddr::parse("1.2.3.4"));
-  EXPECT_EQ(resolver.stats().upstream_queries, 2U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 2U);
 }
 
 /// EcsFixture's authority behind a FaultInjector, for the retry/backoff
@@ -469,12 +474,13 @@ TEST_F(FaultyResolverFixture, RetryRecoversFromDrops) {
         client_query(i, "h" + std::to_string(i) + ".g.cdn.example"), v4("1.2.3.4"));
     EXPECT_EQ(response.header.rcode, Rcode::no_error) << "query " << i;
   }
-  const ResolverStats stats = resolver.stats();
-  EXPECT_GT(stats.retries, 0U);
-  EXPECT_GT(stats.upstream_failures, 0U);
-  EXPECT_EQ(stats.upstream_failures, injector_->stats().drops);
+  const std::uint64_t retries = counter(resolver, "eum_resolver_retries_total");
+  const std::uint64_t failures = counter(resolver, "eum_resolver_upstream_failures_total");
+  EXPECT_GT(retries, 0U);
+  EXPECT_GT(failures, 0U);
+  EXPECT_EQ(failures, injected(*injector_, "drop"));
   // Retries are attempts beyond the first, so the totals must reconcile.
-  EXPECT_EQ(stats.upstream_queries, 50U + stats.retries);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"), 50U + retries);
 }
 
 TEST_F(FaultyResolverFixture, RetryExhaustionYieldsUncachedServfail) {
@@ -484,7 +490,7 @@ TEST_F(FaultyResolverFixture, RetryExhaustionYieldsUncachedServfail) {
   set_drop(1.0);
   const Message failed = resolver.resolve(client_query(1), v4("1.2.3.4"));
   EXPECT_EQ(failed.header.rcode, Rcode::serv_fail);
-  EXPECT_EQ(resolver.stats().upstream_failures, 3U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_failures_total"), 3U);
   EXPECT_EQ(resolver.cache_size(), 0U);  // SERVFAIL is never cached
 
   // The authority recovers: the next query must go upstream and succeed,
@@ -509,8 +515,9 @@ TEST_F(FaultyResolverFixture, ServfailResponsesAreRetried) {
         client_query(i, "s" + std::to_string(i) + ".g.cdn.example"), v4("1.2.3.4"));
     EXPECT_EQ(response.header.rcode, Rcode::no_error) << "query " << i;
   }
-  EXPECT_GT(resolver.stats().retries, 0U);
-  EXPECT_EQ(resolver.stats().upstream_failures, injector_->stats().servfails);
+  EXPECT_GT(counter(resolver, "eum_resolver_retries_total"), 0U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_failures_total"),
+            injected(*injector_, "servfail"));
 }
 
 TEST_F(FaultyResolverFixture, ServeStaleBridgesUpstreamOutage) {
@@ -540,8 +547,8 @@ TEST_F(FaultyResolverFixture, ServeStaleBridgesUpstreamOutage) {
   EXPECT_EQ(stale.answer_addresses(), fresh.answer_addresses());
   // RFC 8767 §4: stale answers carry a short TTL so clients re-ask soon.
   EXPECT_LE(stale.answers[0].ttl, config.stale_answer_ttl);
-  EXPECT_EQ(resolver.stats().stale_served, 1U);
-  EXPECT_GT(resolver.stats().upstream_failures, 0U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_stale_served_total"), 1U);
+  EXPECT_GT(counter(resolver, "eum_resolver_upstream_failures_total"), 0U);
 
   // The flight recorder attributes exactly one answer to the stale path.
   const auto records = recorder.drain();
@@ -562,7 +569,7 @@ TEST_F(FaultyResolverFixture, ServeStaleWindowBoundsStaleness) {
   set_drop(1.0);
   const Message response = resolver.resolve(client_query(2), v4("1.2.3.4"));
   EXPECT_EQ(response.header.rcode, Rcode::serv_fail);
-  EXPECT_EQ(resolver.stats().stale_served, 0U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_stale_served_total"), 0U);
 }
 
 TEST_F(FaultyResolverFixture, ServeStaleDisabledByDefault) {
@@ -571,7 +578,7 @@ TEST_F(FaultyResolverFixture, ServeStaleDisabledByDefault) {
   clock_.advance(ttl_ + 1);
   set_drop(1.0);
   EXPECT_EQ(resolver.resolve(client_query(2), v4("1.2.3.4")).header.rcode, Rcode::serv_fail);
-  EXPECT_EQ(resolver.stats().stale_served, 0U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_stale_served_total"), 0U);
 }
 
 TEST_F(FaultyResolverFixture, ResolverSharedAcrossThreadsUnderFaults) {
@@ -610,14 +617,16 @@ TEST_F(FaultyResolverFixture, ResolverSharedAcrossThreadsUnderFaults) {
   for (auto& worker : workers) worker.join();
 
   EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
-  const ResolverStats stats = resolver.stats();
-  EXPECT_EQ(stats.client_queries, static_cast<std::uint64_t>(kThreads * kQueriesPerThread));
-  EXPECT_EQ(stats.upstream_queries, static_cast<std::uint64_t>(kThreads * kQueriesPerThread) +
-                                        stats.retries);
-  EXPECT_EQ(stats.upstream_failures, injector_->stats().drops);
+  const auto queries = static_cast<std::uint64_t>(kThreads * kQueriesPerThread);
+  EXPECT_EQ(counter(resolver, "eum_resolver_client_queries_total"), queries);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_queries_total"),
+            queries + counter(resolver, "eum_resolver_retries_total"));
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_failures_total"),
+            injected(*injector_, "drop"));
   // Every non-dropped attempt (plus each duplicate copy) reached the
   // authority exactly once.
-  EXPECT_EQ(injector_->stats().forwards, directory_.forwarded());
+  EXPECT_EQ(injector_->registry().counter_total("eum_fault_forwarded_total"),
+            directory_.forwarded());
   EXPECT_EQ(resolver.cache_size(), static_cast<std::size_t>(kThreads * kQueriesPerThread));
 }
 
@@ -698,9 +707,15 @@ TEST_F(ResolverSrttFixture, PrefersFasterNameserverAfterExploring) {
   for (std::uint16_t id = 3; id < 8; ++id) {
     EXPECT_EQ(resolve_one(resolver, id), v4("203.0.0.2")) << "query " << id;
   }
-  // The SRTT gauges are exported per server and survive reset_stats().
-  resolver.reset_stats();
+  // The SRTT gauges are exported per server; they mirror live state, so
+  // a registry reset keeps them.
+  resolver.registry().reset();
   EXPECT_GT(resolver.srtt_us(v4("198.51.100.1")), 0.0);
+  const auto gauges = resolver.registry().snapshot().gauges;
+  EXPECT_TRUE(std::any_of(gauges.begin(), gauges.end(), [](const auto& gauge) {
+    return gauge.name == "eum_resolver_srtt_us" &&
+           gauge.labels == obs::Labels{{"server", "198.51.100.1"}} && gauge.value > 0;
+  }));
 }
 
 TEST_F(ResolverSrttFixture, DeadNameserverFailsOverToSibling) {
@@ -712,16 +727,16 @@ TEST_F(ResolverSrttFixture, DeadNameserverFailsOverToSibling) {
   // ns1 eats the first attempt; the resolver must fail over to ns2
   // within the same resolution rather than SERVFAILing the client.
   EXPECT_EQ(resolve_one(resolver, 1), v4("203.0.0.2"));
-  EXPECT_GT(resolver.stats().retries, 0U);
-  EXPECT_GT(resolver.stats().upstream_failures, 0U);
+  EXPECT_GT(counter(resolver, "eum_resolver_retries_total"), 0U);
+  EXPECT_GT(counter(resolver, "eum_resolver_upstream_failures_total"), 0U);
 
   // The failure penalty parks ns1's SRTT above ns2's, so later
   // resolutions go straight to the live sibling.
   EXPECT_GT(resolver.srtt_us(v4("198.51.100.1")), resolver.srtt_us(v4("198.51.100.2")));
   (void)resolve_one(resolver, 2);
-  const auto drops_before = injector_->stats().drops;
+  const auto drops_before = injected(*injector_, "drop");
   (void)resolve_one(resolver, 3);
-  EXPECT_EQ(injector_->stats().drops, drops_before);  // ns1 no longer tried
+  EXPECT_EQ(injected(*injector_, "drop"), drops_before);  // ns1 no longer tried
 }
 
 TEST_F(ResolverSrttFixture, UnaddressableGlueKeepsReferral) {
@@ -737,8 +752,8 @@ TEST_F(ResolverSrttFixture, UnaddressableGlueKeepsReferral) {
       v4("1.2.3.4"));
   EXPECT_EQ(response.header.rcode, Rcode::no_error);
   EXPECT_TRUE(response.answers.empty());
-  EXPECT_EQ(resolver.stats().upstream_failures, 0U);  // nothing was retried
-  EXPECT_EQ(resolver.stats().retries, 0U);
+  EXPECT_EQ(counter(resolver, "eum_resolver_upstream_failures_total"), 0U);  // nothing was retried
+  EXPECT_EQ(counter(resolver, "eum_resolver_retries_total"), 0U);
 }
 
 TEST(StubClientValidation, RejectsMismatchedResponses) {

@@ -72,12 +72,11 @@ TEST(ScopedCache, LongestOfSeveralNestedScopesWins) {
             v4("203.0.16.1"));
   EXPECT_FALSE(cache.lookup(key, v4("10.9.0.1"), util::SimTime{1}).has_value());
 
-  const ScopedCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 3U);
-  EXPECT_EQ(stats.misses, 1U);
-  EXPECT_EQ(stats.scoped_hits, 3U);
-  EXPECT_EQ(stats.scope_depth_total, 24U + 20U + 16U);
-  EXPECT_NEAR(stats.mean_scope_depth(), 20.0, 1e-9);
+  const obs::MetricsRegistry& registry = cache.registry();
+  EXPECT_EQ(registry.counter_total("eum_cache_hits_total"), 3U);
+  EXPECT_EQ(registry.counter_total("eum_cache_misses_total"), 1U);
+  EXPECT_EQ(registry.counter_total("eum_cache_scoped_hits_total"), 3U);
+  EXPECT_EQ(registry.counter_total("eum_cache_scope_depth_bits_total"), 24U + 20U + 16U);
 }
 
 TEST(ScopedCache, SameScopeStoreReplacesInsteadOfDuplicating) {
@@ -86,7 +85,7 @@ TEST(ScopedCache, SameScopeStoreReplacesInsteadOfDuplicating) {
   cache.store(key, entry_for("203.0.0.1", "10.0.5.0/24"));
   cache.store(key, entry_for("203.0.0.2", "10.0.5.0/24"));
   EXPECT_EQ(cache.size(), 1U);
-  EXPECT_EQ(cache.stats().replacements, 1U);
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_replacements_total"), 1U);
   EXPECT_EQ(answer_of(*cache.lookup(key, v4("10.0.5.1"), util::SimTime{1})),
             v4("203.0.0.2"));
 }
@@ -111,7 +110,7 @@ TEST(ScopedCache, ExpiredEntriesReapedAndEmptyKeysErased) {
   }
   EXPECT_EQ(cache.size(), 0U);
   EXPECT_EQ(cache.key_count(), 0U);
-  EXPECT_EQ(cache.stats().expirations, 50U);
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_expirations_total"), 50U);
 }
 
 TEST(ScopedCache, LruEvictsColdestNotEverything) {
@@ -127,7 +126,7 @@ TEST(ScopedCache, LruEvictsColdestNotEverything) {
   cache.store(key_for("h4.example"), entry_for("203.0.0.5"));
 
   EXPECT_EQ(cache.size(), 4U);
-  EXPECT_EQ(cache.stats().evictions, 1U);
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_evictions_total"), 1U);
   EXPECT_FALSE(cache.lookup(key_for("h1.example"), v4("10.0.0.1"), util::SimTime{1}).has_value());
   for (const char* survivor : {"h0.example", "h2.example", "h3.example", "h4.example"}) {
     EXPECT_TRUE(cache.lookup(key_for(survivor), v4("10.0.0.1"), util::SimTime{1}).has_value())
@@ -143,8 +142,8 @@ TEST(ScopedCache, CapacityBoundHoldsAcrossShards) {
   }
   EXPECT_LE(cache.size(), 64U);
   EXPECT_GE(cache.size(), 8U);  // every shard retains its recent entries
-  EXPECT_EQ(cache.stats().insertions, 1000U);
-  EXPECT_EQ(cache.stats().evictions, 1000U - cache.size());
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_insertions_total"), 1000U);
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_evictions_total"), 1000U - cache.size());
 }
 
 TEST(ScopedCache, ClearDropsEntriesButKeepsCounters) {
@@ -154,9 +153,9 @@ TEST(ScopedCache, ClearDropsEntriesButKeepsCounters) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0U);
   EXPECT_EQ(cache.key_count(), 0U);
-  EXPECT_EQ(cache.stats().hits, 1U);
-  cache.reset_stats();
-  EXPECT_EQ(cache.stats().hits, 0U);
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_hits_total"), 1U);
+  cache.registry().reset();
+  EXPECT_EQ(cache.registry().counter_total("eum_cache_hits_total"), 0U);
 }
 
 TEST(ScopedCache, ShardCountRoundsUpToPowerOfTwo) {
@@ -196,8 +195,10 @@ TEST(ScopedCache, ConcurrentStoreAndLookupStaysConsistent) {
   EXPECT_EQ(bad.load(std::memory_order_relaxed), 0U);
   // Conservation: every inserted entry is still cached, was evicted, or
   // expired (replacements refresh in place and count separately).
-  const ScopedCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.insertions, stats.evictions + stats.expirations + cache.size());
+  const obs::MetricsRegistry& registry = cache.registry();
+  EXPECT_EQ(registry.counter_total("eum_cache_insertions_total"),
+            registry.counter_total("eum_cache_evictions_total") +
+                registry.counter_total("eum_cache_expirations_total") + cache.size());
 }
 
 }  // namespace

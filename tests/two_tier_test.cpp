@@ -54,7 +54,7 @@ TEST_F(TwoTierFixture, TopLevelReturnsReferralWithGlue) {
   // Glue names the same nameserver the NS record points at.
   EXPECT_EQ(response.additionals[0].name,
             std::get<dns::NsRecord>(response.authorities[0].rdata).nameserver);
-  EXPECT_EQ(top.stats().referrals, 1U);
+  EXPECT_EQ(top.registry().counter_total("eum_authority_referrals_total"), 1U);
 }
 
 TEST_F(TwoTierFixture, ResolverChasesDelegationToClusterServers) {
@@ -64,7 +64,7 @@ TEST_F(TwoTierFixture, ResolverChasesDelegationToClusterServers) {
   dnsserver::StubClient stub{&resolver, *net::IpAddr::parse("1.2.3.4")};
   const auto servers = stub.lookup(DnsName::from_text("e7.b.cdn.example"));
   ASSERT_EQ(servers.size(), 2U);
-  EXPECT_EQ(resolver.stats().referrals_followed, 1U);
+  EXPECT_EQ(resolver.registry().counter_total("eum_resolver_referrals_followed_total"), 1U);
 
   // The servers belong to the same cluster the mapping system would pick
   // for this LDNS, and that cluster's NS glue address.
@@ -145,11 +145,14 @@ TEST_F(TwoTierFixture, ReferralTtlCachesAtResolver) {
   const topo::Ldns& ldns = world.ldnses.front();
   auto resolver = make_ldns(ldns, false);
   dnsserver::StubClient stub{&resolver, *net::IpAddr::parse("1.2.3.4")};
+  const auto upstream = [&resolver] {
+    return resolver.registry().counter_total("eum_resolver_upstream_queries_total");
+  };
   (void)stub.lookup(DnsName::from_text("cached.b.cdn.example"));
-  const auto upstream_after_first = resolver.stats().upstream_queries;
+  const auto upstream_after_first = upstream();
   (void)stub.lookup(DnsName::from_text("cached.b.cdn.example"));
   // Second lookup is a pure cache hit: no new upstream traffic.
-  EXPECT_EQ(resolver.stats().upstream_queries, upstream_after_first);
+  EXPECT_EQ(upstream(), upstream_after_first);
 }
 
 TEST_F(TwoTierFixture, UnknownGlueFallsBackGracefully) {
@@ -172,7 +175,7 @@ TEST_F(TwoTierFixture, UnknownGlueFallsBackGracefully) {
       Message::make_query(4, DnsName::from_text("a.dangling.example"), RecordType::A),
       *net::IpAddr::parse("1.2.3.4"));
   EXPECT_TRUE(response.answers.empty());
-  EXPECT_EQ(resolver.stats().referrals_followed, 0U);
+  EXPECT_EQ(resolver.registry().counter_total("eum_resolver_referrals_followed_total"), 0U);
 }
 
 }  // namespace

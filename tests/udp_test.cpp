@@ -92,7 +92,7 @@ TEST_F(UdpFixture, SequentialQueriesFromOneClient) {
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->header.id, id);
   }
-  EXPECT_EQ(engine_.stats().queries, 5U);
+  EXPECT_EQ(engine_.registry().counter_total("eum_authority_queries_total"), 5U);
 }
 
 TEST_F(UdpFixture, MalformedDatagramGetsFormErr) {
@@ -107,10 +107,8 @@ TEST_F(UdpFixture, MalformedDatagramGetsFormErr) {
   EXPECT_EQ(response.header.id, 0xABCD);
   EXPECT_EQ(response.header.rcode, dns::Rcode::form_err);
   // wire_errors is per-worker like queries and truncated.
-  const UdpServerStats stats = server_->stats();
-  EXPECT_EQ(stats.wire_errors, 1U);
-  ASSERT_EQ(stats.per_worker_wire_errors.size(), 1U);
-  EXPECT_EQ(stats.per_worker_wire_errors[0], 1U);
+  EXPECT_EQ(server_->registry().counter_total("eum_udp_wire_errors_total", {{"worker", "0"}}),
+            1U);
 }
 
 TEST_F(UdpFixture, ResetStatsZeroesFrontEndCounters) {
@@ -118,7 +116,7 @@ TEST_F(UdpFixture, ResetStatsZeroesFrontEndCounters) {
   const Message query =
       Message::make_query(5, DnsName::from_text("www.g.cdn.example"), RecordType::A);
   ASSERT_TRUE(client.query(query, server_->endpoint(), 2000ms).has_value());
-  EXPECT_EQ(server_->stats().queries, 1U);
+  EXPECT_EQ(server_->registry().counter_total("eum_udp_queries_total"), 1U);
   // The worker records serve latency after sending the reply, so the
   // record can land a moment after the client sees the response; wait
   // for it before snapshotting (and before reset, which must not race a
@@ -129,17 +127,20 @@ TEST_F(UdpFixture, ResetStatsZeroesFrontEndCounters) {
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_GT(server_->registry().histogram("eum_udp_serve_latency_us").snapshot().count, 0U);
-  server_->reset_stats();
-  const UdpServerStats after = server_->stats();
-  EXPECT_EQ(after.queries, 0U);
-  EXPECT_EQ(after.truncated, 0U);
-  EXPECT_EQ(after.wire_errors, 0U);
-  EXPECT_EQ(server_->registry().histogram("eum_udp_serve_latency_us").snapshot().count, 0U);
-  // The engine's own counters are a separate concern (reset contract is
-  // per component); the query it served stays counted until ITS reset.
-  EXPECT_EQ(engine_.stats().queries, 1U);
-  engine_.reset_stats();
-  EXPECT_EQ(engine_.stats().queries, 0U);
+  // The front end records into the engine's registry, so one reset
+  // zeroes both layers' counters and histograms; gauges survive.
+  obs::MetricsRegistry& registry = server_->registry();
+  EXPECT_EQ(&registry, &engine_.registry());
+  registry.reset();
+  EXPECT_EQ(registry.counter_total("eum_udp_queries_total"), 0U);
+  EXPECT_EQ(registry.counter_total("eum_udp_truncated_total"), 0U);
+  EXPECT_EQ(registry.counter_total("eum_udp_wire_errors_total"), 0U);
+  EXPECT_EQ(registry.counter_total("eum_authority_queries_total"), 0U);
+  EXPECT_EQ(registry.histogram("eum_udp_serve_latency_us").snapshot().count, 0U);
+  const auto gauges = registry.snapshot().gauges;
+  EXPECT_TRUE(std::any_of(gauges.begin(), gauges.end(), [](const auto& gauge) {
+    return gauge.name == "eum_udp_rcvbuf_bytes" && gauge.value > 0;
+  }));
 }
 
 TEST(UdpTruncation, Tc1ResponseKeepsEdnsOptAndEcsScope) {
@@ -180,14 +181,9 @@ TEST(UdpTruncation, Tc1ResponseKeepsEdnsOptAndEcsScope) {
   ASSERT_NE(echoed, nullptr);
   EXPECT_EQ(echoed->scope_prefix_len(), 24);
   EXPECT_EQ(echoed->address(), v4("198.51.100.0"));
-  const UdpServerStats stats = server.stats();
-  EXPECT_EQ(stats.truncated, 1U);
   // truncated is tracked per worker exactly like queries; with one
   // worker, worker 0 owns the whole count.
-  ASSERT_EQ(stats.per_worker_truncated.size(), 1U);
-  EXPECT_EQ(stats.per_worker_truncated[0], 1U);
-  const std::string rendered = udp_server_stats_table(stats).render();
-  EXPECT_NE(rendered.find("worker_0_truncated"), std::string::npos);
+  EXPECT_EQ(server.registry().counter_total("eum_udp_truncated_total", {{"worker", "0"}}), 1U);
 }
 
 TEST(UdpTruncation, TinyAdvertisedPayloadClampedTo512) {
@@ -221,7 +217,7 @@ TEST(UdpTruncation, TinyAdvertisedPayloadClampedTo512) {
   ASSERT_TRUE(response.has_value());
   EXPECT_FALSE(response->header.truncated);
   EXPECT_EQ(response->answers.size(), 10U);
-  EXPECT_EQ(server.stats().truncated, 0U);
+  EXPECT_EQ(server.registry().counter_total("eum_udp_truncated_total"), 0U);
 }
 
 TEST(UdpConcurrency, FourWorkersServeParallelClientsWithoutLoss) {
@@ -278,16 +274,44 @@ TEST(UdpConcurrency, FourWorkersServeParallelClientsWithoutLoss) {
 
   EXPECT_EQ(mismatched.load(std::memory_order_relaxed), 0);
   EXPECT_EQ(answered.load(std::memory_order_relaxed), kClients * kQueriesPerClient);
-  EXPECT_EQ(engine.stats().queries, static_cast<std::uint64_t>(kClients * kQueriesPerClient));
+  const auto sent = static_cast<std::uint64_t>(kClients * kQueriesPerClient);
+  EXPECT_EQ(engine.registry().counter_total("eum_authority_queries_total"), sent);
+  EXPECT_EQ(engine.registry().counter_total("eum_udp_queries_total"), sent);
+}
+
+TEST(UdpConcurrency, StatsViewEqualsRegistryCounterTotals) {
+  // perfbench reads UdpAuthorityServer::stats(): its three fields must
+  // stay the worker sums of the eum_udp_* counters they name.
+  AuthoritativeServer engine;
+  engine.add_dynamic_domain(
+      DnsName::from_text("g.cdn.example"),
+      [](const DynamicQuery&) -> std::optional<DynamicAnswer> {
+        DynamicAnswer answer;
+        answer.addresses = {v4("203.0.113.1")};
+        return answer;
+      });
+  UdpServerConfig config{4};
+  config.answer_cache_entries = 64;
+  UdpAuthorityServer server{&engine, UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}, config};
+  server.start();
+  for (int c = 0; c < 8; ++c) {
+    UdpDnsClient client;
+    for (std::uint16_t q = 1; q <= 6; ++q) {  // three names, each asked twice
+      const Message query = Message::make_query(
+          q, DnsName::from_text("n" + std::to_string(q % 3) + ".g.cdn.example"),
+          RecordType::A);
+      ASSERT_TRUE(client.query(query, server.endpoint(), 2000ms).has_value());
+    }
+  }
+  server.stop();
   const UdpServerStats stats = server.stats();
-  EXPECT_EQ(stats.queries, static_cast<std::uint64_t>(kClients * kQueriesPerClient));
-  ASSERT_EQ(stats.per_worker.size(), 4U);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t w : stats.per_worker) sum += w;
-  EXPECT_EQ(sum, stats.queries);
-  // The counters render as a table for benches/examples.
-  const std::string rendered = udp_server_stats_table(stats).render();
-  EXPECT_NE(rendered.find("worker_0_queries"), std::string::npos);
+  const obs::MetricsRegistry& registry = server.registry();
+  EXPECT_EQ(stats.queries, 48U);
+  EXPECT_GT(stats.cache_hits, 0U);
+  EXPECT_GT(stats.cache_misses, 0U);
+  EXPECT_EQ(stats.queries, registry.counter_total("eum_udp_queries_total"));
+  EXPECT_EQ(stats.cache_hits, registry.counter_total("eum_udp_cache_hits_total"));
+  EXPECT_EQ(stats.cache_misses, registry.counter_total("eum_udp_cache_misses_total"));
 }
 
 TEST(UdpConcurrency, TraceRecordsStayValidNdjsonUnderFourWorkerLoad) {
