@@ -234,9 +234,10 @@ int main(int argc, char** argv) {
   recorder_config.sample_every = static_cast<std::uint32_t>(std::max(0L, trace_sample));
   obs::FlightRecorder recorder{recorder_config};
 
-  // The wire answer cache keys on (qname, qtype, ECS scope prefix, map
-  // version); the MapMaker's version cell invalidates every entry the
-  // instant a new snapshot publishes, so dig never sees a stale map.
+  // The wire answer cache keys on (query bytes after the id, resolver
+  // address, map version); the MapMaker's version cell invalidates every
+  // entry the instant a new snapshot publishes, so dig never sees a stale
+  // map. The roll-out ramp below forces a publish whenever a cohort flips.
   dnsserver::UdpServerConfig server_config{workers, std::chrono::milliseconds{50},
                                            &registry};
   server_config.answer_cache_entries = static_cast<std::size_t>(cache_entries);
@@ -413,7 +414,11 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - serve_start)
               .count();
       const double before = rollout.fraction();
+      const std::uint32_t cohorts_before = rollout.enabled_cohorts();
       rollout.set_fraction(std::min(1.0, elapsed_s / static_cast<double>(rollout_ramp_s)));
+      // The gate is not part of the map version: publish, so that answers
+      // cached before the flip stop matching.
+      if (rollout.enabled_cohorts() != cohorts_before) (void)maker.rebuild_now(true);
       if (rollout.fraction() >= 1.0 && before < 1.0) {
         std::printf("roll-out complete: all %zu cohorts on end-user mapping\n",
                     static_cast<std::size_t>(rollout.config().cohorts));

@@ -31,7 +31,7 @@ cmake --build "$BUILD" --target eum_tests eum_alloc_gate fault_sweep \
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   "$BUILD/tests/eum_tests" \
-  --gtest_filter='Anycast.*:PingMesh.*:Scoring.*:LatencyModel.*:ColdStartPin.*:Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:SimClock*.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MappingPin.*:MappingFixture.*:LoadConservation.*:LbFixture.*:Rendezvous.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
+  --gtest_filter='Anycast.*:PingMesh.*:Scoring.*:LatencyModel.*:ColdStartPin.*:Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:AnswerCacheDifferential.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:SimClock*.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MappingPin.*:MappingFixture.*:LoadConservation.*:LbFixture.*:Rendezvous.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
 
 echo "asan_check: running the allocation gate under ASan+UBSan"
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \

@@ -21,6 +21,9 @@ T* require(T* pointer, const char* what) {
   return pointer;
 }
 
+/// Our worlds allocate client blocks at /24.
+constexpr int kClientBlockLen = 24;
+
 const MappingConfig& checked(const MappingConfig& config) {
   if (config.servers_per_answer > kMaxServersPerAnswer) {
     throw std::invalid_argument{"MappingSystem: servers_per_answer exceeds " +
@@ -90,26 +93,24 @@ std::optional<MapResult> MappingSystem::map(topo::LdnsId ldns,
   return snapshot()->map(ldns, client_block, domain, load_units);
 }
 
+MappingSystem::ClientScope MappingSystem::client_scope(
+    topo::LdnsId ldns, const std::optional<net::IpAddr>& client) const {
+  if (!client || !client->is_v4() || !end_user_active(ldns)) return {};
+  // An announced source block broader than /24 is looked up at the /24
+  // of its base address.
+  const topo::ClientBlock* found = world_->block_by_prefix(net::IpPrefix{*client, kClientBlockLen});
+  if (found == nullptr) return {std::nullopt, kClientBlockLen};
+  return {found->id, config_.ecs_scope_len};
+}
+
 std::optional<MappingSystem::QueryUnit> MappingSystem::resolve(
     const dnsserver::DynamicQuery& query) const {
   // Identify the querying LDNS.
   const topo::Ldns* ldns = world_->ldns_by_address(query.resolver);
   if (ldns == nullptr) return std::nullopt;
-  QueryUnit unit;
-  unit.ldns = ldns->id;
-  // Identify the client block from ECS (end-user mapping path). The
-  // announced source block may be broader than /24; we look up the /24
-  // at its base address — our worlds allocate clients at /24. The
-  // roll-out gate is applied here, once per query, so an ungated
-  // resolver's answer also carries the right (client-independent) scope.
-  if (query.client_block && end_user_active(ldns->id)) {
-    const net::IpPrefix block24{query.client_block->address(), 24};
-    if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) unit.block = found->id;
-  }
-  // Scope: client-specific answers carry the configured scope; answers
-  // that ignored the client (NS fallback) are valid for everyone.
-  unit.ecs_scope_len = unit.block ? config_.ecs_scope_len : 0;
-  return unit;
+  std::optional<net::IpAddr> client;
+  if (query.client_block) client = query.client_block->address();
+  return QueryUnit{ldns->id, client_scope(ldns->id, client)};
 }
 
 dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
@@ -117,17 +118,19 @@ dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
     const std::optional<QueryUnit> unit = resolve(query);
     if (!unit) return std::nullopt;
     dns::DnsName::TextBuffer domain;
-    const auto result = snapshot()->map(unit->ldns, unit->block, query.qname.to_text(domain));
+    const auto result =
+        snapshot()->map(unit->ldns, unit->client.block, query.qname.to_text(domain));
     // Flight-recorder span (thread-local tracer; null on untraced
     // transports): the decision's policy inputs and outcome. This is the
     // slow path — the wire answer cache absorbed repeats — so the detail
     // string's allocation is acceptable here.
     if (obs::QueryTracer* tracer = obs::current_tracer()) {
       if (obs::TraceSpan* span = tracer->span(obs::TraceStage::map_decision)) {
-        span->code = unit->block ? 1 : 0;
+        span->code = unit->client.block ? 1 : 0;
         span->value = result ? static_cast<std::int64_t>(result->deployment) : -1;
         span->set_detail(util::format(
-            "ldns=%u ecs=/%d rtt=%.1f", static_cast<unsigned>(unit->ldns), unit->ecs_scope_len,
+            "ldns=%u ecs=/%d rtt=%.1f", static_cast<unsigned>(unit->ldns),
+            unit->client.ecs_scope_len,
             result ? static_cast<double>(result->expected_rtt_ms) : -1.0));
       }
     }
@@ -144,7 +147,7 @@ dnsserver::DynamicAnswerFn MappingSystem::dns_handler() {
       }
     }
     answer.ttl = config_.answer_ttl;
-    answer.ecs_scope_len = unit->ecs_scope_len;
+    answer.ecs_scope_len = unit->client.ecs_scope_len;
     return answer;
   };
 }
@@ -161,12 +164,13 @@ dnsserver::DynamicAnswerFn MappingSystem::top_level_handler(const dns::DnsName& 
     const std::optional<QueryUnit> unit = resolve(query);
     if (!unit) return std::nullopt;
     dns::DnsName::TextBuffer domain;
-    const auto result = snapshot()->map(unit->ldns, unit->block, query.qname.to_text(domain));
+    const auto result =
+        snapshot()->map(unit->ldns, unit->client.block, query.qname.to_text(domain));
     if (!result) return std::nullopt;
 
     dnsserver::DynamicAnswer answer;
     answer.ttl = config_.answer_ttl;
-    answer.ecs_scope_len = unit->ecs_scope_len;
+    answer.ecs_scope_len = unit->client.ecs_scope_len;
     answer.referral.push_back(dnsserver::DynamicReferral{
         suffix.child("ns" + std::to_string(result->deployment)),
         cluster_ns_address(result->deployment)});

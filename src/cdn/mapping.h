@@ -229,7 +229,10 @@ class MappingSystem {
   // --- roll-out gate -------------------------------------------------------
 
   /// Install (or clear) the per-LDNS end-user gate. Setup-time only; the
-  /// gate itself must be safe to call from serving threads.
+  /// gate itself must be safe to call from serving threads. The gate is
+  /// read per query but is not part of the map version, so a gate change
+  /// (a roll-out step) reaches version-keyed caches — the UDP wire answer
+  /// cache — only with the next publish: force one when the gate moves.
   void set_end_user_gate(EndUserGateFn gate) { end_user_gate_ = std::move(gate); }
 
   /// Is end-user mapping active for this resolver right now (policy says
@@ -239,17 +242,32 @@ class MappingSystem {
            (!end_user_gate_ || end_user_gate_(ldns));
   }
 
+  /// The client's part in one query's mapping decision.
+  struct ClientScope {
+    std::optional<topo::BlockId> block;  ///< the client /24 the answer maps by
+    int ecs_scope_len = 0;               ///< the scope the answer announces
+  };
+
+  /// Which client block decides the answer to a query from `ldns` whose
+  /// ECS option names `client` (nullopt: no ECS), and the scope that
+  /// answer holds for (RFC 7871 §7.2.1). The block takes part only under
+  /// end_user_active(ldns), and only for a v4 client whose /24 the world
+  /// holds; the answer then announces the configured scope. /0 is kept
+  /// for answers that ignore the client: no ECS, the gate closed, or a v6
+  /// client (the world has no v6 blocks). A v4 client outside the world
+  /// gets the resolver's answer at /24, the world's block granularity,
+  /// because the same resolver's in-world clients get answers of their
+  /// own. The serve path and control::DecisionExplainer both decide here.
+  [[nodiscard]] ClientScope client_scope(topo::LdnsId ldns,
+                                         const std::optional<net::IpAddr>& client) const;
+
  private:
   friend class MapSnapshot;  // a build takes the shared partition and ledger
 
-  /// A DNS query's mapping inputs: the querying LDNS, and the client /24
-  /// when the query carries ECS, the block is in the world and the
-  /// roll-out gate is open for the LDNS (only then is the answer scoped
-  /// to the client).
+  /// A DNS query's mapping inputs: the querying LDNS and its client_scope().
   struct QueryUnit {
     topo::LdnsId ldns = 0;
-    std::optional<topo::BlockId> block;
-    int ecs_scope_len = 0;  ///< the answer's scope: /0 unless `block` decided it
+    ClientScope client;
   };
   [[nodiscard]] std::optional<QueryUnit> resolve(const dnsserver::DynamicQuery& query) const;
 

@@ -80,16 +80,13 @@ DecisionExplainer::Explanation DecisionExplainer::explain(
   }
   out.ldns = ldns->id;
 
-  // The live gate, exactly as dns_handler consults it: the client block
-  // participates only when end-user mapping is on for this resolver NOW.
+  // The live gate, block and scope, decided by the call dns_handler makes:
+  // the client block participates only when end-user mapping is on for
+  // this resolver NOW.
   out.end_user_on = mapping_->end_user_active(ldns->id);
-  if (out.end_user_on && client.is_v4()) {
-    const net::IpPrefix block24{client, 24};
-    if (const topo::ClientBlock* found = world_->block_by_prefix(block24)) {
-      out.block = found->id;
-    }
-  }
-  out.ecs_scope = out.block ? mapping_->config().ecs_scope_len : 0;
+  const cdn::MappingSystem::ClientScope scope = mapping_->client_scope(ldns->id, client);
+  out.block = scope.block;
+  out.ecs_scope = scope.ecs_scope_len;
 
   if (rollout_ != nullptr) {
     out.has_rollout = true;
@@ -133,8 +130,8 @@ std::string DecisionExplainer::render(const Explanation& explanation) {
                         static_cast<unsigned long>(*explanation.block), explanation.ecs_scope,
                         static_cast<unsigned long>(map.unit));
   } else {
-    out += util::format("client_block none ecs_scope /0 unit=target:%lu (%s)\n",
-                        static_cast<unsigned long>(map.unit),
+    out += util::format("client_block none ecs_scope /%d unit=target:%lu (%s)\n",
+                        explanation.ecs_scope, static_cast<unsigned long>(map.unit),
                         map.used_client_block ? "client" : "resolver-derived");
   }
   out += util::format("mapping_unit %lu members=%zu\n",

@@ -51,7 +51,10 @@ class RolloutController {
   void set_date(const util::Date& date) { set_fraction(fraction_on(date)); }
 
   /// Drive the ramp directly (clamped to [0,1]). Thread-safe; serving
-  /// threads observe the new fraction on their next query.
+  /// threads observe the new fraction on their next query. The fraction
+  /// is not part of the map version, so a change that flips a cohort
+  /// reaches version-keyed caches (the UDP wire answer cache) only with
+  /// the next publish: follow it with MapMaker::rebuild_now(true).
   void set_fraction(double fraction) noexcept;
 
   [[nodiscard]] double fraction() const noexcept {

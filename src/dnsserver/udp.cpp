@@ -544,7 +544,7 @@ void UdpAuthorityServer::serve_datagram(UdpBatch& batch, std::size_t index,
   }
   std::optional<QueryProbe> probe;
   if (cache != nullptr) {
-    probe = QueryProbe::parse(datagram);
+    probe = QueryProbe::parse(datagram, net::IpAddr{peer.address});
     if (probe) {
       if (tracer != nullptr) tracer->set_qname_wire(probe->qname);
       if (const AnswerCache::Entry* hit = cache->find(*probe, version)) {

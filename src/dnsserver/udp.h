@@ -17,8 +17,8 @@
 // allocation are amortized to ~zero. Where the mmsg syscalls are
 // unavailable the same batch API degrades to recvfrom/sendto loops.
 // An optional per-worker wire-level answer cache (answer_cache.h) lets
-// repeat queries bypass the engine entirely, invalidated by map-snapshot
-// version.
+// byte-identical repeat queries from the same resolver bypass the engine
+// entirely, invalidated by map-snapshot version.
 #pragma once
 
 #include <atomic>
@@ -190,17 +190,20 @@ struct UdpServerConfig {
   /// [1, UdpBatch::kMaxCapacity]. 1 degenerates to the single-shot path.
   std::size_t batch = 32;
   /// Slots in the per-worker wire answer cache; 0 (default) disables it.
-  /// With the cache on, repeat queries are answered from memoized wire
-  /// bytes and never reach the engine (its counters see only misses, and
-  /// a hit's flight-recorder record carries no answer fields), so
-  /// enabling it is an explicit opt-in.
+  /// With the cache on, a repeat query — the same bytes after the id,
+  /// from the same peer address, under the same map version — is
+  /// answered from the memoized wire and never reaches the engine (its
+  /// counters see only misses, and a hit's flight-recorder record carries
+  /// no answer fields), so enabling it is an explicit opt-in.
   std::size_t answer_cache_entries = 0;
-  /// Responses larger than this are not cached.
+  /// Queries and responses larger than this are not cached.
   std::size_t answer_cache_max_wire = 4096;
   /// Map-snapshot version cell the cache keys on (borrowed, may be
   /// null): point it at MapMaker::version_cell() and every snapshot
   /// publish invalidates all cached answers. Null pins version 0 —
-  /// fine for static zones, wrong for live-republished mappings.
+  /// fine for static zones, wrong for live-republished mappings. A
+  /// serving input the version does not cover, like the end-user
+  /// roll-out gate, reaches cached answers only with the next publish.
   const std::atomic<std::uint64_t>* map_version = nullptr;
   /// Flight recorder for per-query trace spans (borrowed, may be null =
   /// tracing off). Each worker gets its own QueryTracer scratch; a

@@ -7,7 +7,8 @@
 // UdpAuthorityServer with its answer cache on. One pass over a set of
 // distinct queries warms the worker's scratch and the cache slots; then
 // the map version moves, so a second pass misses the cache on every
-// query, and serve_once() must not allocate for any of them.
+// query, and a third at the same version hits on every query.
+// serve_once() must not allocate in either of the last two passes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -114,7 +115,10 @@ TEST(AllocationGate, CacheMissServesWithoutAllocating) {
 
   std::atomic<std::uint64_t> map_version{1};
   dnsserver::UdpServerConfig config;
-  config.answer_cache_entries = 1024;
+  // Direct-mapped: a slot two keys share turns a repeat into a miss (at
+  // 1024 slots, 4 of the 60 keys collide), so the table is sized for the
+  // hit pass to find every key in a slot of its own.
+  config.answer_cache_entries = std::size_t{1} << 16;
   config.map_version = &map_version;
   dnsserver::UdpAuthorityServer server{
       &engine, dnsserver::UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}, config};
@@ -125,7 +129,12 @@ TEST(AllocationGate, CacheMissServesWithoutAllocating) {
   std::vector<std::uint64_t> allocations(kQueries, 0);
   obs::MetricsRegistry& registry = engine.registry();
   const auto count = [&registry](const char* name) { return registry.counter_total(name); };
-  for (int pass = 0; pass < 2; ++pass) {
+  // Pass 0 warms the worker's scratch and the cache slots at version 1.
+  // Pass 1 runs at version 2, so every query misses; pass 2 repeats it at
+  // version 2, so every query hits. Neither warm pass may allocate.
+  for (int pass = 0; pass < 3; ++pass) {
+    const bool hits = pass == 2;
+    if (pass == 1) map_version.fetch_add(1, std::memory_order_release);
     const std::uint64_t misses_before = count("eum_udp_cache_misses_total");
     const std::uint64_t hits_before = count("eum_udp_cache_hits_total");
     const std::uint64_t answers_before = count("eum_authority_dynamic_answers_total");
@@ -142,15 +151,21 @@ TEST(AllocationGate, CacheMissServesWithoutAllocating) {
       EXPECT_EQ(answer.header.rcode, dns::Rcode::no_error) << "query " << i;
       EXPECT_FALSE(answer.answers.empty()) << "query " << i;
     }
-    // Every query of both passes missed the cache and took a mapping
-    // decision.
-    EXPECT_EQ(count("eum_udp_cache_misses_total") - misses_before, kQueries);
-    EXPECT_EQ(count("eum_udp_cache_hits_total"), hits_before);
-    EXPECT_EQ(count("eum_authority_dynamic_answers_total") - answers_before, kQueries);
-    map_version.fetch_add(1, std::memory_order_release);  // the next pass misses again
-  }
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(allocations[i], 0U) << "warm miss " << i << " allocated";
+    if (hits) {
+      // Every query was answered from the cache; none reached the engine.
+      EXPECT_EQ(count("eum_udp_cache_hits_total") - hits_before, kQueries);
+      EXPECT_EQ(count("eum_udp_cache_misses_total"), misses_before);
+      EXPECT_EQ(count("eum_authority_dynamic_answers_total"), answers_before);
+    } else {
+      // Every query of the first two passes missed the cache and took a
+      // mapping decision.
+      EXPECT_EQ(count("eum_udp_cache_misses_total") - misses_before, kQueries);
+      EXPECT_EQ(count("eum_udp_cache_hits_total"), hits_before);
+      EXPECT_EQ(count("eum_authority_dynamic_answers_total") - answers_before, kQueries);
+    }
+    for (std::size_t i = 0; pass > 0 && i < kQueries; ++i) {
+      EXPECT_EQ(allocations[i], 0U) << (hits ? "warm hit " : "warm miss ") << i << " allocated";
+    }
   }
 }
 

@@ -1,12 +1,15 @@
-// Wire-level answer cache: probe parsing, key discipline (ECS scope,
-// payload limit, snapshot version), id/address patching, and the
-// snapshot-republish race (the TSan gate runs this suite).
+// Wire-level answer cache: probe parsing, the key (the query's bytes after
+// its id, the resolver, the snapshot version), id patching, cache-on ≡
+// cache-off across resolvers and query kinds on the real mapping stack, and
+// the snapshot-republish race (the TSan gate runs these suites).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "control/map_maker.h"
 #include "dnsserver/answer_cache.h"
 #include "dnsserver/udp.h"
+#include "test_world.h"
 #include "topo/world_gen.h"
 
 namespace eum::dnsserver {
@@ -48,27 +52,23 @@ TEST(UdpAnswerCache, ProbeParsesPlainAndEcsQueries) {
   const auto probe = QueryProbe::parse(plain);
   ASSERT_TRUE(probe.has_value());
   EXPECT_EQ(probe->id, 0x1234);
-  EXPECT_EQ(probe->qtype, 1U);   // A
-  EXPECT_EQ(probe->qclass, 1U);  // IN
-  EXPECT_FALSE(probe->has_edns);
-  EXPECT_FALSE(probe->has_ecs);
+  // The key is every byte after the id; the qname is the question's labels.
+  EXPECT_EQ(probe->key.data(), plain.data() + 2);
+  EXPECT_EQ(probe->key.size(), plain.size() - 2);
+  EXPECT_EQ(probe->qname.data(), plain.data() + 12);
   EXPECT_EQ(probe->qname.size(), 19U);  // www.g.cdn.example in wire form
-  EXPECT_EQ(probe->payload_limit(), 512U);
+  EXPECT_EQ(probe->resolver, v4("0.0.0.0"));  // no resolver named
 
   const auto ecs = ClientSubnetOption::for_query(v4("198.51.100.42"), 24);
   const auto with_ecs =
       Message::make_query(7, DnsName::from_text("www.g.cdn.example"), RecordType::A, ecs)
           .encode();
-  const auto ecs_probe = QueryProbe::parse(with_ecs);
+  const auto ecs_probe = QueryProbe::parse(with_ecs, v4("192.0.2.53"));
   ASSERT_TRUE(ecs_probe.has_value());
-  EXPECT_TRUE(ecs_probe->has_edns);
-  EXPECT_TRUE(ecs_probe->has_ecs);
-  EXPECT_EQ(ecs_probe->ecs_family, 1U);
-  EXPECT_EQ(ecs_probe->ecs_source_len, 24U);
-  ASSERT_EQ(ecs_probe->ecs_address.size(), 3U);
-  EXPECT_EQ(ecs_probe->ecs_address[0], 198);
-  EXPECT_EQ(ecs_probe->ecs_address[1], 51);
-  EXPECT_EQ(ecs_probe->ecs_address[2], 100);
+  EXPECT_EQ(ecs_probe->id, 7);
+  EXPECT_EQ(ecs_probe->key.size(), with_ecs.size() - 2);  // the OPT record included
+  EXPECT_EQ(ecs_probe->qname.size(), 19U);
+  EXPECT_EQ(ecs_probe->resolver, v4("192.0.2.53"));
 }
 
 TEST(UdpAnswerCache, ProbeRejectsWhatMustTakeTheSlowPath) {
@@ -76,25 +76,81 @@ TEST(UdpAnswerCache, ProbeRejectsWhatMustTakeTheSlowPath) {
       Message::make_query(1, DnsName::from_text("www.g.cdn.example"), RecordType::A);
   const auto wire = query.encode();
 
-  // Responses are not queries.
-  EXPECT_FALSE(QueryProbe::parse(Message::make_response(query).encode()).has_value());
-
-  // Trailing garbage must not be silently ignored.
-  auto trailing = wire;
-  trailing.push_back(0x00);
-  EXPECT_FALSE(QueryProbe::parse(trailing).has_value());
-
   // Too short for a header.
   EXPECT_FALSE(QueryProbe::parse(std::vector<std::uint8_t>(11, 0)).has_value());
 
-  // Non-zero ECS scope in a query: the engine answers FORMERR, so the
-  // probe must refuse it rather than key a cache entry on it.
+  // No question.
+  auto no_question = wire;
+  no_question[5] = 0;
+  EXPECT_FALSE(QueryProbe::parse(no_question).has_value());
+
+  // A question name that is not plain labels, or runs off the datagram.
+  auto pointer = wire;
+  pointer[12] = 0xC0;
+  EXPECT_FALSE(QueryProbe::parse(pointer).has_value());
+  EXPECT_FALSE(
+      QueryProbe::parse(std::span<const std::uint8_t>{wire}.first(20)).has_value());
+
+  // Everything else is keyed by its bytes and answered as the engine
+  // answered it, so the probe takes it: a response, trailing bytes, a
+  // non-zero ECS scope.
+  EXPECT_TRUE(QueryProbe::parse(Message::make_response(query).encode()).has_value());
+  auto trailing = wire;
+  trailing.push_back(0x00);
+  EXPECT_TRUE(QueryProbe::parse(trailing).has_value());
   Message scoped = Message::make_query(2, DnsName::from_text("www.g.cdn.example"),
                                        RecordType::A,
                                        ClientSubnetOption::for_query(v4("10.0.0.0"), 24));
   scoped.edns->set_client_subnet(
       ClientSubnetOption::for_query(v4("10.0.0.0"), 24).with_scope(8));
-  EXPECT_FALSE(QueryProbe::parse(scoped.encode()).has_value());
+  EXPECT_TRUE(QueryProbe::parse(scoped.encode()).has_value());
+}
+
+TEST(UdpAnswerCache, KeyIsTheBytesAfterTheIdTheResolverAndTheVersion) {
+  AnswerCache cache{AnswerCache::Config{64, 4096}};
+  const auto ecs = ClientSubnetOption::for_query(v4("198.51.100.42"), 24);
+  const auto query =
+      Message::make_query(0x0101, DnsName::from_text("www.g.cdn.example"), RecordType::A, ecs)
+          .encode();
+  const net::IpAddr resolver = v4("192.0.2.53");
+  const auto probe = QueryProbe::parse(query, resolver);
+  ASSERT_TRUE(probe.has_value());
+  std::vector<std::uint8_t> response(40, 0xAB);
+  response[0] = 0x01;
+  response[1] = 0x01;
+  cache.store(*probe, 3, response);
+
+  // Another id, same everything else: a hit, rendered with the new id.
+  auto other_id = query;
+  other_id[0] = 0x77;
+  other_id[1] = 0x88;
+  const auto again = QueryProbe::parse(other_id, resolver);
+  const AnswerCache::Entry* hit = cache.find(*again, 3);
+  ASSERT_NE(hit, nullptr);
+  std::vector<std::uint8_t> rendered;
+  cache.render(*hit, *again, rendered);
+  ASSERT_EQ(rendered.size(), response.size());
+  EXPECT_EQ(rendered[0], 0x77);
+  EXPECT_EQ(rendered[1], 0x88);
+  EXPECT_TRUE(std::equal(rendered.begin() + 2, rendered.end(), response.begin() + 2));
+
+  // Another map version, another resolver, or any other byte: a miss.
+  EXPECT_EQ(cache.find(*again, 4), nullptr);
+  EXPECT_EQ(cache.find(*QueryProbe::parse(other_id, v4("192.0.2.54")), 3), nullptr);
+  EXPECT_EQ(cache.find(*QueryProbe::parse(other_id), 3), nullptr);
+  auto other_client = other_id;
+  other_client.back() ^= 0x01;  // the last ECS address byte
+  EXPECT_EQ(cache.find(*QueryProbe::parse(other_client, resolver), 3), nullptr);
+  auto other_payload = other_id;
+  other_payload[other_payload.size() - 18] ^= 0x01;  // the OPT's advertised payload size
+  ASSERT_NE(Message::decode(other_payload).edns->udp_payload_size,
+            Message::decode(other_id).edns->udp_payload_size);
+  EXPECT_EQ(cache.find(*QueryProbe::parse(other_payload, resolver), 3), nullptr);
+
+  // Keys longer than max_wire are not stored.
+  AnswerCache small{AnswerCache::Config{64, 32}};
+  small.store(*probe, 3, std::span<const std::uint8_t>{response}.first(20));
+  EXPECT_EQ(small.find(*probe, 3), nullptr);
 }
 
 /// Server fixture with the wire cache enabled and a handler that counts
@@ -163,52 +219,6 @@ TEST_F(AnswerCacheFixture, RepeatQueryHitsAndPatchesId) {
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 1U);
 }
 
-TEST_F(AnswerCacheFixture, EcsSameScopeHitsDifferentScopeMisses) {
-  // The handler announces scope /16. Two clients inside 198.51/16 must
-  // share one entry; a client in another /16 must miss to its own.
-  const auto a = ask(1, "198.51.100.42", 24);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 1U);
-
-  const auto b = ask(2, "198.51.200.7", 24);  // same /16, different /24
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 1U);  // served from the cache
-  EXPECT_EQ(b->answer_addresses(), a->answer_addresses());
-  // The cached wire must still echo THIS client's announced block, not
-  // the first client's (RFC 7871: the option mirrors the query).
-  const ClientSubnetOption* echoed = b->client_subnet();
-  ASSERT_NE(echoed, nullptr);
-  EXPECT_EQ(echoed->address(), v4("198.51.200.0"));
-  EXPECT_EQ(echoed->scope_prefix_len(), 16);
-  EXPECT_EQ(echoed->source_prefix_len(), 24);
-
-  const auto c = ask(3, "203.0.113.5", 24);  // different /16: miss
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 2U);
-  EXPECT_NE(c->answer_addresses(), a->answer_addresses());
-
-  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
-  EXPECT_EQ(udp_count("eum_udp_cache_misses_total"), 2U);
-}
-
-TEST_F(AnswerCacheFixture, ClampedPayloadLimitsShareOneEntry) {
-  // Advertising 100 vs 300 octets clamps to the same 512-byte limit, so
-  // the second query must hit the first's entry despite the different
-  // advertised value.
-  UdpDnsClient client;
-  const auto ecs = ClientSubnetOption::for_query(v4("198.51.100.42"), 24);
-  Message first = Message::make_query(1, DnsName::from_text("www.g.cdn.example"),
-                                      RecordType::A, ecs);
-  first.edns->udp_payload_size = 100;
-  ASSERT_TRUE(client.query(first, server_->endpoint(), 2000ms).has_value());
-  Message second = Message::make_query(2, DnsName::from_text("www.g.cdn.example"),
-                                       RecordType::A, ecs);
-  second.edns->udp_payload_size = 300;
-  ASSERT_TRUE(client.query(second, server_->endpoint(), 2000ms).has_value());
-  EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 1U);
-  EXPECT_EQ(udp_count("eum_udp_cache_misses_total"), 1U);
-}
-
 TEST_F(AnswerCacheFixture, VersionBumpInvalidatesEveryEntry) {
   ASSERT_TRUE(ask(1, "198.51.100.42", 24).has_value());
   ASSERT_TRUE(ask(2, "198.51.100.42", 24).has_value());
@@ -225,6 +235,130 @@ TEST_F(AnswerCacheFixture, VersionBumpInvalidatesEveryEntry) {
   ASSERT_TRUE(ask(4, "198.51.100.42", 24).has_value());
   EXPECT_EQ(handler_calls_.load(std::memory_order_relaxed), 2U);
   EXPECT_EQ(udp_count("eum_udp_cache_hits_total"), 2U);
+}
+
+// --- cache-on ≡ cache-off on the real mapping stack --------------------
+
+/// `wire` with its id set to `id`.
+std::vector<std::uint8_t> with_id(std::vector<std::uint8_t> wire, std::uint16_t id) {
+  wire[0] = static_cast<std::uint8_t>(id >> 8);
+  wire[1] = static_cast<std::uint8_t>(id & 0xFF);
+  return wire;
+}
+
+/// Send `wire` from `client`, let `server` serve it on this thread, and
+/// return the reply (nullopt: none).
+std::optional<std::vector<std::uint8_t>> exchange(UdpSocket& client, UdpAuthorityServer& server,
+                                                  const std::vector<std::uint8_t>& wire) {
+  client.send_to(wire, server.endpoint());
+  (void)server.serve_once(1000ms);
+  UdpEndpoint peer;
+  return client.receive(200ms, peer);
+}
+
+bool equal_but_id(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+  return a.size() == b.size() && a.size() >= 2 &&
+         std::equal(a.begin() + 2, a.end(), b.begin() + 2);
+}
+
+TEST(AnswerCacheDifferential, CacheOnEqualsCacheOffAcrossResolvers) {
+  // Sixteen resolvers, each a client socket on its own loopback address
+  // standing for a distinct world LDNS; every other one has the end-user
+  // gate closed. Each asks the same queries of every kind, so answers
+  // that depend on the resolver, the gate or the client block meet the
+  // same cache. Served on this thread, one datagram at a time.
+  const topo::World& world = testing::tiny_world();
+  cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 80);
+  cdn::MappingSystem mapping{&world, &network, &testing::test_latency(), cdn::MappingConfig{}};
+  constexpr std::size_t kResolvers = 16;
+  struct Resolver {
+    net::IpAddr peer;
+    const topo::Ldns* ldns = nullptr;
+  };
+  std::vector<Resolver> resolvers;
+  std::vector<bool> gate_open(world.ldnses.size(), true);
+  for (std::size_t i = 0; i < kResolvers; ++i) {
+    const topo::Ldns& ldns = world.ldnses[i * world.ldnses.size() / kResolvers];
+    resolvers.push_back({net::IpV4Addr{127, 0, 0, static_cast<std::uint8_t>(2 + i)}, &ldns});
+    gate_open[ldns.id] = i % 2 == 0;
+  }
+  mapping.set_end_user_gate([&gate_open](topo::LdnsId ldns) { return gate_open[ldns]; });
+  AuthoritativeServer engine;
+  engine.add_dynamic_domain(DnsName::from_text("g.cdn.example"),
+                            [inner = mapping.dns_handler(), &resolvers](const DynamicQuery& query) {
+                              DynamicQuery patched = query;
+                              for (const Resolver& resolver : resolvers) {
+                                if (resolver.peer == query.resolver) {
+                                  patched.resolver = resolver.ldns->address;
+                                }
+                              }
+                              return inner(patched);
+                            });
+  UdpServerConfig off_config;
+  off_config.map_version = &mapping.version_cell();
+  UdpAuthorityServer cache_off{&engine, loopback(), off_config};
+  obs::MetricsRegistry on_registry;
+  UdpServerConfig on_config = off_config;
+  on_config.registry = &on_registry;
+  on_config.answer_cache_entries = 256;
+  UdpAuthorityServer cache_on{&engine, loopback(), on_config};
+
+  const net::IpAddr in_world{
+      net::IpV4Addr{world.blocks[40].prefix.address().v4().value() + 5}};
+  const net::IpAddr out_of_world = v4("198.51.100.7");
+  ASSERT_EQ(world.block_by_prefix(net::IpPrefix{out_of_world, 24}), nullptr);
+  const net::IpAddr v6_client = *net::IpAddr::parse("2001:db8:0:100::1");
+  const DnsName qname = DnsName::from_text("www.g.cdn.example");
+  const std::vector<std::vector<std::uint8_t>> kinds = [&] {
+    std::vector<Message> queries;
+    queries.push_back(Message::make_query(1, qname, RecordType::A));  // no EDNS
+    queries.push_back(Message::make_query(1, qname, RecordType::A));
+    queries.back().edns = dns::EdnsRecord{};  // EDNS without ECS
+    queries.push_back(Message::make_query(1, qname, RecordType::A,
+                                          ClientSubnetOption::for_query(in_world, 24)));
+    queries.push_back(Message::make_query(1, qname, RecordType::A,
+                                          ClientSubnetOption::for_query(in_world, 32)));
+    queries.push_back(Message::make_query(1, qname, RecordType::A,
+                                          ClientSubnetOption::for_query(out_of_world, 24)));
+    queries.push_back(Message::make_query(1, qname, RecordType::A,
+                                          ClientSubnetOption::for_query(v6_client, 56)));
+    queries.push_back(Message::make_query(1, qname, RecordType::A,
+                                          ClientSubnetOption::for_query(in_world, 24)));
+    queries.back().edns->set_client_subnet(
+        ClientSubnetOption::for_query(in_world, 24).with_scope(16));  // non-zero scope
+    std::vector<std::vector<std::uint8_t>> wires;
+    wires.reserve(queries.size());
+    for (const Message& query : queries) wires.push_back(query.encode());
+    return wires;
+  }();
+
+  std::vector<UdpSocket> clients;
+  clients.reserve(resolvers.size());
+  for (const Resolver& resolver : resolvers) {
+    clients.emplace_back(UdpEndpoint{resolver.peer.v4(), 0});
+  }
+  std::size_t replies = 0;
+  std::size_t differing = 0;
+  std::uint16_t id = 0;
+  for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
+    for (std::size_t r = 0; r < kResolvers; ++r) {
+      SCOPED_TRACE(::testing::Message() << "kind " << kind << " resolver " << r);
+      const auto reference = exchange(clients[r], cache_off, with_id(kinds[kind], ++id));
+      ASSERT_TRUE(reference.has_value());
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const std::uint16_t sent = ++id;
+        const auto reply = exchange(clients[r], cache_on, with_id(kinds[kind], sent));
+        ASSERT_TRUE(reply.has_value());
+        ++replies;
+        EXPECT_EQ((*reply)[0] << 8 | (*reply)[1], sent);
+        if (!equal_but_id(*reply, *reference)) ++differing;
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0U) << "of " << replies << " cache-on replies";
+  // Every repeat was a hit, and only repeats were.
+  EXPECT_EQ(on_registry.counter_total("eum_udp_cache_hits_total"), kinds.size() * kResolvers);
+  EXPECT_EQ(on_registry.counter_total("eum_udp_cache_misses_total"), kinds.size() * kResolvers);
 }
 
 // --- snapshot-republish race (the TSan-gated concurrency suite) --------

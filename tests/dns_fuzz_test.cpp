@@ -1,10 +1,17 @@
 // Robustness property tests: the decoder must never crash, hang, or
 // over-read on corrupted wire data — every mutation either parses into a
-// message or throws WireError.
+// message or throws WireError — and the UDP answer cache answers every
+// mutated query exactly as the engine does.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <optional>
+#include <vector>
 
 #include "dns/message.h"
 #include "dnsserver/answer_cache.h"
+#include "dnsserver/udp.h"
 #include "dnsserver/zone_file.h"
 #include "util/rng.h"
 
@@ -236,12 +243,8 @@ TEST(FuzzRegression, OptTinyAdvertisedPayloadDecodesAndClampsTo512) {
   const Message query = Message::decode(wire);
   ASSERT_TRUE(query.edns.has_value());
   EXPECT_EQ(query.edns->udp_payload_size, 100);  // decoder reports what was said
-  // ...and both fast and slow serve paths clamp what was said up to 512.
+  // ...and the serve path clamps what was said up to 512.
   EXPECT_EQ(dnsserver::effective_udp_payload_limit(true, 100), 512U);
-  const auto probe = dnsserver::QueryProbe::parse(wire);
-  ASSERT_TRUE(probe.has_value());
-  EXPECT_EQ(probe->udp_payload, 100);
-  EXPECT_EQ(probe->payload_limit(), 512U);
 }
 
 TEST(Mutation, CompressionPointerStorm) {
@@ -254,6 +257,116 @@ TEST(Mutation, CompressionPointerStorm) {
   }
   wire[5] = 1;  // claim one question to force a name parse at offset 12
   expect_decode_or_throw(wire);
+}
+
+TEST(Mutation, CacheOnAnswersMutantsAsCacheOffDoes) {
+  // Seeded mutants of the message corpus's two queries go to a cache-off
+  // server and, twice, to a cache-on one: the answer cache keys them by
+  // their bytes, so both cache-on replies must equal the cache-off reply
+  // but for the id, or all three must be absent. The mutants include
+  // what a field-parsing probe would have refused: trailing bytes, an
+  // extra EDNS option, a non-zero ECS scope.
+  // fuzz/corpus/message/query_a_ecs.bin: www.example A, ECS 198.51.100.0/24.
+  const std::vector<std::uint8_t> a_ecs = {
+      0x00, 0x01, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03,
+      'w',  'w',  'w',  0x07, 'e',  'x',  'a',  'm',  'p',  'l',  'e',  0x00, 0x00,
+      0x01, 0x00, 0x01, 0x00, 0x00, 0x29, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0b, 0x00, 0x08, 0x00, 0x07, 0x00, 0x01, 0x18, 0x00, 0xc6, 0x33, 0x64};
+  // fuzz/corpus/message/query_aaaa.bin: v6.cdn.example AAAA, no EDNS.
+  const std::vector<std::uint8_t> aaaa = {
+      0x00, 0x02, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 'v',  '6',  0x03, 'c',  'd',  'n',  0x07, 'e',  'x',  'a',  'm',
+      'p',  'l',  'e',  0x00, 0x00, 0x1c, 0x00, 0x01};
+  std::vector<std::vector<std::uint8_t>> mutants;
+  auto scoped = a_ecs;
+  scoped[47] = 16;  // ECS scope
+  mutants.push_back(scoped);
+  auto extra_option = a_ecs;
+  extra_option[39] += 12;  // OPT RDLENGTH: an 8-byte cookie option follows
+  extra_option.insert(extra_option.end(), {0x00, 0x0a, 0x00, 0x08, 1, 2, 3, 4, 5, 6, 7, 8});
+  mutants.push_back(extra_option);
+  util::Rng rng{2024};
+  for (const std::vector<std::uint8_t>& seed : {a_ecs, aaaa}) {
+    auto trailing = seed;
+    trailing.push_back(0x00);
+    mutants.push_back(trailing);
+    for (int i = 0; i < 150; ++i) {
+      auto mutant = seed;
+      switch (rng.below(4)) {
+        case 0:
+          mutant[rng.below(mutant.size())] = static_cast<std::uint8_t>(rng());
+          break;
+        case 1:
+          mutant[rng.below(mutant.size())] ^= static_cast<std::uint8_t>(1U << rng.below(8));
+          break;
+        case 2:
+          mutant.resize(rng.below(mutant.size()));
+          break;
+        default:
+          for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+            mutant.push_back(static_cast<std::uint8_t>(rng()));
+          }
+      }
+      mutants.push_back(mutant);
+    }
+  }
+
+  // The answer depends on the client block and is announced at /16.
+  dnsserver::AuthoritativeServer engine;
+  engine.add_dynamic_domain(
+      DnsName::from_text("example"),
+      [](const dnsserver::DynamicQuery& query) -> std::optional<dnsserver::DynamicAnswer> {
+        const auto& block = query.client_block;
+        const auto octet = static_cast<std::uint8_t>(
+            block && block->address().is_v4() ? block->address().v4().value() >> 8 : 0);
+        dnsserver::DynamicAnswer answer;
+        answer.ecs_scope_len = 16;
+        answer.addresses = {net::IpAddr{net::IpV4Addr{203, 0, octet, 1}},
+                            net::IpAddr{net::IpV6Addr{{0x20, 0x01, 0x0d, 0xb8, octet}}}};
+        return answer;
+      });
+  const dnsserver::UdpEndpoint loopback{net::IpV4Addr{127, 0, 0, 1}, 0};
+  dnsserver::UdpAuthorityServer cache_off{&engine, loopback};
+  obs::MetricsRegistry on_registry;
+  dnsserver::UdpServerConfig on_config;
+  on_config.registry = &on_registry;
+  on_config.answer_cache_entries = 64;
+  dnsserver::UdpAuthorityServer cache_on{&engine, loopback, on_config};
+  dnsserver::UdpSocket client{loopback};
+  // Served on this thread, one datagram at a time, as the allocation gate
+  // does; a dropped datagram is simply not answered.
+  const auto exchange = [&client](dnsserver::UdpAuthorityServer& server,
+                                  const std::vector<std::uint8_t>& wire)
+      -> std::optional<std::vector<std::uint8_t>> {
+    client.send_to(wire, server.endpoint());
+    (void)server.serve_once(std::chrono::milliseconds{1000});
+    dnsserver::UdpEndpoint peer;
+    return client.receive(std::chrono::milliseconds{200}, peer);
+  };
+  const auto equal_but_id = [](const std::vector<std::uint8_t>& a,
+                               const std::vector<std::uint8_t>& b) {
+    return a.size() == b.size() && a.size() >= 2 &&
+           std::equal(a.begin() + 2, a.end(), b.begin() + 2);
+  };
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    const auto reference = exchange(cache_off, mutants[i]);
+    const auto first = exchange(cache_on, mutants[i]);
+    const auto second = exchange(cache_on, mutants[i]);
+    const bool agree =
+        reference ? first && second && equal_but_id(*first, *reference) &&
+                        equal_but_id(*second, *reference)
+                  : !first && !second;
+    if (!agree) {
+      ++differing;
+      ADD_FAILURE() << "mutant " << i << " of " << mutants.size()
+                    << " is answered differently with the cache on";
+    }
+  }
+  EXPECT_EQ(differing, 0U);
+  // Mutants the engine cannot decode get a FORMERR that is not cached;
+  // the rest hit on their repeat.
+  EXPECT_GT(on_registry.counter_total("eum_udp_cache_hits_total"), mutants.size() / 4);
 }
 
 }  // namespace

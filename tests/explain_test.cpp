@@ -55,14 +55,18 @@ struct ExplainFixture {
     return DecisionExplainer{&world, &mapping, &maker, &rollout};
   }
 
-  /// What the serve path answers for `client` asking via `ldns`.
+  /// What the serve path answers for an ECS `client_block` asking via `ldns`.
   [[nodiscard]] std::optional<dnsserver::DynamicAnswer> serve(
-      const topo::Ldns& ldns, const topo::ClientBlock& block, const char* qname) {
+      const topo::Ldns& ldns, const net::IpPrefix& client_block, const char* qname) {
     dnsserver::DynamicQuery query;
     query.qname = dns::DnsName::from_text(qname);
     query.resolver = ldns.address;
-    query.client_block = block.prefix;
+    query.client_block = client_block;
     return handler(query);
+  }
+  [[nodiscard]] std::optional<dnsserver::DynamicAnswer> serve(
+      const topo::Ldns& ldns, const topo::ClientBlock& block, const char* qname) {
+    return serve(ldns, block.prefix, qname);
   }
 };
 
@@ -150,6 +154,45 @@ TEST(DecisionExplain, WhitelistOpensTheGateAheadOfTheRamp) {
   EXPECT_EQ(served->ecs_scope_len, fx.mapping.config().ecs_scope_len);
   ASSERT_TRUE(explanation.map.result.has_value());
   EXPECT_EQ(explanation.map.result->servers, served->addresses);
+}
+
+TEST(DecisionExplain, ExplainedScopeIsTheServedScope) {
+  // Clients whose answer no client block decides: the explained scope is
+  // the one the serve path announces, and the report prints it.
+  ExplainFixture fx;
+  const topo::Ldns& ldns = fx.world.ldnses.front();
+  const DecisionExplainer explainer = fx.explainer();
+  const net::IpAddr out_of_world = *net::IpAddr::parse("198.51.100.7");
+  ASSERT_EQ(fx.world.block_by_prefix(net::IpPrefix{out_of_world, 24}), nullptr);
+  struct Case {
+    const char* what;
+    double fraction;  ///< roll-out ramp: 1 opens every resolver's gate
+    net::IpAddr client;
+    int source_len;
+    int scope;
+  };
+  const Case cases[] = {
+      {"out-of-world v4 client", 1.0, out_of_world, 24, 24},
+      {"v6 client", 1.0, *net::IpAddr::parse("2001:db8::7"), 56, 0},
+      {"gate-closed resolver", 0.0, client_in(fx.world.blocks[5]), 24, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    fx.rollout.set_fraction(c.fraction);
+    const auto explanation = explainer.explain(c.client, kQname, ldns.address);
+    ASSERT_TRUE(explanation.ok) << explanation.error;
+    EXPECT_FALSE(explanation.block.has_value());
+    EXPECT_EQ(explanation.ecs_scope, c.scope);
+    EXPECT_NE(DecisionExplainer::render(explanation)
+                  .find("ecs_scope /" + std::to_string(c.scope) + " "),
+              std::string::npos);
+
+    const auto served = fx.serve(ldns, net::IpPrefix{c.client, c.source_len}, kQname);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->ecs_scope_len, explanation.ecs_scope);
+    ASSERT_TRUE(explanation.map.result.has_value());
+    EXPECT_EQ(explanation.map.result->servers, served->addresses);
+  }
 }
 
 TEST(DecisionExplain, ResolverAttributionChain) {

@@ -237,7 +237,7 @@ TEST_F(DnsHandlerFixture, UnknownResolverGetsNxdomain) {
   EXPECT_EQ(response.header.rcode, dns::Rcode::nx_domain);
 }
 
-TEST_F(DnsHandlerFixture, UnknownEcsBlockFallsBackToNsWithScopeZero) {
+TEST_F(DnsHandlerFixture, UnknownEcsBlockFallsBackToNsWithScope24) {
   const auto& world = tiny_world();
   const Ldns* public_ldns = nullptr;
   for (const Ldns& l : world.ldnses) {
@@ -255,8 +255,10 @@ TEST_F(DnsHandlerFixture, UnknownEcsBlockFallsBackToNsWithScopeZero) {
   const dns::Message response = authority.handle(query, public_ldns->address);
   EXPECT_EQ(response.header.rcode, dns::Rcode::no_error);
   ASSERT_NE(response.client_subnet(), nullptr);
-  // Answer did not depend on the client: scope /0.
-  EXPECT_EQ(response.client_subnet()->scope_prefix_len(), 0);
+  // The NS answer holds for this /24 only: the resolver's in-world
+  // clients get answers of their own, so it is not "suitable for all
+  // addresses" (RFC 7871 §7.2.1) and must not be announced at /0.
+  EXPECT_EQ(response.client_subnet()->scope_prefix_len(), 24);
 }
 
 TEST_F(DnsHandlerFixture, ConfiguredScopeShorterThanSource) {
