@@ -240,8 +240,11 @@ def check_mapmaker(doc: dict) -> None:
         if arm.get("differential_equal") is not True:
             problem(f"{where}: differential_equal must be true — the incremental "
                     f"path may never drift from a full rebuild")
-        if units is not None and rescored is not None and rescored > units:
-            problem(f"{where}: units_rescored_on_flap {rescored} exceeds units {units}")
+        # A flap that re-scores every unit is a full build in disguise: the
+        # delta path fell back to the whole table without failing equality.
+        if units is not None and rescored is not None and rescored >= units:
+            problem(f"{where}: units_rescored_on_flap {rescored} is not below units "
+                    f"{units} — a one-cluster flap re-scored every unit")
         if (None not in (blocks, full_ms, incr_ms) and blocks >= 1_000_000
                 and incr_ms >= full_ms):
             problem(f"{where}: at {blocks:.0f} blocks the incremental rebuild "

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -21,6 +23,22 @@ constexpr std::uint16_t kNoDeployment = 0xffff;
 constexpr std::size_t kTileCandidates = kColumnTile * 32;
 
 }  // namespace
+
+struct MapSnapshot::Ranking {
+  /// unit_count x 2*top_k deployment ids: each unit's best deployments by
+  /// (score, id) on its representative column, dead or alive, 0xffff-padded
+  /// on a smaller network.
+  std::vector<std::uint16_t> prefixes;
+  /// The prefixes indexed by deployment (CSR): deployment d's units,
+  /// ascending, are units[offsets[d], offsets[d + 1]).
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> units;
+
+  /// Every unit whose prefix holds deployment d, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> units_of(std::size_t d) const {
+    return {units.data() + offsets[d], offsets[d + 1] - offsets[d]};
+  }
+};
 
 LoadLedger::LoadLedger(std::size_t clusters)
     : size_(clusters), loads_(std::make_unique<std::atomic<double>[]>(clusters)) {
@@ -82,7 +100,6 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const MappingSystem& mappi
   const PingMesh& mesh = mapping.mesh();
   const TrafficClass klass = snapshot->config_.traffic_class;
   const std::size_t top_k = snapshot->top_k_;
-  snapshot->by_unit_.resize(n_units * top_k);
 
   std::vector<char> alive(n_deps, 0);
   for (std::size_t d = 0; d < n_deps; ++d) {
@@ -101,45 +118,30 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const MappingSystem& mappi
   // The prefix is the column's (score, id) order cut at 2 * top_k, so any
   // live deployment past it ranks after every prefix entry — when the
   // prefix holds top_k live ones they are exactly the best top_k. Only
-  // when it holds fewer does the unit rank its live column, with the same
-  // best_k (and so the same order) as every other table.
+  // when it holds fewer is the list column-scanned: the unit ranks its
+  // live column, with the same best_k (and so the same order) as every
+  // other table.
+  const auto prefix_of = [&](std::size_t u) {
+    return snapshot->ranking_->prefixes.data() + u * prefix;
+  };
+  const auto column_scanned = [&](std::size_t u) {
+    const std::uint16_t* ids = prefix_of(u);
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < prefix && ids[i] != kNoDeployment; ++i) live += alive[ids[i]];
+    return live < top_k;
+  };
   const auto score_unit = [&](std::size_t u) {
     const topo::PingTargetId rep = rep_of(u);
     Candidate* out = &snapshot->by_unit_[u * top_k];
-    const std::uint16_t* ids = snapshot->ranking_->data() + u * prefix;
-    std::size_t found = 0;
-    for (std::size_t i = 0; i < prefix && found < top_k && ids[i] != kNoDeployment; ++i) {
-      if (alive[ids[i]] != 0) out[found++] = Candidate{ids[i], score_of(ids[i], rep)};
-    }
-    if (found == top_k) return;
-    best_k(
-        n_deps, 1, top_k, alive, [&](std::size_t d, std::size_t) { return score_of(d, rep); },
-        out);
-  };
-
-  // Full pass, a tile of units at a time: rank the tile's whole columns,
-  // dead or alive, into their prefixes, then take each unit's live list
-  // from its prefix. Representatives ascend with the unit id, so a tile's
-  // columns lie close together in every deployment row.
-  const std::size_t tile = std::min(kColumnTile, kTileCandidates / prefix);
-  std::uint16_t* fresh_ranking = nullptr;
-  const auto rank_units = [&](std::size_t lo, std::size_t hi) {
-    std::array<Candidate, kTileCandidates> best;
-    std::array<topo::PingTargetId, kColumnTile> reps{};
-    for (std::size_t u0 = lo; u0 < hi; u0 += tile) {
-      const std::size_t columns = std::min(tile, hi - u0);
-      for (std::size_t c = 0; c < columns; ++c) reps[c] = rep_of(u0 + c);
+    if (column_scanned(u)) {
       best_k(
-          n_deps, columns, prefix, {},
-          [&](std::size_t d, std::size_t c) { return score_of(d, reps[c]); }, best.data());
-      for (std::size_t c = 0; c < columns; ++c) {
-        std::uint16_t* ids = fresh_ranking + (u0 + c) * prefix;
-        for (std::size_t i = 0; i < prefix; ++i) {
-          ids[i] = i < n_deps ? static_cast<std::uint16_t>(best[c * prefix + i].deployment)
-                              : kNoDeployment;
-        }
-        score_unit(u0 + c);
-      }
+          n_deps, 1, top_k, alive, [&](std::size_t d, std::size_t) { return score_of(d, rep); },
+          out);
+      return;
+    }
+    const std::uint16_t* ids = prefix_of(u);
+    for (std::size_t i = 0, found = 0; found < top_k; ++i) {
+      if (alive[ids[i]] != 0) out[found++] = Candidate{ids[i], score_of(ids[i], rep)};
     }
   };
 
@@ -166,66 +168,106 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const MappingSystem& mappi
   // partition under the same scoring config.
   const bool delta_ok =
       same_world && prev->top_k_ == top_k && prev->config_.traffic_class == klass &&
-      prev->by_unit_.size() == snapshot->by_unit_.size() &&
+      prev->by_unit_.size() == n_units * top_k &&
       prev->units_->fingerprint() == units.fingerprint();
 
   if (!delta_ok) {
-    auto ranking = std::make_shared<std::vector<std::uint16_t>>(n_units * prefix);
-    fresh_ranking = ranking->data();
-    snapshot->ranking_ = std::move(ranking);
-    shard(n_units, tile, rank_units);
+    // Full pass, a tile of units at a time: rank the tile's whole columns,
+    // dead or alive, into their prefixes, then take each unit's live list
+    // from its prefix. Representatives ascend with the unit id, so a tile's
+    // columns lie close together in every deployment row.
+    auto ranking = std::make_shared<Ranking>();
+    ranking->prefixes.resize(n_units * prefix);
+    snapshot->ranking_ = ranking;
+    snapshot->by_unit_.resize(n_units * top_k);
+    const std::size_t tile = std::min(kColumnTile, kTileCandidates / prefix);
+    shard(n_units, tile, [&](std::size_t lo, std::size_t hi) {
+      std::array<Candidate, kTileCandidates> best;
+      std::array<topo::PingTargetId, kColumnTile> reps{};
+      for (std::size_t u0 = lo; u0 < hi; u0 += tile) {
+        const std::size_t columns = std::min(tile, hi - u0);
+        for (std::size_t c = 0; c < columns; ++c) reps[c] = rep_of(u0 + c);
+        best_k(
+            n_deps, columns, prefix, {},
+            [&](std::size_t d, std::size_t c) { return score_of(d, reps[c]); }, best.data());
+        for (std::size_t c = 0; c < columns; ++c) {
+          std::uint16_t* ids = ranking->prefixes.data() + (u0 + c) * prefix;
+          for (std::size_t i = 0; i < prefix; ++i) {
+            ids[i] = i < n_deps ? static_cast<std::uint16_t>(best[c * prefix + i].deployment)
+                                : kNoDeployment;
+          }
+          score_unit(u0 + c);
+        }
+      }
+    });
+
+    // Index the prefixes by deployment: count each deployment's units,
+    // turn the counts into offsets, then place the units in ascending order.
+    ranking->offsets.assign(n_deps + 1, 0);
+    for (const std::uint16_t id : ranking->prefixes) {
+      if (id != kNoDeployment) ++ranking->offsets[id + 1];
+    }
+    for (std::size_t d = 0; d < n_deps; ++d) ranking->offsets[d + 1] += ranking->offsets[d];
+    ranking->units.resize(ranking->offsets[n_deps]);
+    std::vector<std::uint32_t> cursor(ranking->offsets.begin(), ranking->offsets.end() - 1);
+    for (std::size_t u = 0; u < n_units; ++u) {
+      const std::uint16_t* ids = prefix_of(u);
+      for (std::size_t i = 0; i < prefix && ids[i] != kNoDeployment; ++i) {
+        ranking->units[cursor[ids[i]]++] = static_cast<std::uint32_t>(u);
+      }
+      if (column_scanned(u)) snapshot->column_scanned_.push_back(static_cast<std::uint32_t>(u));
+    }
     snapshot->units_rescored_ = n_units;
     return snapshot;
   }
 
-  // Diff the liveness frontier against the previous generation: a unit's
-  // list can only change if a deployment on it died, or a revived one now
-  // ranks at least as well as its current k-th entry (conservative on
-  // score ties — re-scoring an unaffected unit is harmless, missing an
-  // affected one is not; the differential test pins this).
-  std::vector<std::uint32_t> died;
-  std::vector<std::uint32_t> revived;
-  for (std::size_t d = 0; d < n_deps; ++d) {
-    const bool was_alive = !prev->clusters_[d].servers.empty();
-    if (was_alive == (alive[d] != 0)) continue;
-    (alive[d] != 0 ? revived : died).push_back(static_cast<std::uint32_t>(d));
-  }
+  // Delta: a flap of deployment d can change a unit's list only if d died
+  // while on it, or revived scoring at or before its kth entry
+  // (conservative on score ties — re-scoring an unaffected unit is
+  // harmless, missing an affected one is not; the differential tests pin
+  // this). A list taken from its prefix lies inside it, and a deployment
+  // past the prefix ranks after all of it, so only the units whose prefix
+  // holds d can change that way. A column-scanned list can hold, or be
+  // beaten by, deployments past its prefix: those units are tested
+  // against every flap.
   snapshot->delta_ = true;
   snapshot->by_unit_ = prev->by_unit_;
   snapshot->ranking_ = prev->ranking_;
-  if (died.empty() && revived.empty()) {
-    snapshot->units_rescored_ = 0;
-    return snapshot;
-  }
-
   std::vector<std::uint32_t> touched;
-  for (std::size_t u = 0; u < n_units; ++u) {
-    const Candidate* row = prev->by_unit_.data() + u * top_k;
-    const Candidate& kth = row[top_k - 1];
-    bool affected = !revived.empty() && !std::isfinite(kth.score_ms);
-    if (!affected) {
-      const topo::PingTargetId rep = rep_of(u);
-      for (const std::uint32_t d : revived) {
-        if (score_of(d, rep) <= kth.score_ms) {
-          affected = true;
-          break;
-        }
-      }
-    }
-    if (!affected) {
+  for (std::size_t d = 0; d < n_deps; ++d) {
+    const bool was_alive = !prev->clusters_[d].servers.empty();
+    if (was_alive == (alive[d] != 0)) continue;
+    const bool revived = !was_alive;
+    const auto can_change = [&](std::uint32_t u) {
+      const Candidate* row = &prev->by_unit_[u * top_k];
+      if (revived) return score_of(d, rep_of(u)) <= row[top_k - 1].score_ms;
       for (std::size_t i = 0; i < top_k && std::isfinite(row[i].score_ms); ++i) {
-        if (std::find(died.begin(), died.end(),
-                      static_cast<std::uint32_t>(row[i].deployment)) != died.end()) {
-          affected = true;
-          break;
-        }
+        if (row[i].deployment == d) return true;
       }
+      return false;
+    };
+    for (const std::uint32_t u : snapshot->ranking_->units_of(d)) {
+      if (can_change(u)) touched.push_back(u);
     }
-    if (affected) touched.push_back(static_cast<std::uint32_t>(u));
+    for (const std::uint32_t u : prev->column_scanned_) {
+      if (can_change(u)) touched.push_back(u);
+    }
   }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
   shard(touched.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) score_unit(touched[i]);
   });
+  // An untouched unit stays on its side of top_k live prefix entries: a
+  // flap that could move it across would have touched it.
+  std::set_difference(prev->column_scanned_.begin(), prev->column_scanned_.end(),
+                      touched.begin(), touched.end(),
+                      std::back_inserter(snapshot->column_scanned_));
+  for (const std::uint32_t u : touched) {
+    if (column_scanned(u)) snapshot->column_scanned_.push_back(u);
+  }
+  std::sort(snapshot->column_scanned_.begin(), snapshot->column_scanned_.end());
   snapshot->units_rescored_ = touched.size();
   return snapshot;
 }
@@ -274,10 +316,10 @@ std::optional<MapResult> MapSnapshot::pick(std::span<const Candidate> candidates
   if (!chosen) return std::nullopt;
 
   // The usable()/add() pair is not one atomic step: concurrent serving
-  // threads may overshoot a cluster's capacity by a few in-flight
-  // queries. The map maker's next rebuild sees the ledger and rebalances
-  // — the paper's control loop, not per-query strictness. DNS decisions
-  // charge nothing, so they skip the shared atomic.
+  // threads may overshoot a cluster's capacity by the queries in flight
+  // between their checks; later picks see the charged load and pass the
+  // cluster over. No build reads the ledger. DNS decisions charge
+  // nothing, so they skip the shared atomic.
   if (load_units != 0.0) loads_->add(*chosen, load_units);
 
   MapResult result;

@@ -19,9 +19,12 @@
 // sharded across a ShardPool. When the previous snapshot is supplied, a
 // build is a *delta*: only units whose candidate lists can be affected by
 // the liveness transitions since that snapshot are re-scored; the rest
-// copy over. The liveness-independent CANS table, each unit's ranking
-// prefix (its best 2 * top_k deployments, dead or alive, which a delta
-// re-scores from) and the unit partition itself are shared across
+// copy over. A full build ranks each unit's prefix (its best 2 * top_k
+// deployments, dead or alive, which a delta re-scores from) and indexes
+// the prefixes by deployment, so a delta visits only the units whose
+// prefix holds a flapped deployment, plus the few whose list had to come
+// from a column scan. The liveness-independent CANS table, the prefixes
+// with their index and the unit partition itself are shared across
 // generations.
 //
 // The only mutable state a snapshot touches is the LoadLedger: a shared
@@ -215,15 +218,21 @@ class MapSnapshot {
   /// only candidate usability).
   const Scoring* scoring_ = nullptr;
 
+  /// Each unit's ranking prefix and their deployment index (defined in
+  /// map_snapshot.cpp).
+  struct Ranking;
+
   std::shared_ptr<const MappingUnits> units_;
   std::size_t top_k_ = 0;
   std::vector<Candidate> by_unit_;  ///< unit_count x top_k, live-only
-  /// unit_count x 2*top_k deployment ids: each unit's best deployments by
-  /// (score, id) on its representative column, dead or alive, 0xffff-padded
-  /// on a smaller network. Liveness never moves a score, so a full build
-  /// fills it and every delta generation shares it: a re-scored unit takes
-  /// its first top_k live ids and scans the column only when fewer remain.
-  std::shared_ptr<const std::vector<std::uint16_t>> ranking_;
+  /// Liveness never moves a score, so a full build ranks and indexes the
+  /// prefixes and every delta generation shares them.
+  std::shared_ptr<const Ranking> ranking_;
+  /// Units whose prefix held fewer than top_k live deployments when last
+  /// scored, ascending (usually none). Their lists came from the column
+  /// scan, so a delta tests them against every flap, not just the
+  /// deployments their prefix holds.
+  std::vector<std::uint32_t> column_scanned_;
   bool delta_ = false;
   std::size_t units_rescored_ = 0;
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -163,18 +164,20 @@ bool UdpSocket::wait_readable(std::chrono::milliseconds timeout) {
 std::optional<std::vector<std::uint8_t>> UdpSocket::receive(std::chrono::milliseconds timeout,
                                                             UdpEndpoint& peer) {
   if (!wait_readable(timeout)) return std::nullopt;
-  std::vector<std::uint8_t> buffer(kMaxDatagram);
+  // One reusable receive buffer per thread, so a datagram costs one
+  // allocation of its own length, not a zero-filled 64 KiB vector.
+  thread_local const std::unique_ptr<std::uint8_t[]> buffer =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kMaxDatagram);
   sockaddr_in sa{};
   socklen_t len = sizeof sa;
   ssize_t received;
   do {
-    received = ::recvfrom(fd_, buffer.data(), buffer.size(), 0,
-                          reinterpret_cast<sockaddr*>(&sa), &len);
+    received = ::recvfrom(fd_, buffer.get(), kMaxDatagram, 0, reinterpret_cast<sockaddr*>(&sa),
+                          &len);
   } while (received < 0 && errno == EINTR);
   if (received < 0) throw_errno("recvfrom");
-  buffer.resize(static_cast<std::size_t>(received));
   peer = from_sockaddr(sa);
-  return buffer;
+  return std::vector<std::uint8_t>(buffer.get(), buffer.get() + received);
 }
 
 UdpBatch::UdpBatch(std::size_t capacity)

@@ -12,7 +12,9 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -273,6 +275,121 @@ TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
   for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(best[i].deployment, true);
   EXPECT_TRUE(incremental.rebuild_now(true)->serving_equal(*fx.full_build()));
   EXPECT_EQ(incremental.current()->unit_candidates(unit)[0], best[0]);
+}
+
+/// Deployment d's score on a unit's representative column.
+float score_on(const DeltaFixture& fx, cdn::DeploymentId d, MappingUnits::UnitId unit) {
+  const topo::PingTargetId rep = fx.mapping.units().representative(unit);
+  return cdn::path_score(fx.mapping.config().traffic_class, fx.mapping.mesh().rtt_ms(d, rep),
+                         fx.mapping.mesh().loss_rate(d, rep));
+}
+
+// A flap re-scores at least every unit whose list it changes, and at most
+// the units a scan of every unit's list selects: a unit holding the dead
+// deployment, or one whose kth candidate the revived deployment scores at
+// or before. Both counts are taken by brute force over every unit.
+TEST(DeltaRebuild, FlapRescoresOnlyUnitsItCanChange) {
+  DeltaFixture fx;
+  MapMaker incremental{&fx.mapping};
+  const std::size_t unit_count = fx.mapping.units().unit_count();
+  const std::size_t top_k = fx.mapping.config().scoring_top_k;
+
+  // The victim heads the most unit lists, so both of its flaps move some.
+  std::vector<std::size_t> heads(fx.network.size(), 0);
+  for (std::size_t u = 0; u < unit_count; ++u) {
+    ++heads[incremental.current()->unit_candidates(static_cast<MappingUnits::UnitId>(u))[0]
+                .deployment];
+  }
+  const auto victim =
+      static_cast<cdn::DeploymentId>(std::max_element(heads.begin(), heads.end()) - heads.begin());
+
+  for (const bool alive : {false, true}) {
+    const auto before = incremental.current();
+    fx.network.set_cluster_alive(victim, alive);
+    const auto after = incremental.rebuild_now(true);
+    ASSERT_TRUE(after->delta());
+    ASSERT_TRUE(after->serving_equal(*fx.full_build()));
+    std::size_t changed = 0;
+    std::size_t scan_selects = 0;
+    for (std::size_t u = 0; u < unit_count; ++u) {
+      const auto unit = static_cast<MappingUnits::UnitId>(u);
+      const auto was = before->unit_candidates(unit);
+      const auto now = after->unit_candidates(unit);
+      if (!std::equal(was.begin(), was.end(), now.begin(), now.end())) ++changed;
+      bool selected = false;
+      if (alive) {
+        selected = score_on(fx, victim, unit) <= was[top_k - 1].score_ms;
+      } else {
+        for (std::size_t i = 0; i < top_k && std::isfinite(was[i].score_ms); ++i) {
+          selected = selected || was[i].deployment == victim;
+        }
+      }
+      if (selected) ++scan_selects;
+    }
+    EXPECT_GT(changed, 0U) << (alive ? "revive" : "kill");
+    EXPECT_GE(after->units_rescored(), changed) << (alive ? "revive" : "kill");
+    EXPECT_LE(after->units_rescored(), scan_selects) << (alive ? "revive" : "kill");
+  }
+}
+
+// Two hundred seeded liveness steps, each killing or reviving one to three
+// clusters and maybe a single server, every one rebuilt as a delta that
+// must serve exactly as a full build. One step exhausts unit 0's prefix,
+// so its list comes from the column scan; the next kills the deployment
+// past that prefix which the scanned list holds — a flap the deployment
+// index does not route to unit 0.
+TEST(DeltaRebuild, SeededFlapSequenceEqualsFull) {
+  DeltaFixture fx;
+  const std::size_t top_k = fx.mapping.config().scoring_top_k;
+  const std::size_t clusters = fx.network.size();
+  ASSERT_GT(clusters, 2 * top_k);
+  MapMakerConfig inc_config;
+  inc_config.scoring_shards = 3;
+  MapMaker incremental{&fx.mapping, nullptr, inc_config};
+
+  // Unit 0's whole column, dead or alive, in (score, id) order.
+  const MappingUnits::UnitId unit = 0;
+  std::vector<cdn::DeploymentId> column(clusters);
+  std::iota(column.begin(), column.end(), cdn::DeploymentId{0});
+  std::stable_sort(column.begin(), column.end(), [&](cdn::DeploymentId a, cdn::DeploymentId b) {
+    return score_on(fx, a, unit) < score_on(fx, b, unit);
+  });
+
+  std::mt19937 rng{22};
+  const auto below = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto is_alive = [&](cdn::DeploymentId d) { return fx.network.deployments()[d].alive; };
+  constexpr int kExhaust = 80;
+  for (int step = 0; step < 200; ++step) {
+    if (step == kExhaust) {
+      for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(column[i], false);
+    } else if (step == kExhaust + 1) {
+      const auto past = std::find_if(column.begin() + static_cast<std::ptrdiff_t>(2 * top_k),
+                                     column.end(), is_alive);
+      ASSERT_NE(past, column.end());
+      const auto list = incremental.current()->unit_candidates(unit);
+      ASSERT_TRUE(std::any_of(list.begin(), list.end(),
+                              [&](const cdn::Candidate& c) { return c.deployment == *past; }));
+      fx.network.set_cluster_alive(*past, false);
+    } else {
+      for (std::size_t flaps = 1 + below(3); flaps > 0; --flaps) {
+        const auto d = static_cast<cdn::DeploymentId>(below(clusters));
+        const auto dead = static_cast<std::size_t>(
+            std::count_if(column.begin(), column.end(), [&](auto id) { return !is_alive(id); }));
+        // Kills stop at a quarter of the network, so most units keep
+        // taking their lists from their prefixes.
+        if (!is_alive(d) || dead < clusters / 4) fx.network.set_cluster_alive(d, !is_alive(d));
+      }
+      if (below(2) == 0) {
+        const auto d = static_cast<cdn::DeploymentId>(below(clusters));
+        const std::size_t server = below(fx.network.deployments()[d].servers.size());
+        fx.network.set_server_alive(d, server,
+                                    !fx.network.deployments()[d].servers[server].alive);
+      }
+    }
+    const auto inc_snapshot = incremental.rebuild_now(true);
+    ASSERT_TRUE(inc_snapshot->delta()) << "step " << step;
+    ASSERT_TRUE(inc_snapshot->serving_equal(*fx.full_build())) << "step " << step;
+  }
 }
 
 // A full build shards its unit columns across the pool in stripes of whole

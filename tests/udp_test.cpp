@@ -426,6 +426,26 @@ TEST(UdpSocket, MoveTransfersOwnership) {
   EXPECT_EQ(b.local_endpoint().port, port);
 }
 
+TEST(UdpSocket, ReceiveReturnsExactlyTheDatagram) {
+  // receive() reads into a buffer it reuses across calls; each call must
+  // return its own datagram alone, byte for byte, up to the largest
+  // payload IPv4 UDP carries — and a short one after a long one.
+  UdpSocket receiver{UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}};
+  UdpSocket sender{UdpEndpoint{net::IpV4Addr{127, 0, 0, 1}, 0}};
+  for (const std::size_t size : {std::size_t{65507}, std::size_t{512}, std::size_t{1}}) {
+    std::vector<std::uint8_t> datagram(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      datagram[i] = static_cast<std::uint8_t>(i * 131 + size);
+    }
+    sender.send_to(datagram, receiver.local_endpoint());
+    UdpEndpoint peer{};
+    const auto received = receiver.receive(2000ms, peer);
+    ASSERT_TRUE(received.has_value()) << size << " bytes";
+    EXPECT_EQ(*received, datagram) << size << " bytes";
+    EXPECT_EQ(peer, sender.local_endpoint());
+  }
+}
+
 TEST(UdpSocket, SignalStormCannotExtendReceiveTimeout) {
   // Regression: receive() restarted its poll() with the FULL timeout on
   // every EINTR, so a signal arriving more often than the timeout kept
