@@ -1,49 +1,51 @@
-// Map-making at paper scale: full vs incremental rebuild latency over
-// worlds of 100K / 1M / 4M client blocks (the paper's dataset is 3.76M
-// /24s). Each arm generates a streamed world (no geo trie — the map
-// maker never consults it), partitions the ping-target space into
-// mapping units (§4, the Gürsun latency-cluster construction behind
-// Fig 21), then measures:
+// Map-making at paper scale: the once-per-construction unit ranking and
+// the per-flap rebuild over worlds of 100K / 1M / 4M client blocks (the
+// paper's dataset is 3.76M /24s). Each arm generates a streamed world (no
+// geo trie — the map maker never consults it), partitions the
+// ping-target space into mapping units (§4, the Gürsun latency-cluster
+// construction behind Fig 21), then measures:
 //
 //   - cold-start stages, each call timed alone on the arm's world: the
-//     ping-mesh measurement, the unit partition and the serial first
-//     snapshot build (no previous generation) a MappingSystem runs at
-//     construction,
-//   - full rebuild latency: every unit re-scored, sharded like the map
-//     maker's rebuilds (a direct MapSnapshot::build with no previous),
-//   - incremental rebuild latency: one cluster flaps, only units whose
-//     candidate sets touch it are re-scored (the map maker's rebuild),
-//   - sustained publish rate on the incremental path,
+//     ping-mesh measurement, the unit partition and the serial unit
+//     ranking (Scoring::build without the CANS aggregation, which the
+//     arms turn off) a MappingSystem runs at construction,
+//   - rebuild latency: one cluster flaps, and a MapMaker rebuilds and
+//     publishes — the cluster views only, since every generation shares
+//     the ranking,
+//   - sustained publish rate on that path,
 //   - resident memory (VmRSS) once the arm is built.
 //
-// A differential check pins the two paths to each other: after a flap the
-// published incremental snapshot must be serving-equal to a from-scratch
-// full build of the same state. Results land in BENCH_mapmaker.json
-// (EUM_BENCH_OUT overrides), gated by scripts/check_bench_artifact.py: at
-// >= 1M blocks the incremental path must beat the full path outright.
+// A differential check pins the republished map to a brute-force
+// reference: after a flap, a seeded sample of blocks (EU) and LDNSes (NS)
+// must each be served the best cluster by (score, id) with a live server
+// on the query's own ping-target column. Results land in
+// BENCH_mapmaker.json (EUM_BENCH_OUT overrides), gated by
+// scripts/check_bench_artifact.py: at >= 1M blocks a flap's rebuild must
+// beat the ranking outright.
 //
 // Arms: EUM_MAPMAKER_BLOCKS (default "100000,1000000,4000000").
-// Shards: EUM_MAPMAKER_SHARDS (default hardware). Iterations per
-// measurement: EUM_MAPMAKER_ITERS (default 5); every timing is the best
-// of them.
+// Iterations per measurement: EUM_MAPMAKER_ITERS (default 5); every
+// timing is the best of them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
 #include "cdn/mapping_units.h"
 #include "cdn/ping_mesh.h"
+#include "cdn/scoring.h"
 #include "control/map_maker.h"
 #include "stats/table.h"
 #include "topo/world_gen.h"
-#include "util/shard_pool.h"
 
 namespace {
 
@@ -56,13 +58,11 @@ struct ArmResult {
   std::size_t clusters = 0;
   std::size_t units = 0;
   double world_gen_s = 0.0;
-  double mesh_measure_ms = 0.0;         ///< best-of-iters, cdn::PingMesh::measure
-  double units_ms = 0.0;                ///< best-of-iters, cdn::MappingUnits::build
-  double first_snapshot_ms = 0.0;       ///< best-of-iters, serial full MapSnapshot::build
-  double full_rebuild_ms = 0.0;         ///< best-of-iters, sharded full MapSnapshot::build
-  double incremental_rebuild_ms = 0.0;  ///< best-of-iters, single-cluster flap
-  std::uint64_t units_rescored_flap = 0;
-  double publish_rate_hz = 0.0;  ///< sustained incremental flap publishes
+  double mesh_measure_ms = 0.0;  ///< best-of-iters, cdn::PingMesh::measure
+  double units_ms = 0.0;         ///< best-of-iters, cdn::MappingUnits::build
+  double ranking_ms = 0.0;       ///< best-of-iters, serial unit ranking (Scoring::build)
+  double rebuild_ms = 0.0;       ///< best-of-iters, single-cluster flap rebuild + publish
+  double publish_rate_hz = 0.0;  ///< sustained flap publishes
   double rss_mb = 0.0;
   bool differential_equal = false;
 };
@@ -113,7 +113,56 @@ std::vector<std::size_t> parse_arms(const char* env) {
   return arms;
 }
 
-ArmResult run_arm(std::size_t blocks, std::size_t shards, int iters) {
+/// Does the current map serve the brute-force reference to a seeded
+/// sample of blocks (EU) and LDNSes (NS): the best cluster by (score, id)
+/// with a live server on the query's own ping-target column, its servers
+/// ranked by pick_servers and its RTT from the mesh?
+bool serves_brute_force_reference(const topo::World& world, const cdn::CdnNetwork& network,
+                                  const cdn::MappingSystem& mapping) {
+  constexpr std::string_view kDomain = "www.g.cdn.example";
+  const cdn::PingMesh& mesh = mapping.mesh();
+  const auto snapshot = mapping.snapshot();
+  const auto best_live = [&](topo::PingTargetId target) {
+    std::optional<cdn::DeploymentId> best;
+    float best_score = 0.0F;
+    for (const cdn::Deployment& deployment : network.deployments()) {
+      const bool live = deployment.alive &&
+                        std::any_of(deployment.servers.begin(), deployment.servers.end(),
+                                    [](const cdn::Server& server) { return server.alive; });
+      const float score = cdn::path_score(mapping.config().traffic_class,
+                                          mesh.rtt_ms(deployment.id, target),
+                                          mesh.loss_rate(deployment.id, target));
+      if (live && (!best || score < best_score)) {
+        best = deployment.id;
+        best_score = score;
+      }
+    }
+    return best;
+  };
+  const auto matches = [&](const std::optional<cdn::MapResult>& got,
+                           topo::PingTargetId target) {
+    const std::optional<cdn::DeploymentId> want = best_live(target);
+    if (got.has_value() != want.has_value()) return false;
+    if (!got) return true;
+    cdn::ServerList servers;
+    snapshot->pick_servers(*want, kDomain, servers);
+    return got->deployment == *want && got->servers == servers &&
+           got->expected_rtt_ms == mesh.rtt_ms(*want, target);
+  };
+
+  std::mt19937 rng{42};
+  for (int i = 0; i < 2000; ++i) {
+    const topo::ClientBlock& block = world.blocks[rng() % world.blocks.size()];
+    if (!matches(snapshot->map(0, block.id, kDomain), block.ping_target)) return false;
+  }
+  for (int i = 0; i < 500; ++i) {
+    const topo::Ldns& ldns = world.ldnses[rng() % world.ldnses.size()];
+    if (!matches(snapshot->map(ldns.id, std::nullopt, kDomain), ldns.ping_target)) return false;
+  }
+  return true;
+}
+
+ArmResult run_arm(std::size_t blocks, int iters) {
   ArmResult result;
   result.blocks = blocks;
 
@@ -147,80 +196,63 @@ ArmResult run_arm(std::size_t blocks, std::size_t shards, int iters) {
   result.mesh_measure_ms =
       best_ms(iters, [&] { (void)cdn::PingMesh::measure(world, network, latency); });
   result.units_ms = best_ms(iters, [&] { (void)cdn::MappingUnits::build(mapping.mesh()); });
-  result.first_snapshot_ms = best_ms(
-      iters, [&] { (void)cdn::MapSnapshot::build(mapping, 1, util::SimTime{0}, {}); });
+  result.ranking_ms = best_ms(iters, [&] {
+    (void)cdn::Scoring::build(world, network, mapping.mesh(), mapping.units(),
+                              mapping_config.scoring_top_k, mapping_config.traffic_class,
+                              mapping_config.precompute_cluster_scores);
+  });
 
-  // Full rebuilds: best-of-iters (the floor is the honest number for a
-  // latency comparison on a shared machine), sharded as the map maker's.
-  util::ShardPool pool{shards == 0 ? util::ShardPool::hardware_workers() : shards - 1};
-  const auto full_build = [&] {
-    return cdn::MapSnapshot::build(mapping, mapping.version() + 1, util::SimTime{0}, {&pool, {}});
-  };
-  result.full_rebuild_ms = best_ms(iters, [&] { (void)full_build(); });
-
-  control::MapMakerConfig inc_config;
-  inc_config.scoring_shards = shards;
-  control::MapMaker incremental{&mapping, nullptr, inc_config};
-
-  // Incremental: flap one cluster per rebuild (die, rebuild, revive,
-  // rebuild) so every measured build really re-scores a delta.
+  // Rebuilds: flap one cluster per rebuild (die, rebuild, revive,
+  // rebuild), each published through the map maker; best-of-iters (the
+  // floor is the honest number for a latency comparison on a shared
+  // machine).
+  control::MapMaker maker{&mapping};
   const cdn::DeploymentId victim = network.size() / 2;
-  result.incremental_rebuild_ms = 1e300;
+  result.rebuild_ms = 1e300;
   std::uint64_t flap_publishes = 0;
   double flap_seconds = 0.0;
   for (int i = 0; i < iters; ++i) {
     for (const bool alive : {false, true}) {
       network.set_cluster_alive(victim, alive);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto snapshot = incremental.rebuild_now(true);
+      (void)maker.rebuild_now(true);
       const double ms = ms_since(t0);
-      result.incremental_rebuild_ms = std::min(result.incremental_rebuild_ms, ms);
+      result.rebuild_ms = std::min(result.rebuild_ms, ms);
       flap_seconds += ms / 1000.0;
       ++flap_publishes;
-      if (i == 0 && !alive) result.units_rescored_flap = snapshot->units_rescored();
     }
   }
   result.publish_rate_hz = flap_seconds > 0.0 ? flap_publishes / flap_seconds : 0.0;
 
-  // Differential gate: a dead-victim incremental snapshot must be
-  // serving-equal to a from-scratch full build of the same state.
+  // Differential gate: with the victim dead and republished, the map must
+  // serve the brute-force reference.
   network.set_cluster_alive(victim, false);
-  const auto inc_snapshot = incremental.rebuild_now(true);
-  result.differential_equal = inc_snapshot->serving_equal(*full_build());
+  (void)maker.rebuild_now(true);
+  result.differential_equal = serves_brute_force_reference(world, network, mapping);
   network.set_cluster_alive(victim, true);
 
   result.rss_mb = resident_mb();
   return result;
 }
 
-void write_bench_json(const std::vector<ArmResult>& arms, std::size_t shards,
-                      const char* path) {
+void write_bench_json(const std::vector<ArmResult>& arms, const char* path) {
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::perror("mapmaker_scale: fopen bench artifact");
     return;
   }
-  std::fprintf(out, "{\n  \"bench\": \"mapmaker\",\n  \"scoring_shards\": %zu,\n",
-               shards);
-  std::fprintf(out, "  \"arms\": [\n");
+  std::fprintf(out, "{\n  \"bench\": \"mapmaker\",\n  \"arms\": [\n");
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& a = arms[i];
     std::fprintf(
         out,
         "    {\"blocks\": %zu, \"targets\": %zu, \"ldnses\": %zu, \"clusters\": %zu, "
         "\"units\": %zu, \"world_gen_s\": %.2f, \"mesh_measure_ms\": %.2f, "
-        "\"units_ms\": %.2f, \"first_snapshot_ms\": %.2f, "
-        "\"full_rebuild_ms\": %.2f, "
-        "\"incremental_rebuild_ms\": %.2f, \"speedup\": %.1f, "
-        "\"units_rescored_on_flap\": %llu, \"publish_rate_hz\": %.1f, "
-        "\"rss_mb\": %.1f, \"differential_equal\": %s}%s\n",
-        a.blocks, a.targets, a.ldnses, a.clusters, a.units, a.world_gen_s,
-        a.mesh_measure_ms, a.units_ms, a.first_snapshot_ms,
-        a.full_rebuild_ms, a.incremental_rebuild_ms,
-        a.incremental_rebuild_ms > 0.0 ? a.full_rebuild_ms / a.incremental_rebuild_ms : 0.0,
-        static_cast<unsigned long long>(a.units_rescored_flap), a.publish_rate_hz,
-        a.rss_mb, a.differential_equal ? "true" : "false",
-        i + 1 < arms.size() ? "," : "");
+        "\"units_ms\": %.2f, \"ranking_ms\": %.2f, \"rebuild_ms\": %.3f, "
+        "\"publish_rate_hz\": %.1f, \"rss_mb\": %.1f, \"differential_equal\": %s}%s\n",
+        a.blocks, a.targets, a.ldnses, a.clusters, a.units, a.world_gen_s, a.mesh_measure_ms,
+        a.units_ms, a.ranking_ms, a.rebuild_ms, a.publish_rate_hz, a.rss_mb,
+        a.differential_equal ? "true" : "false", i + 1 < arms.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
@@ -231,46 +263,33 @@ void write_bench_json(const std::vector<ArmResult>& arms, std::size_t shards,
 
 int main() {
   const std::vector<std::size_t> arms = parse_arms(std::getenv("EUM_MAPMAKER_BLOCKS"));
-  std::size_t shards = 0;  // MapMakerConfig: 0 = size to the machine
-  if (const char* env = std::getenv("EUM_MAPMAKER_SHARDS")) {
-    shards = std::strtoull(env, nullptr, 10);
-  }
   int iters = 5;
   if (const char* env = std::getenv("EUM_MAPMAKER_ITERS")) {
     iters = std::max(1, std::atoi(env));
   }
 
   std::printf("=== mapmaker_scale ===\n");
-  std::printf("full vs incremental map rebuilds; %zu shard(s) requested (0 = hardware: %zu "
-              "workers + caller), %d iters\n\n",
-              shards, util::ShardPool::hardware_workers(), iters);
+  std::printf("unit ranking (once, at construction) vs one cluster flap's rebuild; %d iters\n\n",
+              iters);
 
-  stats::Table table{{"blocks", "targets", "units", "full ms", "incr ms", "speedup",
-                      "rescored", "pub/s", "rss MB", "diff=="}};
+  stats::Table table{{"blocks", "targets", "units", "ranking ms", "rebuild ms", "pub/s",
+                      "rss MB", "diff=="}};
   std::vector<ArmResult> results;
   bool all_equal = true;
   for (const std::size_t blocks : arms) {
     std::printf("arm %zu blocks: generating world...\n", blocks);
     std::fflush(stdout);
-    const ArmResult a = run_arm(blocks, shards, iters);
-    std::printf("  world %.1fs, %zu units over %zu targets; full %.1fms, incremental "
-                "%.1fms (%llu units re-scored), rss %.0f MB\n",
-                a.world_gen_s, a.units, a.targets, a.full_rebuild_ms,
-                a.incremental_rebuild_ms,
-                static_cast<unsigned long long>(a.units_rescored_flap), a.rss_mb);
-    std::printf("  cold start: mesh %.1fms, units %.1fms, first snapshot %.1fms\n",
-                a.mesh_measure_ms, a.units_ms, a.first_snapshot_ms);
+    const ArmResult a = run_arm(blocks, iters);
+    std::printf("  world %.1fs, %zu units over %zu targets; ranking %.1fms, flap rebuild "
+                "%.3fms, rss %.0f MB\n",
+                a.world_gen_s, a.units, a.targets, a.ranking_ms, a.rebuild_ms, a.rss_mb);
+    std::printf("  cold start: mesh %.1fms, units %.1fms, ranking %.1fms\n", a.mesh_measure_ms,
+                a.units_ms, a.ranking_ms);
     table.add_row({stats::num(static_cast<double>(a.blocks), 0),
-               stats::num(static_cast<double>(a.targets), 0),
-               stats::num(static_cast<double>(a.units), 0), stats::num(a.full_rebuild_ms, 2),
-               stats::num(a.incremental_rebuild_ms, 2),
-               stats::num(a.incremental_rebuild_ms > 0.0
-                              ? a.full_rebuild_ms / a.incremental_rebuild_ms
-                              : 0.0,
-                          1),
-               stats::num(static_cast<double>(a.units_rescored_flap), 0),
-               stats::num(a.publish_rate_hz, 1), stats::num(a.rss_mb, 0),
-               a.differential_equal ? "yes" : "NO"});
+                   stats::num(static_cast<double>(a.targets), 0),
+                   stats::num(static_cast<double>(a.units), 0), stats::num(a.ranking_ms, 2),
+                   stats::num(a.rebuild_ms, 3), stats::num(a.publish_rate_hz, 1),
+                   stats::num(a.rss_mb, 0), a.differential_equal ? "yes" : "NO"});
     all_equal = all_equal && a.differential_equal;
     results.push_back(a);
   }
@@ -278,9 +297,9 @@ int main() {
   std::fputs(table.render().c_str(), stdout);
 
   const char* out_path = std::getenv("EUM_BENCH_OUT");
-  write_bench_json(results, shards, out_path != nullptr ? out_path : "BENCH_mapmaker.json");
+  write_bench_json(results, out_path != nullptr ? out_path : "BENCH_mapmaker.json");
 
-  // Gate: differential equality is non-negotiable; speed is judged by
-  // scripts/check_bench_artifact.py against the written artifact.
+  // Gate: the brute-force differential is non-negotiable; speed is judged
+  // by scripts/check_bench_artifact.py against the written artifact.
   return all_equal && !results.empty() ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # AddressSanitizer + UndefinedBehaviorSanitizer gate for the failure
 # paths this repo leans on hardest: the fault-injection decorator, the
-# retry/serve-stale resolver, the deadline-driven UDP/TCP transports,
+# retry/serve-stale resolver, the deadline-driven UDP transport,
 # and the wire-corruption fuzz corpus (corrupted datagrams are decoded
 # and re-encoded constantly under fault injection, so heap overreads and
 # UB in the codec would bite exactly there). It also covers the
@@ -13,7 +13,8 @@
 # (Anycast, PingMesh, Scoring, LatencyModel, MappingUnits, DeltaRebuild and
 # the ColdStartPin bit-identity pin), and the one mapping decision, which
 # charges the shared load ledger and indexes the snapshot's cluster table
-# (MappingPin, MappingFixture, LoadConservation, LbFixture, Rendezvous). Builds a separate ASan+UBSan tree and
+# (MapSnapshot, MappingPin, MappingFixture, LoadConservation, LbFixture,
+# Rendezvous). Builds a separate ASan+UBSan tree and
 # runs the relevant suites; any report fails the script.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default build-asan)
@@ -31,7 +32,7 @@ cmake --build "$BUILD" --target eum_tests eum_alloc_gate fault_sweep \
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   "$BUILD/tests/eum_tests" \
-  --gtest_filter='Anycast.*:PingMesh.*:Scoring.*:LatencyModel.*:ColdStartPin.*:Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:AnswerCacheDifferential.*:TcpFixture.*:TcpStream.*:TcpListener.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:ShardPool.*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:SimClock*.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MappingPin.*:MappingFixture.*:LoadConservation.*:LbFixture.*:Rendezvous.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
+  --gtest_filter='Anycast.*:PingMesh.*:Scoring.*:LatencyModel.*:ColdStartPin.*:Fault*.*:Resolver*.*:StubClient*.*:ScopedCache.*:UdpSocket.*:UdpFixture.*:UdpBatch.*:UdpSendError.*:UdpAnswerCache.*:AnswerCacheFixture.*:AnswerCacheDifferential.*:Mutation.*:EcsCorpus.*:FuzzRegression.*:ScopesAndSeeds/*:Seeds/*:MappingUnits.*:DeltaRebuild.*:MapMakerLiveness.*:SimClock*.*:OpenLoopSchedule.*:TrafficModel.*:LdnsPopulation.*:StallFixture.*:RunOpenLoop.*:PoissonArrivals.*:DnsName*.*:*NameRoundTrip.*:ClientSubnetOption.*:Message*.*:Authoritative.*:Zone.*:ZoneFile.*:DnsHandlerFixture.*:MappingSystem.*:MappingPin.*:MappingFixture.*:LoadConservation.*:LbFixture.*:Rendezvous.*:MapSnapshot.*:DecisionExplain.*:UdpTruncation.*:DualStackFixture.*:TwoTierFixture.*:WorldGen.*:WorldSoA.*:WorldIo.*:WirePinFixture.*:UdpServerLifecycle.*'
 
 echo "asan_check: running the allocation gate under ASan+UBSan"
 ASAN_OPTIONS="abort_on_error=1 detect_leaks=1" \

@@ -96,7 +96,6 @@ SERVE_PATH_FILES = {
     "src/lockfree/versioned_rcu.h",
     "src/lockfree/mpmc_ring.h",
     "src/lockfree/pending_table.h",
-    "src/lockfree/job_claim.h",
 }
 
 # The TSan suppression file checked by the tsan-suppression rule.

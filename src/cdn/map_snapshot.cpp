@@ -3,42 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <span>
-#include <stdexcept>
-#include <string>
 
 #include "util/hash.h"
 
 namespace eum::cdn {
-
-namespace {
-
-/// Padding in a ranking prefix longer than the network.
-constexpr std::uint16_t kNoDeployment = 0xffff;
-
-/// Stack scratch of one full-pass tile: the ranking prefixes of up to
-/// kColumnTile units, so a prefix (2 * scoring_top_k) fits one tile.
-constexpr std::size_t kTileCandidates = kColumnTile * 32;
-
-}  // namespace
-
-struct MapSnapshot::Ranking {
-  /// unit_count x 2*top_k deployment ids: each unit's best deployments by
-  /// (score, id) on its representative column, dead or alive, 0xffff-padded
-  /// on a smaller network.
-  std::vector<std::uint16_t> prefixes;
-  /// The prefixes indexed by deployment (CSR): deployment d's units,
-  /// ascending, are units[offsets[d], offsets[d + 1]).
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> units;
-
-  /// Every unit whose prefix holds deployment d, ascending.
-  [[nodiscard]] std::span<const std::uint32_t> units_of(std::size_t d) const {
-    return {units.data() + offsets[d], offsets[d + 1] - offsets[d]};
-  }
-};
 
 LoadLedger::LoadLedger(std::size_t clusters)
     : size_(clusters), loads_(std::make_unique<std::atomic<double>[]>(clusters)) {
@@ -55,17 +25,7 @@ void LoadLedger::reset() noexcept {
 
 std::shared_ptr<const MapSnapshot> MapSnapshot::build(const MappingSystem& mapping,
                                                       std::uint64_t version,
-                                                      util::SimTime built_at,
-                                                      const BuildInputs& inputs) {
-  const CdnNetwork& network = mapping.network();
-  if (network.size() > kNoDeployment) {
-    throw std::invalid_argument{"MapSnapshot: ranking ids are 16-bit; at most 65535 clusters"};
-  }
-  if (2 * mapping.config().scoring_top_k > kTileCandidates) {
-    throw std::invalid_argument{"MapSnapshot: scoring_top_k above " +
-                                std::to_string(kTileCandidates / 2)};
-  }
-
+                                                      util::SimTime built_at) {
   auto snapshot = std::shared_ptr<MapSnapshot>{new MapSnapshot};
   snapshot->version_ = version;
   snapshot->built_at_ = built_at;
@@ -75,9 +35,9 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const MappingSystem& mappi
   snapshot->scoring_ = &mapping.scoring();
   snapshot->loads_ = mapping.ledger_;
   snapshot->units_ = mapping.units_;
-  snapshot->top_k_ = snapshot->config_.scoring_top_k;
 
   // Frozen per-cluster serving view of the network's current liveness.
+  const CdnNetwork& network = mapping.network();
   snapshot->clusters_.resize(network.size());
   for (const Deployment& deployment : network.deployments()) {
     Cluster& cluster = snapshot->clusters_[deployment.id];
@@ -88,193 +48,13 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(const MappingSystem& mappi
       if (server.alive) cluster.servers.emplace_back(server.address);
     }
   }
-
-  const MapSnapshot* prev = inputs.previous.get();
-  const bool same_world =
-      prev != nullptr && prev->world_ == snapshot->world_ && prev->mesh_ == snapshot->mesh_;
-
-  // Per-unit candidate lists over the live deployments.
-  const MappingUnits& units = *snapshot->units_;
-  const std::size_t n_units = units.unit_count();
-  const std::size_t n_deps = network.size();
-  const PingMesh& mesh = mapping.mesh();
-  const TrafficClass klass = snapshot->config_.traffic_class;
-  const std::size_t top_k = snapshot->top_k_;
-
-  std::vector<char> alive(n_deps, 0);
-  for (std::size_t d = 0; d < n_deps; ++d) {
-    alive[d] = snapshot->clusters_[d].servers.empty() ? 0 : 1;
-  }
-
-  const std::size_t prefix = 2 * top_k;
-  const auto score_of = [&](std::size_t d, topo::PingTargetId rep) {
-    return path_score(klass, mesh.rtt_ms(d, rep), mesh.loss_rate(d, rep));
-  };
-  const auto rep_of = [&](std::size_t u) {
-    return units.representative(static_cast<MappingUnits::UnitId>(u));
-  };
-
-  // A unit's live list: the first top_k live ids of its ranking prefix.
-  // The prefix is the column's (score, id) order cut at 2 * top_k, so any
-  // live deployment past it ranks after every prefix entry — when the
-  // prefix holds top_k live ones they are exactly the best top_k. Only
-  // when it holds fewer is the list column-scanned: the unit ranks its
-  // live column, with the same best_k (and so the same order) as every
-  // other table.
-  const auto prefix_of = [&](std::size_t u) {
-    return snapshot->ranking_->prefixes.data() + u * prefix;
-  };
-  const auto column_scanned = [&](std::size_t u) {
-    const std::uint16_t* ids = prefix_of(u);
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < prefix && ids[i] != kNoDeployment; ++i) live += alive[ids[i]];
-    return live < top_k;
-  };
-  const auto score_unit = [&](std::size_t u) {
-    const topo::PingTargetId rep = rep_of(u);
-    Candidate* out = &snapshot->by_unit_[u * top_k];
-    if (column_scanned(u)) {
-      best_k(
-          n_deps, 1, top_k, alive, [&](std::size_t d, std::size_t) { return score_of(d, rep); },
-          out);
-      return;
-    }
-    const std::uint16_t* ids = prefix_of(u);
-    for (std::size_t i = 0, found = 0; found < top_k; ++i) {
-      if (alive[ids[i]] != 0) out[found++] = Candidate{ids[i], score_of(ids[i], rep)};
-    }
-  };
-
-  // Shard `count` items across the pool: contiguous stripes of whole
-  // `grain`-item tiles, more jobs than workers so stripes stay balanced
-  // even when some units are costlier than others. The pool threshold
-  // counts items (units), whatever the grain.
-  const auto shard = [&](std::size_t count, std::size_t grain, const auto& run_range) {
-    if (inputs.pool != nullptr && inputs.pool->worker_count() > 0 && count >= 256) {
-      const std::size_t tiles = (count + grain - 1) / grain;
-      const std::size_t jobs =
-          std::min(tiles, (inputs.pool->worker_count() + 1) * std::size_t{8});
-      const std::size_t stripe = (tiles + jobs - 1) / jobs * grain;
-      inputs.pool->run(jobs, [&](std::size_t job) {
-        const std::size_t lo = job * stripe;
-        run_range(lo, std::min(lo + stripe, count));
-      });
-    } else {
-      run_range(0, count);
-    }
-  };
-
-  // Delta eligibility: the previous generation must have scored the same
-  // partition under the same scoring config.
-  const bool delta_ok =
-      same_world && prev->top_k_ == top_k && prev->config_.traffic_class == klass &&
-      prev->by_unit_.size() == n_units * top_k &&
-      prev->units_->fingerprint() == units.fingerprint();
-
-  if (!delta_ok) {
-    // Full pass, a tile of units at a time: rank the tile's whole columns,
-    // dead or alive, into their prefixes, then take each unit's live list
-    // from its prefix. Representatives ascend with the unit id, so a tile's
-    // columns lie close together in every deployment row.
-    auto ranking = std::make_shared<Ranking>();
-    ranking->prefixes.resize(n_units * prefix);
-    snapshot->ranking_ = ranking;
-    snapshot->by_unit_.resize(n_units * top_k);
-    const std::size_t tile = std::min(kColumnTile, kTileCandidates / prefix);
-    shard(n_units, tile, [&](std::size_t lo, std::size_t hi) {
-      std::array<Candidate, kTileCandidates> best;
-      std::array<topo::PingTargetId, kColumnTile> reps{};
-      for (std::size_t u0 = lo; u0 < hi; u0 += tile) {
-        const std::size_t columns = std::min(tile, hi - u0);
-        for (std::size_t c = 0; c < columns; ++c) reps[c] = rep_of(u0 + c);
-        best_k(
-            n_deps, columns, prefix, {},
-            [&](std::size_t d, std::size_t c) { return score_of(d, reps[c]); }, best.data());
-        for (std::size_t c = 0; c < columns; ++c) {
-          std::uint16_t* ids = ranking->prefixes.data() + (u0 + c) * prefix;
-          for (std::size_t i = 0; i < prefix; ++i) {
-            ids[i] = i < n_deps ? static_cast<std::uint16_t>(best[c * prefix + i].deployment)
-                                : kNoDeployment;
-          }
-          score_unit(u0 + c);
-        }
-      }
-    });
-
-    // Index the prefixes by deployment: count each deployment's units,
-    // turn the counts into offsets, then place the units in ascending order.
-    ranking->offsets.assign(n_deps + 1, 0);
-    for (const std::uint16_t id : ranking->prefixes) {
-      if (id != kNoDeployment) ++ranking->offsets[id + 1];
-    }
-    for (std::size_t d = 0; d < n_deps; ++d) ranking->offsets[d + 1] += ranking->offsets[d];
-    ranking->units.resize(ranking->offsets[n_deps]);
-    std::vector<std::uint32_t> cursor(ranking->offsets.begin(), ranking->offsets.end() - 1);
-    for (std::size_t u = 0; u < n_units; ++u) {
-      const std::uint16_t* ids = prefix_of(u);
-      for (std::size_t i = 0; i < prefix && ids[i] != kNoDeployment; ++i) {
-        ranking->units[cursor[ids[i]]++] = static_cast<std::uint32_t>(u);
-      }
-      if (column_scanned(u)) snapshot->column_scanned_.push_back(static_cast<std::uint32_t>(u));
-    }
-    snapshot->units_rescored_ = n_units;
-    return snapshot;
-  }
-
-  // Delta: a flap of deployment d can change a unit's list only if d died
-  // while on it, or revived scoring at or before its kth entry
-  // (conservative on score ties — re-scoring an unaffected unit is
-  // harmless, missing an affected one is not; the differential tests pin
-  // this). A list taken from its prefix lies inside it, and a deployment
-  // past the prefix ranks after all of it, so only the units whose prefix
-  // holds d can change that way. A column-scanned list can hold, or be
-  // beaten by, deployments past its prefix: those units are tested
-  // against every flap.
-  snapshot->delta_ = true;
-  snapshot->by_unit_ = prev->by_unit_;
-  snapshot->ranking_ = prev->ranking_;
-  std::vector<std::uint32_t> touched;
-  for (std::size_t d = 0; d < n_deps; ++d) {
-    const bool was_alive = !prev->clusters_[d].servers.empty();
-    if (was_alive == (alive[d] != 0)) continue;
-    const bool revived = !was_alive;
-    const auto can_change = [&](std::uint32_t u) {
-      const Candidate* row = &prev->by_unit_[u * top_k];
-      if (revived) return score_of(d, rep_of(u)) <= row[top_k - 1].score_ms;
-      for (std::size_t i = 0; i < top_k && std::isfinite(row[i].score_ms); ++i) {
-        if (row[i].deployment == d) return true;
-      }
-      return false;
-    };
-    for (const std::uint32_t u : snapshot->ranking_->units_of(d)) {
-      if (can_change(u)) touched.push_back(u);
-    }
-    for (const std::uint32_t u : prev->column_scanned_) {
-      if (can_change(u)) touched.push_back(u);
-    }
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  shard(touched.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) score_unit(touched[i]);
-  });
-  // An untouched unit stays on its side of top_k live prefix entries: a
-  // flap that could move it across would have touched it.
-  std::set_difference(prev->column_scanned_.begin(), prev->column_scanned_.end(),
-                      touched.begin(), touched.end(),
-                      std::back_inserter(snapshot->column_scanned_));
-  for (const std::uint32_t u : touched) {
-    if (column_scanned(u)) snapshot->column_scanned_.push_back(u);
-  }
-  std::sort(snapshot->column_scanned_.begin(), snapshot->column_scanned_.end());
-  snapshot->units_rescored_ = touched.size();
   return snapshot;
 }
 
 bool MapSnapshot::serving_equal(const MapSnapshot& other) const {
-  if (units_->fingerprint() != other.units_->fingerprint()) return false;
-  if (by_unit_ != other.by_unit_ || clusters_ != other.clusters_) return false;
+  if (units_->fingerprint() != other.units_->fingerprint() || clusters_ != other.clusters_) {
+    return false;
+  }
   return scoring_ == other.scoring_ || *scoring_ == *other.scoring_;
 }
 
@@ -291,7 +71,8 @@ bool MapSnapshot::usable(std::size_t cluster, double load_units) const noexcept 
 std::optional<MapResult> MapSnapshot::pick(std::span<const Candidate> candidates,
                                            topo::PingTargetId fallback_target,
                                            std::string_view domain, double load_units) const {
-  // Global load balancing: the best usable candidate of the unit's list.
+  // Global load balancing: the best usable candidate of the unit's list,
+  // which is ranked dead or alive — a dead or full cluster is skipped.
   std::optional<DeploymentId> chosen;
   for (const Candidate& candidate : candidates) {
     if (!std::isfinite(candidate.score_ms)) break;

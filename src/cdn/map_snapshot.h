@@ -3,29 +3,24 @@
 // The paper's map maker periodically recomputes cluster scores and
 // load-balancing decisions and pushes the result to the name servers.
 // A MapSnapshot is one such push: a frozen copy of everything a serving
-// thread needs to answer a mapping query — per-mapping-unit candidate
-// lists over the live deployments, the per-cluster alive-server lists and
-// capacities as of build time, and the mapping policy/config. Every
-// mapping decision — global load balancing over a unit's candidates, then
-// local load balancing by rendezvous hashing inside the chosen cluster —
-// is made here. MappingSystem owns the published generation in an
-// RCU-style `std::atomic<std::shared_ptr<const MapSnapshot>>`, so every
-// query resolves against exactly one consistent map version while the
-// next one is being built, with no locks on the serving path.
+// thread needs to answer a mapping query — the per-cluster alive-server
+// lists and capacities as of build time, and the mapping policy/config.
+// Every mapping decision — global load balancing over a unit's
+// candidates, then local load balancing by rendezvous hashing inside the
+// chosen cluster — is made here. MappingSystem owns the published
+// generation in an RCU-style `std::atomic<std::shared_ptr<const
+// MapSnapshot>>`, so every query resolves against exactly one consistent
+// map version while the next one is being built, with no locks on the
+// serving path.
 //
 // Scale structure (paper §5, "two orders of magnitude more mapping
-// units"): scoring happens per MappingUnit, not per target — one
-// representative column per group of latency-equivalent targets — and is
-// sharded across a ShardPool. When the previous snapshot is supplied, a
-// build is a *delta*: only units whose candidate lists can be affected by
-// the liveness transitions since that snapshot are re-scored; the rest
-// copy over. A full build ranks each unit's prefix (its best 2 * top_k
-// deployments, dead or alive, which a delta re-scores from) and indexes
-// the prefixes by deployment, so a delta visits only the units whose
-// prefix holds a flapped deployment, plus the few whose list had to come
-// from a column scan. The liveness-independent CANS table, the prefixes
-// with their index and the unit partition itself are shared across
-// generations.
+// units"): candidate lists are ranked per MappingUnit, not per target —
+// one representative column per group of latency-equivalent targets —
+// and only once, by the mapping system's Scoring, dead or alive. Every
+// generation borrows those tables with the unit partition; pick() skips
+// a listed cluster that is not usable and scans the query's column when
+// none is. So a build only freezes the cluster views: O(clusters), with
+// no per-unit work on a liveness publish.
 //
 // The only mutable state a snapshot touches is the LoadLedger: a shared
 // array of per-cluster atomic load accumulators that survives republishes
@@ -44,7 +39,6 @@
 #include "cdn/ping_mesh.h"
 #include "cdn/scoring.h"
 #include "topo/world.h"
-#include "util/shard_pool.h"
 #include "util/sim_clock.h"
 
 namespace eum::cdn {
@@ -109,27 +103,15 @@ class MapSnapshot {
     std::optional<MapResult> result;  ///< exactly what map() returns
   };
 
-  /// Scale machinery for a build. `pool` (borrowed, may be null for
-  /// serial builds) shards unit scoring; `previous` enables the delta path
-  /// — only units touched by the liveness transitions since `previous`
-  /// are re-scored.
-  struct BuildInputs {
-    util::ShardPool* pool = nullptr;
-    std::shared_ptr<const MapSnapshot> previous;
-  };
-
-  /// Freeze the mapping system's current liveness state, scored over its
-  /// unit partition and charging its load ledger. The snapshot borrows
-  /// the system's world, ping mesh and CANS scoring (all immutable after
-  /// construction) and must not outlive it. Reads the mutable CdnNetwork
-  /// — callers must not mutate liveness concurrently with a build.
-  /// MappingSystem builds and publishes its own generations; a direct
-  /// call builds one without publishing it (a full reference for the
-  /// delta differentials). Throws std::invalid_argument for a network of
-  /// more than 65535 deployments or a scoring_top_k above 256.
+  /// Freeze the mapping system's current liveness state: each cluster's
+  /// live servers and capacity. The snapshot borrows the system's world,
+  /// ping mesh, unit partition and Scoring (all immutable after
+  /// construction) and charges its load ledger, so it must not outlive
+  /// it. Reads the mutable CdnNetwork — callers must not mutate liveness
+  /// concurrently with a build. MappingSystem builds and publishes its own
+  /// generations.
   static std::shared_ptr<const MapSnapshot> build(const MappingSystem& mapping,
-                                                  std::uint64_t version, util::SimTime built_at,
-                                                  const BuildInputs& inputs);
+                                                  std::uint64_t version, util::SimTime built_at);
 
   // --- serving (lock-free, safe from any thread) -----------------------
 
@@ -175,25 +157,21 @@ class MapSnapshot {
   [[nodiscard]] const std::vector<Cluster>& clusters() const noexcept { return clusters_; }
   [[nodiscard]] const LoadLedger& loads() const noexcept { return *loads_; }
   [[nodiscard]] const MappingUnits& units() const noexcept { return *units_; }
-  /// The CANS tables this snapshot serves from: the mapping system's own.
+  /// The candidate tables this snapshot serves from: the mapping system's
+  /// own.
   [[nodiscard]] const Scoring& scoring() const noexcept { return *scoring_; }
 
-  /// The candidate list scored for a unit: the best top_k *live*
-  /// deployments by the representative column, (score, id)-ordered,
-  /// infinity-padded when fewer than top_k are alive.
+  /// The candidate list ranked for a unit: its best top_k deployments,
+  /// dead or alive, by (score, id) on the representative column — the
+  /// Scoring table every generation shares.
   [[nodiscard]] std::span<const Candidate> unit_candidates(MappingUnits::UnitId unit) const {
-    return {by_unit_.data() + static_cast<std::size_t>(unit) * top_k_, top_k_};
+    return scoring_->unit_candidates(unit);
   }
 
-  /// Was this build a delta (previous snapshot's tables reused)?
-  [[nodiscard]] bool delta() const noexcept { return delta_; }
-  /// Units actually re-scored by this build (== unit_count for a full build).
-  [[nodiscard]] std::size_t units_rescored() const noexcept { return units_rescored_; }
-
   /// Would this snapshot serve identically to `other`? True when the
-  /// unit partition, unit candidate tables, CANS tables and frozen
-  /// cluster views match — the map maker skips publishing such rebuilds
-  /// (version and build time are ignored).
+  /// unit partition, the candidate tables and the frozen cluster views
+  /// match — the map maker skips publishing such rebuilds (version and
+  /// build time are ignored).
   [[nodiscard]] bool serving_equal(const MapSnapshot& other) const;
 
  private:
@@ -213,28 +191,11 @@ class MapSnapshot {
   MappingConfig config_;
   const topo::World* world_ = nullptr;
   const PingMesh* mesh_ = nullptr;
-  /// Liveness-independent CANS cluster table: the mapping system's own
+  /// Liveness-independent candidate tables: the mapping system's own
   /// Scoring, borrowed by every generation (liveness never moves a score,
   /// only candidate usability).
   const Scoring* scoring_ = nullptr;
-
-  /// Each unit's ranking prefix and their deployment index (defined in
-  /// map_snapshot.cpp).
-  struct Ranking;
-
   std::shared_ptr<const MappingUnits> units_;
-  std::size_t top_k_ = 0;
-  std::vector<Candidate> by_unit_;  ///< unit_count x top_k, live-only
-  /// Liveness never moves a score, so a full build ranks and indexes the
-  /// prefixes and every delta generation shares them.
-  std::shared_ptr<const Ranking> ranking_;
-  /// Units whose prefix held fewer than top_k live deployments when last
-  /// scored, ascending (usually none). Their lists came from the column
-  /// scan, so a delta tests them against every flap, not just the
-  /// deployments their prefix holds.
-  std::vector<std::uint32_t> column_scanned_;
-  bool delta_ = false;
-  std::size_t units_rescored_ = 0;
 
   std::vector<Cluster> clusters_;
   std::shared_ptr<LoadLedger> loads_;

@@ -40,20 +40,18 @@ MappingSystem::MappingSystem(const topo::World* world, CdnNetwork* network,
       network_(require(network, "network")),
       config_(checked(config)),
       mesh_(PingMesh::measure(*world_, *network_, *require(latency, "latency"))),
-      scoring_(Scoring::build(*world_, *network_, mesh_, config_.scoring_top_k,
-                              config_.traffic_class, config_.precompute_cluster_scores)),
       units_(MappingUnits::build(mesh_)),
+      scoring_(Scoring::build(*world_, *network_, mesh_, *units_, config_.scoring_top_k,
+                              config_.traffic_class, config_.precompute_cluster_scores)),
       ledger_(std::make_shared<LoadLedger>(network_->size())) {
-  published_.publish(MapSnapshot::build(*this, 1, util::SimTime{0}, {}), 1);
+  published_.publish(MapSnapshot::build(*this, 1, util::SimTime{0}), 1);
 }
 
 std::shared_ptr<const MapSnapshot> MappingSystem::rebuild(util::SimTime built_at,
-                                                          util::ShardPool* pool,
                                                           const PublishIf& publish_if) {
   std::shared_ptr<const MapSnapshot> current = published_.snapshot();
   const std::uint64_t next = current->version() + 1;
-  std::shared_ptr<const MapSnapshot> built =
-      MapSnapshot::build(*this, next, built_at, MapSnapshot::BuildInputs{pool, current});
+  std::shared_ptr<const MapSnapshot> built = MapSnapshot::build(*this, next, built_at);
   if (!publish_if(*built, *current)) return current;
   // Publish order matters for version-keyed consumers (the UDP wire
   // answer cache): VersionedRcu stores the snapshot, then the version,
@@ -65,7 +63,7 @@ std::shared_ptr<const MapSnapshot> MappingSystem::rebuild(util::SimTime built_at
 }
 
 void MappingSystem::rescore() {
-  (void)rebuild(snapshot()->built_at(), nullptr,
+  (void)rebuild(snapshot()->built_at(),
                 [](const MapSnapshot&, const MapSnapshot&) { return true; });
 }
 

@@ -33,7 +33,6 @@
 #include "lockfree/versioned_rcu.h"
 #include "topo/latency.h"
 #include "topo/world.h"
-#include "util/shard_pool.h"
 #include "util/sim_clock.h"
 
 namespace eum::cdn {
@@ -100,9 +99,10 @@ class MappingSystem {
   using PublishIf = std::function<bool(const MapSnapshot& built, const MapSnapshot& current)>;
 
   /// `world`, `network` and `latency` are borrowed and must outlive the
-  /// mapping system. Measures the ping mesh, scores the CANS clusters,
-  /// partitions the targets into mapping units and publishes map version
-  /// 1 up front (the paper's periodic topology-discovery/scoring cycle),
+  /// mapping system. Measures the ping mesh, partitions the targets into
+  /// mapping units, ranks every unit's and CANS cluster's candidates
+  /// (Scoring) and publishes map version 1 up front (the paper's
+  /// topology-discovery/scoring cycle),
   /// so every map*() call and handler answers from a snapshot. Throws
   /// std::invalid_argument when servers_per_answer exceeds
   /// kMaxServersPerAnswer.
@@ -173,7 +173,8 @@ class MappingSystem {
                         dnsserver::AuthoritativeServer& low, const dns::DnsName& suffix);
 
   [[nodiscard]] const PingMesh& mesh() const noexcept { return mesh_; }
-  /// The CANS cluster tables every snapshot serves from.
+  /// The unit and CANS candidate tables every snapshot serves from,
+  /// ranked once at construction.
   [[nodiscard]] const Scoring& scoring() const noexcept { return scoring_; }
   [[nodiscard]] const MappingConfig& config() const noexcept { return config_; }
   [[nodiscard]] CdnNetwork& network() noexcept { return *network_; }
@@ -206,25 +207,24 @@ class MappingSystem {
   /// The per-cluster load ledger every generation charges (survives
   /// republishes).
   [[nodiscard]] LoadLedger& loads() noexcept { return *ledger_; }
-  /// The unit partition every generation scores against: latency-
+  /// The unit partition the candidate lists are ranked over: latency-
   /// equivalent ping targets grouped exactly (epsilon 0).
   [[nodiscard]] const MappingUnits& units() const noexcept { return *units_; }
 
-  /// Republish after liveness changes: build the next version as a delta
-  /// against the current map and publish it. Safe beside serving threads
-  /// (they keep answering from the generation they loaded). Rebuilds have
-  /// one writer: the thread that changes liveness, which must not run
-  /// another rebuild of this system (rescore() or a control::MapMaker's)
-  /// at the same time.
+  /// Republish after liveness changes: freeze the network's current
+  /// liveness as the next version and publish it. Safe beside serving
+  /// threads (they keep answering from the generation they loaded).
+  /// Rebuilds have one writer: the thread that changes liveness, which
+  /// must not run another rebuild of this system (rescore() or a
+  /// control::MapMaker's) at the same time.
   void rescore();
 
   /// One rebuild of the published map (single writer, as rescore()):
-  /// build the next version from the network's current liveness as a
-  /// delta against the current map, sharding unit scoring over `pool`
-  /// (may be null), and publish it when `publish_if` returns true.
-  /// Returns the current map afterwards.
-  std::shared_ptr<const MapSnapshot> rebuild(util::SimTime built_at, util::ShardPool* pool,
-                                             const PublishIf& publish_if);
+  /// build the next version from the network's current liveness — the
+  /// cluster views only, O(clusters); the candidate lists were ranked
+  /// once at construction — and publish it when `publish_if` returns
+  /// true. Returns the current map afterwards.
+  std::shared_ptr<const MapSnapshot> rebuild(util::SimTime built_at, const PublishIf& publish_if);
 
   // --- roll-out gate -------------------------------------------------------
 
@@ -275,8 +275,8 @@ class MappingSystem {
   CdnNetwork* network_;
   MappingConfig config_;
   PingMesh mesh_;
-  Scoring scoring_;
   std::shared_ptr<const MappingUnits> units_;
+  Scoring scoring_;
   std::shared_ptr<LoadLedger> ledger_;
   /// Snapshot-before-version publish protocol (extracted lock-free
   /// kernel; identical code is model-checked under mc::atomic).

@@ -12,8 +12,8 @@
 //
 // The partition is a pure function of the ping mesh and epsilon — it is
 // computed once, shared across snapshot generations (liveness does not
-// move a target between units), and is the granularity at which delta
-// rebuilds re-score after a liveness transition.
+// move a target between units), and is the granularity at which Scoring
+// ranks candidate lists, once per mapping system.
 #pragma once
 
 #include <cstdint>

@@ -139,12 +139,13 @@ std::string DecisionExplainer::render(const Explanation& explanation) {
   out += util::format("candidates (%zu%s):\n", map.candidates.size(),
                       map.fallback_scan ? ", chosen via full mesh fallback scan" : "");
   for (const cdn::MapSnapshot::ExplainCandidate& candidate : map.candidates) {
-    out += util::format("  %s cluster %lu score=%.2fms %s %s load=%.1f/%.1f\n",
+    const char* state = !candidate.alive   ? "dead"
+                        : candidate.usable ? "alive usable"
+                                           : "alive full";
+    out += util::format("  %s cluster %lu score=%.2fms %s load=%.1f/%.1f\n",
                         candidate.chosen ? "*" : " ",
                         static_cast<unsigned long>(candidate.deployment),
-                        static_cast<double>(candidate.score_ms),
-                        candidate.alive ? "alive" : "dead",
-                        candidate.usable ? "usable" : "full", candidate.load,
+                        static_cast<double>(candidate.score_ms), state, candidate.load,
                         candidate.capacity);
   }
   if (map.result) {

@@ -55,29 +55,21 @@ MapMaker::MapMaker(cdn::MappingSystem* mapping, const util::SimClock* clock,
   publishes_ = &registry_->counter("eum_control_publishes_total", "map snapshots published");
   publishes_skipped_ = &registry_->counter("eum_control_publishes_skipped_total",
                                            "rebuilds skipped as serving-identical");
-  delta_rebuilds_ = &registry_->counter("eum_control_delta_rebuilds_total",
-                                        "rebuilds that took the incremental path");
-  units_rescored_ = &registry_->counter("eum_control_units_rescored_total",
-                                        "mapping units re-scored across all rebuilds");
   mapping_units_ = &registry_->gauge("eum_control_mapping_units",
                                      "mapping units in the scoring partition");
   rebuild_latency_ = &registry_->histogram("eum_control_rebuild_latency_us",
-                                           "scoring + snapshot build latency");
+                                           "map snapshot build latency");
   liveness_publish_latency_ = &registry_->histogram(
       "eum_control_liveness_publish_latency_us",
       "background thread: wake that ran the probe round -> liveness publish");
 
   mapping_units_->set(static_cast<std::int64_t>(mapping_->units().unit_count()));
-  pool_ = std::make_unique<util::ShardPool>(config_.scoring_shards == 0
-                                                ? util::ShardPool::hardware_workers()
-                                                : config_.scoring_shards - 1);
   // The mapping system built and published its map at construction:
   // adopt it as this maker's initial rebuild and publish, so serving can
   // start immediately.
   const std::shared_ptr<const cdn::MapSnapshot> adopted = mapping_->snapshot();
   rebuilds_->add();
   rebuilds_by_reason_[static_cast<std::size_t>(RebuildReason::initial)]->add();
-  units_rescored_->add(adopted->units_rescored());
   last_build_ = build_time();
   publishes_->add();
   map_version_->set(static_cast<std::int64_t>(adopted->version()));
@@ -105,17 +97,14 @@ std::shared_ptr<const cdn::MapSnapshot> MapMaker::rebuild_with_reason(bool force
   const std::uint64_t pre_transitions = monitor_ != nullptr ? monitor_->transitions() : 0;
   const auto t0 = std::chrono::steady_clock::now();
   bool publish = false;
-  // The mapping system builds a delta against its current map and calls
-  // back before it would publish.
+  // The mapping system freezes the current liveness and calls back before
+  // it would publish.
   std::shared_ptr<const cdn::MapSnapshot> current = mapping_->rebuild(
-      build_time(), pool_.get(),
-      [&](const cdn::MapSnapshot& built, const cdn::MapSnapshot& live) {
+      build_time(), [&](const cdn::MapSnapshot& built, const cdn::MapSnapshot& live) {
         rebuild_latency_->record(elapsed_us(t0));
         if (config_.after_build_hook) config_.after_build_hook();
         rebuilds_->add();
         rebuilds_by_reason_[static_cast<std::size_t>(reason)]->add();
-        if (built.delta()) delta_rebuilds_->add();
-        units_rescored_->add(built.units_rescored());
         last_build_ = build_time();
         if (monitor_ != nullptr) {
           transitions_seen_.store(pre_transitions, std::memory_order_relaxed);

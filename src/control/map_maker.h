@@ -42,7 +42,6 @@
 #include "cdn/mapping.h"
 #include "cdn/mapping_units.h"
 #include "obs/metrics.h"
-#include "util/shard_pool.h"
 #include "util/sim_clock.h"
 
 namespace eum::control {
@@ -58,12 +57,9 @@ struct MapMakerConfig {
   /// Registry for the eum_control_* metrics (borrowed; must outlive the
   /// map maker). nullptr gives the maker a private registry.
   obs::MetricsRegistry* registry = nullptr;
-  /// Total scoring concurrency per rebuild (workers + the rebuild thread
-  /// itself). 0 sizes to the hardware; 1 scores serially. Every rebuild
-  /// is a delta against the current map: it re-scores only the mapping
-  /// units the liveness transitions since then can affect (exact by the
-  /// shared (score, id) ordering — the differential tests pin delta
-  /// output == a full build).
+  /// Ignored. A rebuild only freezes the cluster views; the candidate
+  /// lists are ranked once, at MappingSystem construction. Kept because
+  /// the serving benchmark still sets it.
   std::size_t scoring_shards = 0;
   /// Test seam: runs on the rebuild thread after the snapshot is built
   /// but before it is published — the window where a liveness transition
@@ -176,7 +172,6 @@ class MapMaker {
   const util::SimClock* clock_;
   MapMakerConfig config_;
   cdn::LivenessMonitor* monitor_ = nullptr;
-  std::unique_ptr<util::ShardPool> pool_;
 
   std::mutex rebuild_mutex_;  ///< serializes rebuild_now callers
   util::SimTime last_build_{};
@@ -209,8 +204,6 @@ class MapMaker {
   obs::Counter* rebuilds_by_reason_[kRebuildReasons];
   obs::Counter* publishes_;
   obs::Counter* publishes_skipped_;
-  obs::Counter* delta_rebuilds_;
-  obs::Counter* units_rescored_;
   obs::Gauge* mapping_units_;
   obs::LatencyHistogram* rebuild_latency_;
   obs::LatencyHistogram* liveness_publish_latency_;

@@ -152,11 +152,15 @@ std::strong_ordering operator<=>(const DnsName& a, const DnsName& b) noexcept {
 
 void DnsName::encode(ByteWriter& writer, CompressionMap* compression) const {
   // Walk suffixes from the full name down: emit labels until a suffix was
-  // already written, then emit a pointer to it.
+  // already written, then emit a pointer to it. Only names written before
+  // this one can match: this name's own suffixes, registered as it is
+  // written, are longer than any later suffix of it and not terminated
+  // yet, so comparing against them would read past the written bytes.
+  const std::size_t written = compression != nullptr ? compression->count_ : 0;
   for (const std::uint8_t* label = wire_.data(); *label != 0; label += 1u + *label) {
     if (compression != nullptr) {
       const std::uint16_t* const begin = compression->offsets_.data();
-      const std::uint16_t* const end = begin + compression->count_;
+      const std::uint16_t* const end = begin + written;
       const auto found = std::find_if(begin, end, [&](std::uint16_t offset) {
         return written_name_equals(writer.buffer(), offset, label);
       });

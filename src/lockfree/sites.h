@@ -50,9 +50,6 @@ enum class Site : int {
   pending_claim_cas_ok,
   pending_claim_cas_fail,
   pending_sweep_load,
-  // JobClaim — ShardPool batch work stealing.
-  job_claim_fetch_add,
-  job_reset_store,
   kCount,
 };
 
@@ -125,10 +122,6 @@ struct SiteInfo {
       return {"pending_claim_cas_fail", "pending_table", SiteOp::cas_fail, rlx};
     case Site::pending_sweep_load:
       return {"pending_sweep_load", "pending_table", SiteOp::load, rlx};
-    case Site::job_claim_fetch_add:
-      return {"job_claim_fetch_add", "job_claim", SiteOp::rmw, rlx};
-    case Site::job_reset_store:
-      return {"job_reset_store", "job_claim", SiteOp::store, rlx};
     case Site::kCount: break;
   }
   return {"?", "?", SiteOp::load, std::memory_order_seq_cst};

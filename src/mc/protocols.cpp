@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "lockfree/job_claim.h"
 #include "lockfree/mpmc_ring.h"
 #include "lockfree/pending_table.h"
 #include "lockfree/versioned_rcu.h"
@@ -219,31 +218,6 @@ void pending_lifecycle_body(Sim& sim) {
   });
 }
 
-// ---------------------------------------------------------------------------
-// job_claim — ShardPool batch cursor
-// ---------------------------------------------------------------------------
-
-/// Three workers drain a 3-job batch; every index claimed exactly once.
-void job_claim_body(Sim& sim) {
-  struct World {
-    lockfree::JobClaim<McAtomicsPolicy> cursor;
-    std::array<int, 3> marks{};
-  };
-  auto w = std::make_shared<World>();
-  w->cursor.reset();
-  for (int t = 0; t < 3; ++t) {
-    sim.thread([w] {
-      for (;;) {
-        const std::size_t job = w->cursor.claim();
-        if (job >= w->marks.size()) break;
-        w->marks[job] += 1;
-      }
-    });
-  }
-  sim.after([w] {
-    for (const int mark : w->marks) MC_ASSERT(mark == 1);
-  });
-}
 
 // ---------------------------------------------------------------------------
 // Hand-built broken variants (mutations without a site override)
@@ -403,7 +377,6 @@ const std::vector<ProtocolCheck>& protocol_checks() {
     // threads multiply the schedule count.
     v.push_back({"ring_evict_reuse", "mpmc_ring", exhaustive(2, 0, 1, 1), ring_evict_reuse_body});
     v.push_back({"pending_lifecycle", "pending_table", exhaustive(), pending_lifecycle_body});
-    v.push_back({"job_claim_batch", "job_claim", exhaustive(), job_claim_body});
     return v;
   }();
   return checks;

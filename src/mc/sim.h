@@ -1,9 +1,9 @@
 // Deterministic model checker for the repo's lock-free protocols.
 //
 // The serve path answers queries off hand-rolled atomic protocols (RCU
-// snapshot publish, Vyukov MPMC rings, the loadgen pending table, shard
-// job claiming). TSan only sees interleavings that happen to occur on
-// the test machine; this module *enumerates* them. A protocol test body
+// snapshot publish, Vyukov MPMC rings, the loadgen pending table). TSan
+// only sees interleavings that happen to occur on the test machine; this
+// module *enumerates* them. A protocol test body
 // builds shared state, spawns a handful of virtual threads, and asserts
 // invariants; mc::check() then runs that body under every schedule (DFS
 // with a configurable preemption bound) or under a seeded random walk,

@@ -15,6 +15,7 @@
 
 #include "cdn/map_snapshot.h"
 #include "cdn/mapping.h"
+#include "cdn/mapping_units.h"
 #include "cdn/network.h"
 #include "cdn/ping_mesh.h"
 #include "cdn/scoring.h"
@@ -271,7 +272,7 @@ TEST(Scoring, ClusterCandidatesFavorClientCentroid) {
   const auto& world = tiny_world();
   const CdnNetwork network = CdnNetwork::build(world, 25);
   const PingMesh mesh = PingMesh::measure(world, network, test_latency());
-  const Scoring scoring = Scoring::build(world, network, mesh, 4);
+  const Scoring scoring = Scoring::build(world, network, mesh, *MappingUnits::build(mesh), 4);
 
   // Find the busiest LDNS and its members.
   std::unordered_map<topo::LdnsId, std::unordered_map<topo::PingTargetId, double>> members;
@@ -313,8 +314,9 @@ TEST(Scoring, RejectsMismatchedMesh) {
   const CdnNetwork big = CdnNetwork::build(world, 10);
   const CdnNetwork small = CdnNetwork::build(world, 5);
   const PingMesh mesh = PingMesh::measure(world, big, test_latency());
-  EXPECT_THROW(Scoring::build(world, small, mesh, 4), std::invalid_argument);
-  EXPECT_THROW(Scoring::build(world, big, mesh, 0), std::invalid_argument);
+  const auto units = MappingUnits::build(mesh);
+  EXPECT_THROW(Scoring::build(world, small, mesh, *units, 4), std::invalid_argument);
+  EXPECT_THROW(Scoring::build(world, big, mesh, *units, 0), std::invalid_argument);
 }
 
 // ---------- global load balancing: a unit's list, then the full scan ----------
@@ -352,8 +354,8 @@ TEST_F(LbFixture, SkipsDeadCluster) {
   const auto assigned = assign(0, 1.0);
   ASSERT_TRUE(assigned.has_value());
   EXPECT_EQ(assigned->deployment, candidates[1].deployment);
-  // The republished list holds live clusters only.
-  EXPECT_EQ(list_of(0)[0], candidates[1]);
+  // The republished list still holds the dead cluster; pick() skips it.
+  EXPECT_EQ(list_of(0)[0], candidates[0]);
 }
 
 TEST_F(LbFixture, SpillsOnOverload) {

@@ -1,9 +1,11 @@
-// Scale machinery of the map-making control plane: the ShardPool worker
-// pool, the latency-vector MappingUnits partition, the delta-rebuild path
-// (differentially pinned against full rebuilds), and the two liveness
-// regression suites — the background thread that must notice a watched
-// monitor, and the mid-build transition that must survive to the next
-// tick. ShardedConcurrency runs under TSan via scripts/tsan_check.sh.
+// Scale machinery of the map-making control plane: the latency-vector
+// MappingUnits partition, the once-ranked unit lists every generation
+// shares (each served decision pinned to a brute-force reference, each
+// republish to a from-scratch build), and
+// the two liveness regression suites — the background thread that must
+// notice a watched monitor, and the mid-build transition that must
+// survive to the next tick. ControlConcurrency runs under TSan via
+// scripts/tsan_check.sh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +14,11 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,7 +30,6 @@
 #include "cdn/scoring.h"
 #include "control/map_maker.h"
 #include "test_world.h"
-#include "util/shard_pool.h"
 #include "util/sim_clock.h"
 
 namespace eum::control {
@@ -39,57 +41,6 @@ using cdn::MappingUnitsConfig;
 using cdn::MapSnapshot;
 using testing::test_latency;
 using testing::tiny_world;
-
-// ---------------------------------------------------------------------------
-// ShardPool
-
-TEST(ShardPool, EveryJobRunsExactlyOnce) {
-  util::ShardPool pool{3};
-  EXPECT_EQ(pool.worker_count(), 3U);
-  constexpr std::size_t kJobs = 1000;
-  std::vector<std::atomic<int>> runs(kJobs);
-  pool.run(kJobs, [&](std::size_t job) { runs[job].fetch_add(1, std::memory_order_relaxed); });
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(runs[i].load(std::memory_order_relaxed), 1) << "job " << i;
-  }
-}
-
-TEST(ShardPool, ZeroWorkersRunsOnTheCaller) {
-  util::ShardPool pool{0};
-  EXPECT_EQ(pool.worker_count(), 0U);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::size_t ran = 0;
-  pool.run(64, [&](std::size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++ran;
-  });
-  EXPECT_EQ(ran, 64U);
-}
-
-TEST(ShardPool, ExceptionPropagatesAndPoolStaysUsable) {
-  util::ShardPool pool{2};
-  std::atomic<int> ran{0};
-  EXPECT_THROW(pool.run(100,
-                        [&](std::size_t job) {
-                          ran.fetch_add(1, std::memory_order_relaxed);
-                          if (job == 42) throw std::runtime_error{"shard failed"};
-                        }),
-               std::runtime_error);
-  // The batch drains even past the failure, and the pool survives it.
-  EXPECT_EQ(ran.load(std::memory_order_relaxed), 100);
-  std::atomic<int> again{0};
-  pool.run(50, [&](std::size_t) { again.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(again.load(std::memory_order_relaxed), 50);
-}
-
-TEST(ShardPool, ReusableAcrossManyBatches) {
-  util::ShardPool pool{2};
-  std::atomic<std::size_t> total{0};
-  for (int batch = 0; batch < 20; ++batch) {
-    pool.run(10, [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
-  }
-  EXPECT_EQ(total.load(std::memory_order_relaxed), 200U);
-}
 
 // ---------------------------------------------------------------------------
 // MappingUnits
@@ -161,59 +112,270 @@ TEST(MappingUnits, RejectsBadEpsilon) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta rebuilds: incremental output is pinned to full-rebuild output
-// across a liveness flap sequence (kill, partial server kill, revive,
-// multi-kill). The map maker's every rebuild is a delta against the
-// mapping system's current map; the full reference is a direct build of
-// the same state with no previous generation.
+// The shared ranking: Scoring ranks every unit's list once, dead or alive,
+// and a rebuild only freezes liveness. Every served decision is pinned to
+// a brute-force reference that knows nothing of the lists: the best
+// cluster by (score, id) with a live server, on the query's own
+// ping-target column.
 
-struct DeltaFixture {
+constexpr std::string_view kDomain = "www.g.cdn.example";
+
+struct RankingFixture {
   const topo::World& world = tiny_world();
   cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
   cdn::MappingSystem mapping{&world, &network, &test_latency(), cdn::MappingConfig{}};
 
-  /// A from-scratch full build of the current liveness (not published).
-  [[nodiscard]] std::shared_ptr<const MapSnapshot> full_build(util::ShardPool* pool = nullptr) {
-    return MapSnapshot::build(mapping, mapping.version() + 1, util::SimTime{0}, {pool, {}});
+  [[nodiscard]] float score(cdn::DeploymentId d, topo::PingTargetId target) const {
+    return cdn::path_score(mapping.config().traffic_class, mapping.mesh().rtt_ms(d, target),
+                           mapping.mesh().loss_rate(d, target));
+  }
+
+  /// Does the cluster have a live server in the network right now?
+  [[nodiscard]] bool live(cdn::DeploymentId d) const {
+    const cdn::Deployment& deployment = network.deployments()[d];
+    return deployment.alive &&
+           std::any_of(deployment.servers.begin(), deployment.servers.end(),
+                       [](const cdn::Server& server) { return server.alive; });
+  }
+
+  /// The best live cluster on a target's column, by (score, id).
+  [[nodiscard]] std::optional<cdn::DeploymentId> best_live(topo::PingTargetId target) const {
+    std::optional<cdn::DeploymentId> best;
+    for (std::size_t d = 0; d < network.size(); ++d) {
+      const auto id = static_cast<cdn::DeploymentId>(d);
+      if (live(id) && (!best || score(id, target) < score(*best, target))) best = id;
+    }
+    return best;
+  }
+
+  /// The CANS reference: the first live entry of the LDNS's Scoring list,
+  /// else the scan of its own ping target's column.
+  [[nodiscard]] std::optional<cdn::DeploymentId> best_cans(const topo::Ldns& ldns) const {
+    for (const cdn::Candidate& candidate : mapping.scoring().cluster_candidates(ldns.id)) {
+      if (std::isfinite(candidate.score_ms) && live(candidate.deployment)) {
+        return candidate.deployment;
+      }
+    }
+    return best_live(ldns.ping_target);
   }
 };
 
+/// Does a served decision name `chosen` with the servers pick_servers
+/// ranks and the mesh RTT from `chosen` to `target`?
+::testing::AssertionResult serves(const MapSnapshot& snapshot,
+                                  const std::optional<cdn::MapResult>& got,
+                                  std::optional<cdn::DeploymentId> chosen,
+                                  topo::PingTargetId target, const cdn::PingMesh& mesh) {
+  if (got.has_value() != chosen.has_value()) {
+    return ::testing::AssertionFailure()
+           << (got ? "served cluster " + std::to_string(got->deployment) : "served nothing")
+           << ", reference "
+           << (chosen ? "cluster " + std::to_string(*chosen) : "nothing");
+  }
+  if (!got) return ::testing::AssertionSuccess();
+  cdn::ServerList servers;
+  snapshot.pick_servers(*chosen, kDomain, servers);
+  if (got->deployment != *chosen || got->servers != servers ||
+      got->expected_rtt_ms != mesh.rtt_ms(*chosen, target)) {
+    return ::testing::AssertionFailure() << "served cluster " << got->deployment
+                                         << ", reference cluster " << *chosen;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Two hundred seeded liveness steps, each killing or reviving one to three
+// clusters and maybe flipping a single server, each republished. One step
+// kills every cluster of unit 0's list, so that unit serves from the
+// column scan until a later step revives them. After every publish, each
+// block's EU decision and each LDNS's NS and CANS decisions must equal
+// the brute-force reference.
+TEST(MapSnapshot, ServesTheBestLiveClusterAcrossSeededFlaps) {
+  RankingFixture fx;
+  const std::size_t top_k = fx.mapping.config().scoring_top_k;
+  const std::size_t clusters = fx.network.size();
+  ASSERT_GT(clusters, 2 * top_k);
+  MapMaker maker{&fx.mapping};
+  // Unit 0's list on the fresh map, where every cluster is alive.
+  const auto fresh = maker.current()->unit_candidates(0);
+  const std::vector<cdn::Candidate> listed(fresh.begin(), fresh.end());
+  ASSERT_EQ(listed.size(), top_k);
+
+  const auto check = [&](int step) {
+    const auto snapshot = maker.current();
+    const cdn::PingMesh& mesh = fx.mapping.mesh();
+    for (const topo::ClientBlock& block : fx.world.blocks) {
+      ASSERT_TRUE(serves(*snapshot, snapshot->map(0, block.id, kDomain),
+                         fx.best_live(block.ping_target), block.ping_target, mesh))
+          << "EU, step " << step << " block " << block.id;
+    }
+    for (const topo::Ldns& ldns : fx.world.ldnses) {
+      ASSERT_TRUE(serves(*snapshot, snapshot->map(ldns.id, std::nullopt, kDomain),
+                         fx.best_live(ldns.ping_target), ldns.ping_target, mesh))
+          << "NS, step " << step << " ldns " << ldns.id;
+      ASSERT_TRUE(serves(*snapshot, snapshot->map_cluster(ldns.id, kDomain), fx.best_cans(ldns),
+                         ldns.ping_target, mesh))
+          << "CANS, step " << step << " ldns " << ldns.id;
+    }
+  };
+
+  check(-1);
+  ASSERT_FALSE(HasFatalFailure());
+  std::mt19937 rng{22};
+  const auto below = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto is_alive = [&](cdn::DeploymentId d) { return fx.network.deployments()[d].alive; };
+  constexpr int kKillListed = 80;
+  constexpr int kReviveListed = 120;
+  for (int step = 0; step < 200; ++step) {
+    if (step == kKillListed || step == kReviveListed) {
+      for (const cdn::Candidate& candidate : listed) {
+        fx.network.set_cluster_alive(candidate.deployment, step == kReviveListed);
+      }
+    } else {
+      for (std::size_t flaps = 1 + below(3); flaps > 0; --flaps) {
+        const auto d = static_cast<cdn::DeploymentId>(below(clusters));
+        std::size_t dead = 0;
+        for (std::size_t id = 0; id < clusters; ++id) {
+          dead += is_alive(static_cast<cdn::DeploymentId>(id)) ? 0 : 1;
+        }
+        // Kills stop at a quarter of the network, so most units keep
+        // finding a live cluster on their lists.
+        if (!is_alive(d) || dead < clusters / 4) fx.network.set_cluster_alive(d, !is_alive(d));
+      }
+      if (below(2) == 0) {
+        const auto d = static_cast<cdn::DeploymentId>(below(clusters));
+        const std::size_t server = below(fx.network.deployments()[d].servers.size());
+        fx.network.set_server_alive(d, server,
+                                    !fx.network.deployments()[d].servers[server].alive);
+      }
+    }
+    (void)maker.rebuild_now(true);
+    check(step);
+    ASSERT_FALSE(HasFatalFailure()) << "step " << step;
+  }
+}
+
+// A republish borrows the one ranking: the same table, unchanged, in
+// every generation, whatever liveness does.
+TEST(MapSnapshot, RebuildSharesTheRanking) {
+  RankingFixture fx;
+  MapMaker maker{&fx.mapping};
+  const auto fresh = maker.current();
+  const std::size_t units = fresh->units().unit_count();
+  const cdn::DeploymentId victim = fresh->unit_candidates(0)[0].deployment;
+
+  fx.network.set_cluster_alive(victim, false);
+  const auto after_kill = maker.rebuild_now(true);
+  fx.network.set_cluster_alive(victim, true);
+  const auto after_revive = maker.rebuild_now(true);
+  ASSERT_EQ(after_revive->version(), fresh->version() + 2);
+
+  for (const auto& generation : {after_kill, after_revive}) {
+    for (std::size_t u = 0; u < units; ++u) {
+      const auto unit = static_cast<MappingUnits::UnitId>(u);
+      const auto was = fresh->unit_candidates(unit);
+      const auto now = generation->unit_candidates(unit);
+      ASSERT_EQ(now.data(), was.data()) << "unit " << u;
+      ASSERT_EQ(now.size(), was.size()) << "unit " << u;
+    }
+  }
+  // The dead cluster stayed on the list it heads; pick() skipped it.
+  EXPECT_EQ(after_kill->unit_candidates(0)[0].deployment, victim);
+  EXPECT_TRUE(after_kill->clusters()[victim].servers.empty());
+}
+
+// With every cluster of a unit's list dead, the unit scans its column on
+// each query: map() serves the brute-force best live cluster, and explain
+// lists the dead candidates, flags the scan and marks the served cluster.
+TEST(MapSnapshot, UnitWithEveryListedClusterDeadScansItsColumn) {
+  RankingFixture fx;
+  MapMaker maker{&fx.mapping};
+  const topo::ClientBlock& block = fx.world.blocks.front();
+  const MappingUnits::UnitId unit = fx.mapping.units().unit_of(block.ping_target);
+  const auto listed = maker.current()->unit_candidates(unit);
+  for (const cdn::Candidate& candidate : listed) {
+    fx.network.set_cluster_alive(candidate.deployment, false);
+  }
+  const auto snapshot = maker.rebuild_now(true);
+
+  const std::optional<cdn::DeploymentId> best = fx.best_live(block.ping_target);
+  ASSERT_TRUE(best.has_value());
+  const auto served = snapshot->map(0, block.id, kDomain);
+  ASSERT_TRUE(serves(*snapshot, served, best, block.ping_target, fx.mapping.mesh()));
+
+  const MapSnapshot::MapExplanation explanation = snapshot->explain(0, block.id, kDomain);
+  EXPECT_TRUE(explanation.fallback_scan);
+  ASSERT_EQ(explanation.candidates.size(), listed.size() + 1);
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    EXPECT_EQ(explanation.candidates[i].deployment, listed[i].deployment) << "slot " << i;
+    EXPECT_FALSE(explanation.candidates[i].alive) << "slot " << i;
+    EXPECT_FALSE(explanation.candidates[i].chosen) << "slot " << i;
+  }
+  const MapSnapshot::ExplainCandidate& chosen = explanation.candidates.back();
+  EXPECT_TRUE(chosen.chosen);
+  EXPECT_EQ(chosen.deployment, served->deployment);
+  ASSERT_TRUE(explanation.result.has_value());
+  EXPECT_EQ(explanation.result->deployment, served->deployment);
+}
+
+// ---------------------------------------------------------------------------
+// Republishes against from-scratch builds: a rebuild reuses the ranking
+// made once at construction and only freezes liveness, so after any flap
+// sequence it must serve exactly as a mapping system built afresh over
+// the same liveness, with its own ping mesh, unit partition and Scoring.
+
+/// A from-scratch mapping system over the fixture's current liveness.
+/// Its published snapshot borrows it, so it outlives the comparison.
+std::unique_ptr<cdn::MappingSystem> full_build(RankingFixture& fx) {
+  return std::make_unique<cdn::MappingSystem>(&fx.world, &fx.network, &test_latency(),
+                                              fx.mapping.config());
+}
+
+::testing::AssertionResult same_answer(const std::optional<cdn::MapResult>& republished,
+                                       const std::optional<cdn::MapResult>& full) {
+  if (republished.has_value() != full.has_value()) {
+    return ::testing::AssertionFailure()
+           << (republished ? "republish served, full build did not"
+                           : "full build served, republish did not");
+  }
+  if (republished && (republished->deployment != full->deployment ||
+                      republished->servers != full->servers ||
+                      republished->expected_rtt_ms != full->expected_rtt_ms)) {
+    return ::testing::AssertionFailure() << "republish served cluster " << republished->deployment
+                                         << ", full build cluster " << full->deployment;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(DeltaRebuild, IncrementalEqualsFullAcrossFlapSequence) {
-  DeltaFixture fx;
-  MapMakerConfig inc_config;
-  inc_config.scoring_shards = 3;
-  MapMaker incremental{&fx.mapping, nullptr, inc_config};
+  RankingFixture fx;
+  MapMaker maker{&fx.mapping};
 
   const auto compare = [&](const char* step) {
-    const auto inc_snapshot = incremental.rebuild_now(true);
-    const auto full_snapshot = fx.full_build();
-    EXPECT_TRUE(inc_snapshot->delta()) << step;
-    ASSERT_TRUE(inc_snapshot->serving_equal(*full_snapshot)) << step;
-    EXPECT_FALSE(full_snapshot->delta()) << step;
-    for (topo::LdnsId ldns = 0; ldns < 15; ++ldns) {
-      const std::optional<topo::BlockId> block =
-          ldns % 2 == 0 ? std::optional<topo::BlockId>{ldns * 11} : std::nullopt;
-      const auto a = inc_snapshot->map(ldns, block, "www.g.cdn.example");
-      const auto b = full_snapshot->map(ldns, block, "www.g.cdn.example");
-      ASSERT_EQ(a.has_value(), b.has_value()) << step;
-      if (!a) continue;
-      EXPECT_EQ(a->deployment, b->deployment) << step;
-      EXPECT_EQ(a->servers, b->servers) << step;
+    const auto republished = maker.rebuild_now(true);
+    const auto full = full_build(fx);
+    const auto reference = full->snapshot();
+    // A separate table, so the equality below is not a pointer test.
+    ASSERT_NE(&republished->scoring(), &reference->scoring()) << step;
+    ASSERT_TRUE(republished->serving_equal(*reference)) << step;
+    for (const topo::ClientBlock& block : fx.world.blocks) {
+      ASSERT_TRUE(same_answer(republished->map(0, block.id, kDomain),
+                              reference->map(0, block.id, kDomain)))
+          << "EU, " << step << ", block " << block.id;
+    }
+    for (const topo::Ldns& ldns : fx.world.ldnses) {
+      ASSERT_TRUE(same_answer(republished->map(ldns.id, std::nullopt, kDomain),
+                              reference->map(ldns.id, std::nullopt, kDomain)))
+          << "NS, " << step << ", ldns " << ldns.id;
+      ASSERT_TRUE(same_answer(republished->map_cluster(ldns.id, kDomain),
+                              reference->map_cluster(ldns.id, kDomain)))
+          << "CANS, " << step << ", ldns " << ldns.id;
     }
   };
 
   compare("fresh");
 
-  // An unchanged rebuild re-scores nothing on the delta path.
-  const auto idle = incremental.rebuild_now(true);
-  EXPECT_TRUE(idle->delta());
-  EXPECT_EQ(idle->units_rescored(), 0U);
-
   fx.network.set_cluster_alive(3, false);
   compare("kill cluster 3");
-  const auto after_kill = incremental.current();
-  EXPECT_TRUE(after_kill->delta());
-  EXPECT_LE(after_kill->units_rescored(), after_kill->units().unit_count());
 
   fx.network.set_server_alive(5, 0, false);  // partial: cluster 5 stays up
   compare("kill one server of cluster 5");
@@ -231,128 +393,23 @@ TEST(DeltaRebuild, IncrementalEqualsFullAcrossFlapSequence) {
   compare("revive everything");
 }
 
-// A delta re-scores a touched unit from its shared ranking prefix (its best
-// 2 * top_k deployments, dead or alive). Killing the unit's top_k + 1 best
-// leaves fewer than top_k live in the prefix, so the unit must fall back to
-// scanning its column — and still match a full rebuild exactly.
-TEST(DeltaRebuild, PrefixExhaustionFallsBackToTheColumnScan) {
-  DeltaFixture fx;
-  const std::size_t top_k = fx.mapping.config().scoring_top_k;
-  ASSERT_GT(fx.network.size(), 2 * top_k);
-  MapMakerConfig inc_config;
-  inc_config.scoring_shards = 3;
-  MapMaker incremental{&fx.mapping, nullptr, inc_config};
-
-  // Unit 0's live deployments in (score, id) order on its representative.
-  const MappingUnits::UnitId unit = 0;
-  const topo::PingTargetId rep = incremental.units().representative(unit);
-  const auto live_ranking = [&] {
-    std::vector<cdn::Candidate> column;
-    for (const cdn::Deployment& deployment : fx.network.deployments()) {
-      if (!deployment.alive) continue;
-      column.push_back(cdn::Candidate{
-          deployment.id, cdn::path_score(fx.mapping.config().traffic_class,
-                                         fx.mapping.mesh().rtt_ms(deployment.id, rep),
-                                         fx.mapping.mesh().loss_rate(deployment.id, rep))});
-    }
-    std::sort(column.begin(), column.end(), [](const cdn::Candidate& a, const cdn::Candidate& b) {
-      return a.score_ms != b.score_ms ? a.score_ms < b.score_ms : a.deployment < b.deployment;
-    });
-    return column;
-  };
-  const std::vector<cdn::Candidate> best = live_ranking();
-  for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(best[i].deployment, false);
-
-  const auto inc_snapshot = incremental.rebuild_now(true);
-  EXPECT_TRUE(inc_snapshot->delta());
-  ASSERT_TRUE(inc_snapshot->serving_equal(*fx.full_build()));
-  const std::vector<cdn::Candidate> survivors = live_ranking();
-  ASSERT_GE(survivors.size(), top_k);
-  const auto candidates = inc_snapshot->unit_candidates(unit);
-  ASSERT_EQ(candidates.size(), top_k);
-  for (std::size_t i = 0; i < top_k; ++i) EXPECT_EQ(candidates[i], survivors[i]) << "slot " << i;
-
-  for (std::size_t i = 0; i <= top_k; ++i) fx.network.set_cluster_alive(best[i].deployment, true);
-  EXPECT_TRUE(incremental.rebuild_now(true)->serving_equal(*fx.full_build()));
-  EXPECT_EQ(incremental.current()->unit_candidates(unit)[0], best[0]);
-}
-
-/// Deployment d's score on a unit's representative column.
-float score_on(const DeltaFixture& fx, cdn::DeploymentId d, MappingUnits::UnitId unit) {
-  const topo::PingTargetId rep = fx.mapping.units().representative(unit);
-  return cdn::path_score(fx.mapping.config().traffic_class, fx.mapping.mesh().rtt_ms(d, rep),
-                         fx.mapping.mesh().loss_rate(d, rep));
-}
-
-// A flap re-scores at least every unit whose list it changes, and at most
-// the units a scan of every unit's list selects: a unit holding the dead
-// deployment, or one whose kth candidate the revived deployment scores at
-// or before. Both counts are taken by brute force over every unit.
-TEST(DeltaRebuild, FlapRescoresOnlyUnitsItCanChange) {
-  DeltaFixture fx;
-  MapMaker incremental{&fx.mapping};
-  const std::size_t unit_count = fx.mapping.units().unit_count();
-  const std::size_t top_k = fx.mapping.config().scoring_top_k;
-
-  // The victim heads the most unit lists, so both of its flaps move some.
-  std::vector<std::size_t> heads(fx.network.size(), 0);
-  for (std::size_t u = 0; u < unit_count; ++u) {
-    ++heads[incremental.current()->unit_candidates(static_cast<MappingUnits::UnitId>(u))[0]
-                .deployment];
-  }
-  const auto victim =
-      static_cast<cdn::DeploymentId>(std::max_element(heads.begin(), heads.end()) - heads.begin());
-
-  for (const bool alive : {false, true}) {
-    const auto before = incremental.current();
-    fx.network.set_cluster_alive(victim, alive);
-    const auto after = incremental.rebuild_now(true);
-    ASSERT_TRUE(after->delta());
-    ASSERT_TRUE(after->serving_equal(*fx.full_build()));
-    std::size_t changed = 0;
-    std::size_t scan_selects = 0;
-    for (std::size_t u = 0; u < unit_count; ++u) {
-      const auto unit = static_cast<MappingUnits::UnitId>(u);
-      const auto was = before->unit_candidates(unit);
-      const auto now = after->unit_candidates(unit);
-      if (!std::equal(was.begin(), was.end(), now.begin(), now.end())) ++changed;
-      bool selected = false;
-      if (alive) {
-        selected = score_on(fx, victim, unit) <= was[top_k - 1].score_ms;
-      } else {
-        for (std::size_t i = 0; i < top_k && std::isfinite(was[i].score_ms); ++i) {
-          selected = selected || was[i].deployment == victim;
-        }
-      }
-      if (selected) ++scan_selects;
-    }
-    EXPECT_GT(changed, 0U) << (alive ? "revive" : "kill");
-    EXPECT_GE(after->units_rescored(), changed) << (alive ? "revive" : "kill");
-    EXPECT_LE(after->units_rescored(), scan_selects) << (alive ? "revive" : "kill");
-  }
-}
-
-// Two hundred seeded liveness steps, each killing or reviving one to three
-// clusters and maybe a single server, every one rebuilt as a delta that
-// must serve exactly as a full build. One step exhausts unit 0's prefix,
-// so its list comes from the column scan; the next kills the deployment
-// past that prefix which the scanned list holds — a flap the deployment
-// index does not route to unit 0.
+// The seeded generator of ServesTheBestLiveClusterAcrossSeededFlaps, each
+// republish pinned to a from-scratch build. Step 80 kills every cluster of
+// unit 0's list and one more, so that unit serves from its column scan,
+// and the next step kills the best live cluster past twice the list.
 TEST(DeltaRebuild, SeededFlapSequenceEqualsFull) {
-  DeltaFixture fx;
+  RankingFixture fx;
   const std::size_t top_k = fx.mapping.config().scoring_top_k;
   const std::size_t clusters = fx.network.size();
   ASSERT_GT(clusters, 2 * top_k);
-  MapMakerConfig inc_config;
-  inc_config.scoring_shards = 3;
-  MapMaker incremental{&fx.mapping, nullptr, inc_config};
+  MapMaker maker{&fx.mapping};
 
   // Unit 0's whole column, dead or alive, in (score, id) order.
-  const MappingUnits::UnitId unit = 0;
+  const topo::PingTargetId rep = fx.mapping.units().representative(0);
   std::vector<cdn::DeploymentId> column(clusters);
-  std::iota(column.begin(), column.end(), cdn::DeploymentId{0});
+  for (std::size_t d = 0; d < clusters; ++d) column[d] = static_cast<cdn::DeploymentId>(d);
   std::stable_sort(column.begin(), column.end(), [&](cdn::DeploymentId a, cdn::DeploymentId b) {
-    return score_on(fx, a, unit) < score_on(fx, b, unit);
+    return fx.score(a, rep) < fx.score(b, rep);
   });
 
   std::mt19937 rng{22};
@@ -366,9 +423,6 @@ TEST(DeltaRebuild, SeededFlapSequenceEqualsFull) {
       const auto past = std::find_if(column.begin() + static_cast<std::ptrdiff_t>(2 * top_k),
                                      column.end(), is_alive);
       ASSERT_NE(past, column.end());
-      const auto list = incremental.current()->unit_candidates(unit);
-      ASSERT_TRUE(std::any_of(list.begin(), list.end(),
-                              [&](const cdn::Candidate& c) { return c.deployment == *past; }));
       fx.network.set_cluster_alive(*past, false);
     } else {
       for (std::size_t flaps = 1 + below(3); flaps > 0; --flaps) {
@@ -376,7 +430,7 @@ TEST(DeltaRebuild, SeededFlapSequenceEqualsFull) {
         const auto dead = static_cast<std::size_t>(
             std::count_if(column.begin(), column.end(), [&](auto id) { return !is_alive(id); }));
         // Kills stop at a quarter of the network, so most units keep
-        // taking their lists from their prefixes.
+        // finding a live cluster on their lists.
         if (!is_alive(d) || dead < clusters / 4) fx.network.set_cluster_alive(d, !is_alive(d));
       }
       if (below(2) == 0) {
@@ -386,38 +440,18 @@ TEST(DeltaRebuild, SeededFlapSequenceEqualsFull) {
                                     !fx.network.deployments()[d].servers[server].alive);
       }
     }
-    const auto inc_snapshot = incremental.rebuild_now(true);
-    ASSERT_TRUE(inc_snapshot->delta()) << "step " << step;
-    ASSERT_TRUE(inc_snapshot->serving_equal(*fx.full_build())) << "step " << step;
+    const auto republished = maker.rebuild_now(true);
+    const auto full = full_build(fx);
+    ASSERT_TRUE(republished->serving_equal(*full->snapshot())) << "step " << step;
   }
 }
 
-// A full build shards its unit columns across the pool in stripes of whole
-// tiles; the stripes must join into exactly the serial build, fresh and
-// with dead clusters.
-TEST(DeltaRebuild, ShardedFullBuildEqualsSerial) {
-  DeltaFixture fx;
-  util::ShardPool pool{3};
-  // The full pass goes to the pool only from 256 units.
-  ASSERT_GE(fx.mapping.units().unit_count(), 256U);
-  EXPECT_TRUE(fx.full_build(&pool)->serving_equal(*fx.full_build()));
-
-  fx.network.set_cluster_alive(3, false);
-  fx.network.set_cluster_alive(17, false);
-  EXPECT_TRUE(fx.full_build(&pool)->serving_equal(*fx.full_build()));
-  fx.network.set_cluster_alive(3, true);
-  fx.network.set_cluster_alive(17, true);
-  EXPECT_TRUE(fx.full_build(&pool)->serving_equal(*fx.full_build()));
-}
-
-TEST(DeltaRebuild, SnapshotExposesTheUnitPartition) {
-  DeltaFixture fx;
+TEST(MapSnapshot, SnapshotExposesTheUnitPartition) {
+  RankingFixture fx;
   MapMaker maker{&fx.mapping};
   const auto snapshot = maker.current();
   EXPECT_EQ(snapshot->units().fingerprint(), maker.units().fingerprint());
-  EXPECT_EQ(snapshot->units_rescored(), maker.units().unit_count());
-  EXPECT_FALSE(snapshot->delta());  // first build is always full
-  // Unit candidates are live-only and (score, id)-ordered.
+  // Unit candidates are (score, id)-ordered.
   for (std::size_t u = 0; u < maker.units().unit_count(); ++u) {
     const auto candidates =
         snapshot->unit_candidates(static_cast<MappingUnits::UnitId>(u));
@@ -594,10 +628,10 @@ TEST(MapMakerLiveness, MidBuildTransitionSurvivesToTheNextTick) {
 }
 
 // ---------------------------------------------------------------------------
-// TSan-gated: sharded scoring in the background thread racing
-// request_rebuild(), oracle flips, and lock-free readers.
+// TSan-gated: background rebuilds racing request_rebuild(), oracle flips,
+// and lock-free readers.
 
-TEST(ShardedConcurrency, PoolScoringRacesRequestsAndReaders) {
+TEST(ControlConcurrency, BackgroundRebuildsRaceRequestsAndReaders) {
   LivenessFixture fx;
   util::SimClock clock;
   std::atomic<bool> cluster0_healthy{true};
@@ -608,7 +642,6 @@ TEST(ShardedConcurrency, PoolScoringRacesRequestsAndReaders) {
                                }};
   MapMakerConfig config;
   config.rescore_interval_s = 1'000'000;
-  config.scoring_shards = 4;
   config.publish_unchanged = true;
   MapMaker maker{&fx.mapping, &clock, config};
   maker.watch(&monitor);

@@ -208,20 +208,6 @@ TEST(MapSnapshot, SharesTheMappingSystemsScoring) {
   EXPECT_EQ(after->deployment, before->deployment);
 }
 
-// A full build ranks each tile of units into fixed stack scratch that
-// holds one ranking prefix (2 * scoring_top_k) of up to 512 entries.
-TEST(MapSnapshot, RejectsTopKBeyondTheTileScratch) {
-  const topo::World& world = tiny_world();
-  cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
-  cdn::MappingConfig config;
-  config.scoring_top_k = 256;
-  const cdn::MappingSystem widest{&world, &network, &test_latency(), config};
-  EXPECT_EQ(widest.snapshot()->unit_candidates(0).size(), 256U);
-  config.scoring_top_k = 257;
-  EXPECT_THROW((cdn::MappingSystem{&world, &network, &test_latency(), config}),
-               std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // MapMaker
 

@@ -128,6 +128,22 @@ TEST(Message, CompressionReducesSize) {
   EXPECT_EQ(round_trip(response).answers.size(), 4U);
 }
 
+// A name is compressed only against names already written. encode_into
+// reuses its buffer's storage (the UDP workers' scratch), so the bytes
+// past the name being written can be a stale earlier answer's: here
+// "a.example", whose tail would otherwise "match" the unfinished
+// "a.a.example" and turn it into a pointer to itself.
+TEST(Message, CompressionIgnoresStaleBytesPastTheNameBeingWritten) {
+  std::vector<std::uint8_t> wire;
+  Message::make_query(1, DnsName::from_text("a.example"), RecordType::A).encode_into(wire);
+  const Message query = Message::make_query(2, DnsName::from_text("a.a.example"), RecordType::A);
+  query.encode_into(wire);
+  EXPECT_EQ(wire, query.encode());
+  const Message decoded = Message::decode(wire);
+  ASSERT_EQ(decoded.questions.size(), 1U);
+  EXPECT_EQ(decoded.questions[0].name, DnsName::from_text("a.a.example"));
+}
+
 // ---------- EDNS0 / ECS ----------
 
 TEST(MessageEdns, OptRecordRoundTrip) {

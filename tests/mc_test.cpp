@@ -198,7 +198,6 @@ TEST(McProtocol, KernelIndexCoversAllFiveKernels) {
   EXPECT_EQ(checks_for_kernel("versioned_rcu").size(), 2U);
   EXPECT_EQ(checks_for_kernel("mpmc_ring").size(), 3U);
   EXPECT_EQ(checks_for_kernel("pending_table").size(), 1U);
-  EXPECT_EQ(checks_for_kernel("job_claim").size(), 1U);
   EXPECT_TRUE(checks_for_kernel("no_such_kernel").empty());
 }
 

@@ -14,9 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "cdn/mapping.h"
 #include "dnsserver/udp.h"
 #include "ndjson_check.h"
 #include "obs/trace.h"
+#include "test_world.h"
 
 namespace eum::dnsserver {
 namespace {
@@ -218,6 +220,37 @@ TEST(UdpTruncation, TinyAdvertisedPayloadClampedTo512) {
   EXPECT_FALSE(response->header.truncated);
   EXPECT_EQ(response->answers.size(), 10U);
   EXPECT_EQ(server.registry().counter_total("eum_udp_truncated_total"), 0U);
+}
+
+// No served answer can reach the 512-octet floor, so the mapping zone never
+// sets TC=1 (and needs no TCP fallback). The worst case: a 255-octet
+// qname, servers_per_answer = 4 AAAA records, and an OPT echoing a /128
+// IPv6 ECS source — by arithmetic about 420 octets.
+TEST(UdpTruncation, LargestDynamicAnswerFitsIn512) {
+  const topo::World& world = eum::testing::tiny_world();
+  cdn::CdnNetwork network = cdn::CdnNetwork::build(world, 40);
+  cdn::MappingConfig config;
+  config.servers_per_answer = cdn::kMaxServersPerAnswer;
+  cdn::MappingSystem mapping{&world, &network, &eum::testing::test_latency(), config};
+  AuthoritativeServer engine;
+  engine.add_dynamic_domain(DnsName::from_text("g.cdn.example"), mapping.dns_handler());
+
+  // Three 63-octet labels and one of 47 above g.cdn.example (15 octets).
+  const std::string label63(63, 'a');
+  const DnsName qname = DnsName::from_text(label63 + "." + label63 + "." + label63 + "." +
+                                           std::string(47, 'b') + ".g.cdn.example");
+  ASSERT_EQ(qname.wire_length(), DnsName::kMaxWireLength);
+  const auto ecs = ClientSubnetOption::for_query(*net::IpAddr::parse("2001:db8::1"), 128);
+  Message query = Message::make_query(7, qname, RecordType::AAAA, ecs);
+  query.edns->udp_payload_size = 512;
+
+  const Message response = engine.handle(query, world.ldnses.front().address);
+  ASSERT_EQ(response.answers.size(), cdn::kMaxServersPerAnswer);
+  for (const auto& record : response.answers) EXPECT_EQ(record.type, RecordType::AAAA);
+  ASSERT_NE(response.client_subnet(), nullptr);
+  EXPECT_EQ(response.client_subnet()->source_prefix_len(), 128);
+  EXPECT_FALSE(response.header.truncated);
+  EXPECT_LE(response.encode().size(), 512U);
 }
 
 TEST(UdpConcurrency, FourWorkersServeParallelClientsWithoutLoss) {
